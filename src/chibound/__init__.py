@@ -62,7 +62,6 @@ from .coloring import (
     chromatic_number,
     greedy_proper_coloring,
     product_chi_p_coloring,
-    star_chromatic_number,
     subdivision_chi_p_coloring,
     uniform_subdivision_coloring,
     validate_coloring,

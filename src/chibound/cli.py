@@ -18,7 +18,7 @@ from .codec import (
     serialize_digraph,
     serialize_graph,
 )
-from .coloring import chi_p, chromatic_number, star_chromatic_number
+from .coloring import chi_p, chromatic_number
 from .errors import ChiboundError, ParseError, SizeCapError, WalkLoopError
 from .generators import generate
 from .graphs import acyclic_orientation, blow_up, power, subdivide_exact
@@ -61,14 +61,19 @@ def _emit_json(payload, out):
     _write_output(json.dumps(payload, sort_keys=True, indent=1), out)
 
 
+def _cap(args):
+    """The cap keyword for a solver: given only with --cap-n, else its default."""
+    return {} if args.cap_n is None else {"cap": args.cap_n}
+
+
 _INVARIANTS = {
-    "chromatic": lambda g, cap: chromatic_number(g, cap=cap or 32),
-    "star": lambda g, cap: star_chromatic_number(g, cap=cap or 14),
-    "chi3": lambda g, cap: chi_p(g, 3, cap=cap),
-    "treedepth": lambda g, cap: tree_depth(g, cap=cap or 16),
-    "clique": lambda g, cap: clique_number(g, cap=cap or 64),
-    "biclique": lambda g, cap: biclique_number(g, cap=cap or 24),
-    "degeneracy": lambda g, cap: degeneracy_result(g),
+    "chromatic": chromatic_number,
+    "star": lambda g, **cap: chi_p(g, 2, **cap),
+    "chi3": lambda g, **cap: chi_p(g, 3, **cap),
+    "treedepth": tree_depth,
+    "clique": clique_number,
+    "biclique": biclique_number,
+    "degeneracy": lambda g, **cap: degeneracy_result(g),
 }
 
 
@@ -93,7 +98,7 @@ def _cmd_invariant(args):
             raise ChiboundError(
                 f"unknown invariant {name!r}; known: {sorted(_INVARIANTS) + ['maxdegree', 'avgdegree']}"
             )
-        results[name] = _INVARIANTS[name](g, args.cap_n).to_jsonable()
+        results[name] = _INVARIANTS[name](g, **_cap(args)).to_jsonable()
     payload = {
         "input": serialize_graph(g),
         "results": results,
@@ -185,7 +190,7 @@ def _read_digraph_or_graph(path):
 def _cmd_hom(args):
     f = _read_digraph_or_graph(args.source)
     g = _read_digraph_or_graph(args.target)
-    mapping = homomorphism(f, g, cap=args.cap_n or 12)
+    mapping = homomorphism(f, g, **_cap(args))
     payload = {
         "source": serialize_digraph(f),
         "target": serialize_digraph(g),

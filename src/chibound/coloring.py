@@ -1,31 +1,41 @@
 """Exact coloring solvers and their certificate checkers.
 
-chromatic_number, star_chromatic_number, and chi_p run iterative deepening
-over the number of colors with a shared backtracking engine: saturation-first
-vertex selection, ascending colors, and first-use symmetry breaking, so
-witnesses are deterministic. Validators re-check certificates by brute
-enumeration of the defining property and share none of the search pruning.
+Every solver is the depth-p chromatic number chi_p for some p: proper coloring
+is p = 1 (chromatic_number) and star coloring is p = 2. One backtracking search
+decides whether a connected graph has a depth-p coloring with k colors, and one
+driver runs it component by component with iterative deepening over k. The
+search uses saturation-first vertex selection, ascending colors, and first-use
+symmetry breaking, so witnesses are deterministic. Validators re-check
+certificates by brute enumeration of the defining property and share none of
+the search pruning.
 
 Definitions in force:
-- star coloring: proper and every 4-vertex path sees at least 3 colors;
 - depth-p coloring (chi_p): every union of at most p color classes induces a
-  subgraph of tree-depth at most the number of classes taken.
+  subgraph of tree-depth at most the number of classes taken;
+- at p = 2 that is star coloring: proper and every 4-vertex path sees at
+  least 3 colors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import ParameterError, SizeCapError, ValidationError
-from .graphs import induced_subgraph, subdivide_exact, subdivision_internal_vertices
+from .graphs import (
+    connected_components,
+    induced_subgraph,
+    shrink_to_minimal,
+    subdivide_exact,
+    subdivision_internal_vertices,
+)
 from .invariants import InvariantResult, clique_number
-from .treedepth import TreedepthSolver
+from .treedepth import EliminationForest, TreedepthSolver, depth_coloring
 
-CHROMATIC_CAP = 32
-STAR_CAP = 14
-CHI_P_CAP = {2: 14}
-CHI_P_CAP_DEFAULT = 12
+
+def chi_p_cap(p):
+    """Default vertex cap of the exact depth-p solver: 32, 14, then 12 for p >= 3."""
+    return {1: 32, 2: 14}.get(p, 12)
 
 
 @dataclass(frozen=True)
@@ -34,7 +44,7 @@ class Coloring:
 
     assignment: tuple
     num_colors: int
-    kind: str  # "proper" | "star" | "chi_p"
+    kind: str  # "proper" | "chi_p"
     p: int | None = None
 
     def color_classes(self):
@@ -83,55 +93,37 @@ def _first_monochromatic_edge(g, colors):
     return None
 
 
-def _first_bicolored_p4(g, colors):
-    # middle edge (b, c); ends a, d; bicolored means colors alternate abab
-    for b, c in g.sorted_edges():
-        for a in sorted(g.adj[b]):
-            if a == c or colors[a] != colors[c]:
-                continue
-            for d in sorted(g.adj[c]):
-                if d in (a, b) or colors[d] != colors[b]:
-                    continue
-                return (a, b, c, d)
-    return None
-
-
 def validate_coloring(g, coloring):
     """Check a coloring against its declared kind.
 
     Returns (True, None) or (False, witness); the witness names the violating
-    edge, 4-vertex path, or color subset.
+    edge or color subset.
     """
     _check_structure(g, coloring)
     colors = coloring.assignment
     edge = _first_monochromatic_edge(g, colors)
     if edge is not None:
         return False, ("monochromatic_edge", edge)
-    if coloring.kind == "proper" or (coloring.kind == "chi_p" and coloring.p == 1):
+    if coloring.kind == "proper":
         return True, None
-    if coloring.kind == "star":
-        p4 = _first_bicolored_p4(g, colors)
-        if p4 is not None:
-            return False, ("bicolored_path", p4)
-        return True, None
-    if coloring.kind == "chi_p":
-        p = coloring.p
-        if p is None or p < 1:
-            raise ValidationError("chi_p coloring needs its parameter p")
-        solver = TreedepthSolver(g)
-        masks = [0] * coloring.num_colors
-        for v, c in enumerate(colors):
-            masks[c] |= 1 << v
-        used = range(coloring.num_colors)
-        for size in range(2, min(p, coloring.num_colors) + 1):
-            for subset in combinations(used, size):
-                mask = 0
-                for c in subset:
-                    mask |= masks[c]
-                if not solver.td_at_most(mask, size):
-                    return False, ("subset_treedepth", subset)
-        return True, None
-    raise ValidationError(f"unknown coloring kind {coloring.kind!r}")
+    if coloring.kind != "chi_p":
+        raise ValidationError(f"unknown coloring kind {coloring.kind!r}")
+    p = coloring.p
+    if p is None or p < 1:
+        raise ValidationError("chi_p coloring needs its parameter p")
+    solver = TreedepthSolver(g)
+    masks = [0] * coloring.num_colors
+    for v, c in enumerate(colors):
+        masks[c] |= 1 << v
+    used = range(coloring.num_colors)
+    for size in range(2, min(p, coloring.num_colors) + 1):
+        for subset in combinations(used, size):
+            mask = 0
+            for c in subset:
+                mask |= masks[c]
+            if not solver.td_at_most(mask, size):
+                return False, ("subset_treedepth", subset)
+    return True, None
 
 
 def _star_ok(nbrs, a, v, c):
@@ -162,31 +154,30 @@ def _star_ok(nbrs, a, v, c):
 
 
 class _ColoringSearch:
-    """Backtracking k-coloring search for one connected graph.
+    """Backtracking search for a depth-p coloring with at most k colors.
 
-    mode "proper" checks edges only; "star" additionally rejects bicolored
-    4-vertex paths; "chip" adds tree-depth checks on every color subset of
-    size 3..p that includes the color just placed (pairs are exactly the star
-    condition, so the path check covers them).
+    p = 1 checks edges only; p >= 2 also rejects bicolored 4-vertex paths, which
+    is exactly the condition on pairs of classes; p >= 3 adds tree-depth checks
+    on every color subset of size 3..p that includes the color just placed.
+    Meant for one connected graph: on a disconnected one a failing component
+    makes it backtrack through the colorings of the others.
     """
 
-    def __init__(self, g, k, mode, p=0):
-        self.g = g
+    def __init__(self, g, k, p):
         self.n = g.n
         self.k = k
-        self.mode = mode
         self.p = p
-        self.adj = g.adj_bits
         self.nbrs = [sorted(g.adj[v]) for v in range(g.n)]
         self.assignment = [-1] * g.n
         self.sat_counts = [[0] * k for _ in range(g.n)]
         self.sat_mask = [0] * g.n
-        if mode == "chip":
+        if p >= 3:
             self.td = TreedepthSolver(g)
             self.color_masks = [0] * k
             self.class_sizes = [0] * k
 
     def run(self):
+        """The coloring as a tuple, colors by first use in the search, or None."""
         if self.n == 0:
             return ()
         if self._extend(0, 0):
@@ -222,11 +213,11 @@ class _ColoringSearch:
         return False
 
     def _place_ok(self, v, c):
-        if self.mode == "proper":
+        if self.p == 1:
             return True
         if not _star_ok(self.nbrs, self.assignment, v, c):
             return False
-        if self.mode == "chip" and self.p >= 3:
+        if self.p >= 3:
             used = [i for i in range(self.k) if self.class_sizes[i] > 0 and i != c]
             new_mask = self.color_masks[c] | 1 << v
             top = min(self.p, len(used) + 1)
@@ -247,7 +238,7 @@ class _ColoringSearch:
                 counts[c] += 1
                 if counts[c] == 1:
                     self.sat_mask[u] |= 1 << c
-        if self.mode == "chip":
+        if self.p >= 3:
             self.color_masks[c] |= 1 << v
             self.class_sizes[c] += 1
 
@@ -259,15 +250,9 @@ class _ColoringSearch:
                 counts[c] -= 1
                 if counts[c] == 0:
                     self.sat_mask[u] &= ~(1 << c)
-        if self.mode == "chip":
+        if self.p >= 3:
             self.color_masks[c] &= ~(1 << v)
             self.class_sizes[c] -= 1
-
-
-def _exists_coloring(g, k, mode, p=0):
-    if k <= 0:
-        return None if g.n else ()
-    return _ColoringSearch(g, k, mode, p).run()
 
 
 def greedy_proper_coloring(g):
@@ -289,26 +274,64 @@ def greedy_proper_coloring(g):
     return make_coloring(assignment, "proper")
 
 
+def _by_component(g, color):
+    """Assignment of g gluing color(component) over its connected components,
+    or None as soon as color returns None for one of them."""
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return color(g)
+    assignment = [0] * g.n
+    for comp in comps:
+        sub, verts = induced_subgraph(g, comp)
+        found = color(sub)
+        if found is None:
+            return None
+        for v, c in zip(verts, found):
+            assignment[v] = c
+    return assignment
+
+
+def _least_coloring(g, p):
+    """A least depth-p coloring of connected g, colors numbered from 0.
+
+    Starts k at a lower bound: the clique number for p = 1, the chromatic
+    number for p >= 2. For k <= p a k-coloring exists exactly when the
+    tree-depth is at most k, and then an optimal elimination forest colored by
+    depth is one. The upper bound (a greedy coloring for p = 1, one color per
+    vertex otherwise) must succeed.
+    """
+    if p == 1:
+        lower = clique_number(g).value
+        upper = greedy_proper_coloring(g).num_colors
+    else:
+        lower, upper = chromatic_number_value(g), g.n
+    solver = TreedepthSolver(g)
+    full = (1 << g.n) - 1
+    for k in range(max(lower, 1), upper + 1):
+        if k <= p:
+            if solver.td_at_most(full, k):
+                parent = solver.forest(full)
+                forest = EliminationForest(tuple(parent.get(v, -1) for v in range(g.n)))
+                return depth_coloring(g, forest)
+        else:
+            found = _ColoringSearch(g, k, p).run()
+            if found is not None:
+                return found
+    raise AssertionError("upper bound for coloring search was not valid")
+
+
+def _least_assignment(g, p, cap):
+    """A least depth-p coloring of g under the vertex cap (default chi_p_cap(p))."""
+    if cap is None:
+        cap = chi_p_cap(p)
+    if g.n > cap:
+        raise SizeCapError(
+            f"depth-{p} coloring solver capped at {cap} vertices, got {g.n}"
+        )
+    return _by_component(g, lambda sub: _least_coloring(sub, p))
+
+
 _chi_value_memo = {}
-
-
-def _components_with_maps(g):
-    from .graphs import connected_components
-
-    for comp in connected_components(g):
-        yield induced_subgraph(g, comp)
-
-
-def _solve_min_colors(g, mode, p, lower, upper):
-    """Smallest k in [lower, upper] admitting a mode-coloring; upper must work."""
-    for k in range(max(lower, 1), upper):
-        found = _exists_coloring(g, k, mode, p)
-        if found is not None:
-            return k, found
-    found = _exists_coloring(g, upper, mode, p)
-    if found is None:
-        raise AssertionError("upper bound for coloring search was not valid")
-    return upper, found
 
 
 def chromatic_number_value(g):
@@ -316,157 +339,51 @@ def chromatic_number_value(g):
     cached = _chi_value_memo.get(g)
     if cached is not None:
         return cached
-    value = 0
-    for sub, _ in _components_with_maps(g):
-        lb = clique_number(sub).value
-        ub = greedy_proper_coloring(sub).num_colors
-        k, _found = _solve_min_colors(sub, "proper", 0, lb, ub)
-        value = max(value, k)
+    value = len(set(_by_component(g, lambda sub: _least_coloring(sub, 1))))
     _chi_value_memo[g] = value
     return value
 
 
-def _critical_subgraph(g, chi):
-    """Vertex set inducing a chi-critical subgraph, by greedy deletion."""
-    verts = list(range(g.n))
-    changed = True
-    while changed:
-        changed = False
-        for v in list(verts):
-            rest = [u for u in verts if u != v]
-            sub, _ = induced_subgraph(g, rest)
-            if _chromatic_at_least(sub, chi):
-                verts = rest
-                changed = True
-    return tuple(verts)
-
-
 def _chromatic_at_least(g, chi):
-    for sub, _ in _components_with_maps(g):
-        if _exists_coloring(sub, chi - 1, "proper") is None:
-            return True
-    return False
+    """Whether g has no proper coloring with chi - 1 colors."""
+    return _by_component(g, lambda sub: _ColoringSearch(sub, chi - 1, 1).run()) is None
 
 
-def chromatic_number(g, cap=CHROMATIC_CAP):
+def chromatic_number(g, cap=None):
     """Exact chromatic number, a proper-coloring certificate, and a lower-bound
     witness (max clique, or a chi-critical vertex set when the clique is not tight)."""
-    if g.n > cap:
-        raise SizeCapError(f"chromatic solver capped at {cap} vertices, got {g.n}")
-    assignment = [0] * g.n
-    value = 0
-    for sub, verts in _components_with_maps(g):
-        lb = clique_number(sub).value
-        ub = greedy_proper_coloring(sub).num_colors
-        k, found = _solve_min_colors(sub, "proper", 0, lb, ub)
-        value = max(value, k)
-        for i, v in enumerate(verts):
-            assignment[v] = found[i]
-    coloring = make_coloring(assignment, "proper") if g.n else Coloring((), 0, "proper")
+    coloring = make_coloring(_least_assignment(g, 1, cap), "proper")
+    value = coloring.num_colors
     omega = clique_number(g)
     if omega.value == value:
         witness = ("clique", omega.certificate)
     else:
-        witness = ("critical_subgraph", _critical_subgraph(g, value))
+        critical = shrink_to_minimal(g, lambda sub: _chromatic_at_least(sub, value))
+        witness = ("critical_subgraph", critical)
     _chi_value_memo[g] = value
     return InvariantResult(
         "chromatic_number", value, certificate=coloring, lower_bound=witness
     )
 
 
-def greedy_star_coloring(g):
-    """Greedy star coloring (degree-descending order); an upper bound only."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    nbrs = [sorted(g.adj[v]) for v in range(g.n)]
-    assignment = [-1] * g.n
-    for v in order:
-        c = 0
-        while any(assignment[u] == c for u in nbrs[v]) or not _star_ok(
-            nbrs, assignment, v, c
-        ):
-            c += 1
-        assignment[v] = c
-    return make_coloring(assignment, "star")
-
-
-def star_chromatic_number(g, cap=STAR_CAP):
-    """Exact star chromatic number (chi_2) with a star-coloring certificate."""
-    if g.n > cap:
-        raise SizeCapError(f"star solver capped at {cap} vertices, got {g.n}")
-    assignment = [0] * g.n
-    value = 0
-    for sub, verts in _components_with_maps(g):
-        lb = chromatic_number_value(sub)
-        ub = greedy_star_coloring(sub).num_colors
-        k, found = _solve_min_colors(sub, "star", 0, lb, ub)
-        value = max(value, k)
-        for i, v in enumerate(verts):
-            assignment[v] = found[i]
-    coloring = make_coloring(assignment, "star") if g.n else Coloring((), 0, "star")
-    return InvariantResult("star_chromatic_number", value, certificate=coloring)
-
-
-def _depth_coloring_of(g):
-    from .treedepth import depth_coloring
-
-    solver = TreedepthSolver(g)
-    full = (1 << g.n) - 1
-    parent_map = solver.forest(full)
-    from .treedepth import EliminationForest
-
-    forest = EliminationForest(tuple(parent_map.get(v, -1) for v in range(g.n)))
-    return depth_coloring(g, forest)
-
-
 def chi_p(g, p, cap=None):
     """Exact depth-p chromatic number chi_p with a certified coloring.
 
-    chi_1 is the chromatic number; chi_2 the star chromatic number. For k <= p
-    a k-coloring exists exactly when the tree-depth is at most k, which the
-    solver exploits before falling back to the subset-checked search.
+    chi_1 is the chromatic number, with its lower-bound witness; chi_2 the star
+    chromatic number. The default vertex cap is chi_p_cap(p).
     """
     if p < 1:
         raise ParameterError("chi_p needs p >= 1")
     if p == 1:
-        res = chromatic_number(g)
-        cert = res.certificate
+        res = chromatic_number(g, cap)
         return InvariantResult(
             "chi_p",
             res.value,
-            certificate=Coloring(cert.assignment, cert.num_colors, "chi_p", 1),
+            certificate=replace(res.certificate, kind="chi_p", p=1),
             lower_bound=res.lower_bound,
         )
-    if cap is None:
-        cap = CHI_P_CAP.get(p, CHI_P_CAP_DEFAULT)
-    if g.n > cap:
-        raise SizeCapError(f"chi_p solver capped at {cap} vertices, got {g.n}")
-    assignment = [0] * g.n
-    value = 0
-    for sub, verts in _components_with_maps(g):
-        k, found = _chi_p_component(sub, p)
-        value = max(value, k)
-        for i, v in enumerate(verts):
-            assignment[v] = found[i]
-    coloring = (
-        make_coloring(assignment, "chi_p", p) if g.n else Coloring((), 0, "chi_p", p)
-    )
-    return InvariantResult("chi_p", value, certificate=coloring)
-
-
-def _chi_p_component(g, p):
-    solver = TreedepthSolver(g)
-    full = (1 << g.n) - 1
-    k = max(1, chromatic_number_value(g))
-    while True:
-        if k <= p:
-            if solver.td_at_most(full, k):
-                depth = _depth_coloring_of(g)
-                return len(set(depth)), tuple(depth)
-        else:
-            found = _exists_coloring(g, k, "chip", p)
-            if found is not None:
-                return k, found
-        k += 1
+    coloring = make_coloring(_least_assignment(g, p, cap), "chi_p", p)
+    return InvariantResult("chi_p", coloring.num_colors, certificate=coloring)
 
 
 def uniform_subdivision_coloring(g, p):

@@ -161,6 +161,26 @@ def induced_subgraph(g, vertices):
     return Graph(len(verts), edges), verts
 
 
+def shrink_to_minimal(g, holds):
+    """Greedy vertex deletion down to a minimal witness set.
+
+    holds(h) is a property of induced subgraphs that g has. Sweeps the vertices
+    in order, deleting each one whose removal keeps the property, until a full
+    sweep deletes nothing; returns the surviving vertices as a sorted tuple.
+    """
+    verts = list(range(g.n))
+    changed = True
+    while changed:
+        changed = False
+        for v in list(verts):
+            rest = [u for u in verts if u != v]
+            sub, _ = induced_subgraph(g, rest)
+            if holds(sub):
+                verts = rest
+                changed = True
+    return tuple(verts)
+
+
 def disjoint_union(graphs):
     """Disjoint union; vertex blocks follow the input order."""
     n = 0

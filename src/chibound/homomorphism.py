@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .codec import digraph_to_digraph6
 from .errors import BudgetError, ParameterError, SizeCapError, WalkLoopError
-from .graphs import Digraph, induced_subgraph
+from .graphs import Digraph, induced_subgraph, shrink_to_minimal
 from .invariants import clique_number, degeneracy
 
 HOM_CAP = 12
@@ -361,14 +361,8 @@ def h_coloring_with_witness(
             raise AssertionError(f"solver returned an invalid mapping: {reason}")
         return HColoringOutcome(kind="mapping", mapping=mapping)
     # no mapping at all: shrink to a minimal non-colorable vertex set
-    verts = list(range(g.n))
-    changed = True
-    while changed:
-        changed = False
-        for v in list(verts):
-            rest = [u for u in verts if u != v]
-            sub, _ = induced_subgraph(g, rest)
-            if not hom_exists(symmetric_digraph(sub), template, budget=hom_budget):
-                verts = rest
-                changed = True
-    return HColoringOutcome(kind="witness", witness=tuple(verts))
+    witness = shrink_to_minimal(
+        g,
+        lambda sub: not hom_exists(symmetric_digraph(sub), template, budget=hom_budget),
+    )
+    return HColoringOutcome(kind="witness", witness=witness)

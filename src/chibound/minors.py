@@ -16,7 +16,7 @@ from .corpus import all_graphs, connected_graphs
 from .errors import SizeCapError
 from .graphs import Graph, induced_subgraph, subdivide_exact
 from .invariants import clique_number
-from .coloring import chromatic_number_value, _exists_coloring
+from .coloring import _chromatic_at_least, chromatic_number_value
 
 HOST_CAP = 40
 PATTERN_CAP = 8
@@ -408,9 +408,8 @@ def critical_patterns(chi, max_size):
                     continue
                 if chromatic_number_value(h) != chi:
                     continue
-                if all(
-                    _exists_coloring(Graph(h.n, h.edges - {e}), chi - 1, "proper")
-                    is not None
+                if not any(
+                    _chromatic_at_least(Graph(h.n, h.edges - {e}), chi)
                     for e in h.sorted_edges()
                 ):
                     out.append(h)

@@ -20,10 +20,10 @@ from . import corpus
 from .codec import graph_to_graph6
 from .coloring import (
     chi_p,
+    chi_p_cap,
     chromatic_number,
     chromatic_number_value,
     product_chi_p_coloring,
-    star_chromatic_number,
     subdivision_chi_p_coloring,
     uniform_subdivision_coloring,
     validate_coloring,
@@ -127,9 +127,7 @@ def _check_s1(payload):
         "omega_tm_at_p": w_at_p,
         "omega_tm_below_p": w_below,
     }
-    solver_caps = {1: 32, 2: 14}
-    cap = solver_caps.get(p, 12)
-    if gs.n <= cap:
+    if gs.n <= chi_p_cap(p):
         measured["solver_chi_p"] = chi_p(gs, p).value
     expected = {
         "chi_p": p + 1,
@@ -161,7 +159,7 @@ def _check_s2(payload):
     g = corpus_graph(payload)
     chi = chromatic_number_value(g)
     gs = subdivide_exact(g, 1)
-    s = star_chromatic_number(gs, cap=44).value
+    s = chi_p(gs, 2, cap=44).value
     measured = {"chi": chi, "star_of_subdivision": s}
     expected = {"square_at_least_chi": True, "at_most_max_chi_3": True}
     ok = s * s >= chi and s <= max(chi, 3)
@@ -242,10 +240,7 @@ def _instances_s3(spec):
 def _check_s4(payload):
     g = corpus_graph(payload)
     p = payload["p"]
-    if p == 2:
-        value = star_chromatic_number(g).value
-    else:
-        value = chi_p(g, p).value
+    value = chi_p(g, p).value
     tm = chi_TM(g, p - 1, g.n)
     measured = {"chi_p": value, "chi_tm": tm.value, "chi_tm_exact": tm.exact}
     expected = {"chi_p_power_at_least_chi_tm": True}
@@ -337,11 +332,7 @@ def _check_s6(payload):
     g = generate("complete_bipartite", {"s": s, "t": t})
     td = tree_depth(g).value
     w1 = omega_TM(g, 1)
-    values = {}
-    for p in (2, 3):
-        values[f"chi_{p}"] = (
-            star_chromatic_number(g).value if p == 2 else chi_p(g, p).value
-        )
+    values = {f"chi_{p}": chi_p(g, p).value for p in (2, 3)}
     measured = {"tree_depth": td, "omega_tm_1": w1, **values}
     ok = (
         td <= s + 1
@@ -414,10 +405,7 @@ def build_sub_colorings(g, base, p):
     for subset in combinations(range(chi), size):
         members = [v for v in range(g.n) if base.assignment[v] in subset]
         sub, verts = induced_subgraph(g, members)
-        if p == 2:
-            local = star_chromatic_number(sub).certificate
-        else:
-            local = chi_p(sub, p).certificate
+        local = chi_p(sub, p).certificate
         out[frozenset(subset)] = {
             verts[i]: local.assignment[i] for i in range(len(verts))
         }
@@ -492,7 +480,7 @@ def _instances_s9(spec):
 def _check_s10(payload):
     g = corpus_graph(payload)
     chi = chromatic_number_value(g)
-    s = star_chromatic_number(subdivide_exact(g, 1), cap=52).value
+    s = chi_p(subdivide_exact(g, 1), 2, cap=52).value
     measured = {"chi": chi, "star_of_subdivision": s, "girth_target": payload["girth"]}
     ok = s * s >= chi
     return _record(
@@ -531,7 +519,7 @@ def _instances_s10(spec):
 def _check_s11(payload):
     g = corpus_graph(payload)
     chi_res = chromatic_number(g)
-    star_res = star_chromatic_number(g)
+    star_res = chi_p(g, 2)
     chi3_res = chi_p(g, 3)
     td_res = tree_depth(g)
     om_res = clique_number(g)

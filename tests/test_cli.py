@@ -44,11 +44,14 @@ def test_invariant_json(tmp_path, capsys):
     path = tmp_path / "in.g6"
     path.write_text("Bw\n")
     code, out, _ = run_cli(capsys, "invariant", str(path), "--which",
-                           "chromatic,clique,avgdegree")
+                           "chromatic,clique,avgdegree,star")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["results"]["chromatic"]["value"] == 3
     assert payload["results"]["clique"]["value"] == 3
+    star = payload["results"]["star"]
+    assert (star["name"], star["value"]) == ("chi_p", 3)
+    assert star["certificate"]["kind"] == "chi_p" and star["certificate"]["p"] == 2
 
 
 def test_invariant_cap_exit_code(tmp_path, capsys):

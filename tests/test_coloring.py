@@ -6,10 +6,8 @@ from chibound.coloring import (
     chromatic_number,
     chromatic_number_value,
     greedy_proper_coloring,
-    greedy_star_coloring,
     make_coloring,
     product_chi_p_coloring,
-    star_chromatic_number,
     subdivision_chi_p_coloring,
     uniform_subdivision_coloring,
     validate_coloring,
@@ -58,19 +56,19 @@ def test_chromatic_against_oracle_small_connected(small_connected):
 
 
 def test_star_examples():
-    assert star_chromatic_number(cycle(4)).value == 3
+    assert chi_p(cycle(4), 2).value == 3
     for n in range(2, 6):
-        assert star_chromatic_number(complete(n)).value == n
-    assert star_chromatic_number(cycle(5)).value == 4
+        assert chi_p(complete(n), 2).value == n
+    assert chi_p(cycle(5), 2).value == 4
     # one-subdivided triangle: three colors, matching chi_1 of the triangle
-    assert star_chromatic_number(subdivide_exact(complete(3), 1)).value == 3
+    assert chi_p(subdivide_exact(complete(3), 1), 2).value == 3
 
 
 def test_star_certificate_and_oracle():
     rng = SplitMix64(21)
     for _ in range(15):
         g = random_gnp(6, 0.5, rng)
-        res = star_chromatic_number(g)
+        res = chi_p(g, 2)
         assert naive_is_star_coloring(g, res.certificate.assignment)
         assert res.value == naive_star_chromatic(g)
 
@@ -82,9 +80,9 @@ def test_validate_coloring_witnesses():
     assert not ok and witness == ("monochromatic_edge", (0, 1))
 
     c4 = cycle(4)
-    alternating = Coloring((0, 1, 0, 1), 2, "star")
+    alternating = Coloring((0, 1, 0, 1), 2, "chi_p", p=2)
     ok, witness = validate_coloring(c4, alternating)
-    assert not ok and witness[0] == "bicolored_path"
+    assert not ok and witness[0] == "subset_treedepth"
 
     p4 = path(4)
     two = Coloring((0, 1, 0, 1), 2, "chi_p", p=3)
@@ -103,7 +101,6 @@ def test_solver_outputs_revalidate(small_connected):
     for g in small_connected[::5]:
         for res in (
             chromatic_number(g),
-            star_chromatic_number(g),
             chi_p(g, 2),
             chi_p(g, 3),
         ):
@@ -114,7 +111,6 @@ def test_solver_outputs_revalidate(small_connected):
 def test_chi_p_identities(small_connected):
     for g in small_connected[::3]:
         assert chi_p(g, 1).value == chromatic_number(g).value
-        assert chi_p(g, 2).value == star_chromatic_number(g).value
 
 
 def test_chi_p_examples():
@@ -133,6 +129,10 @@ def test_chi_p_caps():
     with pytest.raises(SizeCapError):
         chi_p(complete(13), 3)
     assert chi_p(complete(13), 2, cap=13).value == 13
+    with pytest.raises(SizeCapError):
+        chi_p(complete(10), 1, cap=5)
+    with pytest.raises(SizeCapError):
+        chromatic_number(complete(33))
 
 
 def test_greedy_bounds_are_valid_colorings():
@@ -140,8 +140,6 @@ def test_greedy_bounds_are_valid_colorings():
     for _ in range(10):
         g = random_gnp(8, 0.5, rng)
         ok, _ = validate_coloring(g, greedy_proper_coloring(g))
-        assert ok
-        ok, _ = validate_coloring(g, greedy_star_coloring(g))
         assert ok
         assert greedy_proper_coloring(g).num_colors >= chromatic_number_value(g)
 

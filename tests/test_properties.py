@@ -9,10 +9,11 @@ from chibound.codec import (
     graph_to_graph6,
     graph_to_json,
 )
-from chibound.coloring import chi_p, chromatic_number, star_chromatic_number
+from chibound.coloring import chi_p, chromatic_number
 from chibound.graphs import Graph, blow_up, induced_subgraph, orientations, subdivide_exact
 from chibound.invariants import biclique_number, clique_number
 from chibound.treedepth import tree_depth
+from oracles import naive_is_star_coloring, naive_star_chromatic
 
 
 @st.composite
@@ -65,7 +66,7 @@ def test_vertex_deletion_is_monotone(g, data):
     rest = [u for u in range(g.n) if u != v]
     sub, _ = induced_subgraph(g, rest)
     assert chromatic_number(sub).value <= chromatic_number(g).value
-    assert star_chromatic_number(sub).value <= star_chromatic_number(g).value
+    assert chi_p(sub, 2).value <= chi_p(g, 2).value
     assert chi_p(sub, 3).value <= chi_p(g, 3).value
     assert tree_depth(sub).value <= tree_depth(g).value
     assert clique_number(sub).value <= clique_number(g).value
@@ -76,9 +77,17 @@ def test_vertex_deletion_is_monotone(g, data):
 @given(graphs(max_n=6))
 def test_chain_and_floor(g):
     chi = chromatic_number(g).value
-    chi2 = star_chromatic_number(g).value
+    chi2 = chi_p(g, 2).value
     chi3 = chi_p(g, 3).value
     td = tree_depth(g).value
     assert chi <= chi2 <= chi3 <= td
     assert chi_p(g, g.n).value == td
     assert biclique_number(g).value >= clique_number(g).value // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=6))
+def test_chi_2_is_the_star_chromatic_number(g):
+    res = chi_p(g, 2)
+    assert res.value == naive_star_chromatic(g)
+    assert naive_is_star_coloring(g, res.certificate.assignment)

@@ -1,6 +1,11 @@
+import hashlib
 import json
+from pathlib import Path
 
 from chibound.suites import SUITES, SuiteSpec, run_suite
+
+# seed-0 report digests recorded with the benchmark, read here and never written
+EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def test_registry_is_complete():
@@ -33,6 +38,16 @@ def test_report_determinism_and_anchor():
     payload = a.to_jsonable()
     assert payload["anchor"] == a.anchor
     assert payload["summary"]["total"] == len(payload["instances"])
+
+
+def test_seed0_reports_match_recorded_digests():
+    # S8 is the suite that consumes depth-2 certificates, so this pins their bytes
+    expected = json.loads(EXPECTED_DIGESTS.read_text())["tm-sweep"]
+    for claim in ("S1", "S5", "S6", "S7", "S8", "S9", "S10"):
+        report = run_suite(SuiteSpec(claim=claim)).to_jsonable()
+        del report["elapsed_ms"]
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected[claim], claim
 
 
 def test_s1_passes_quickly():
