@@ -5,9 +5,14 @@ is p = 1 (chromatic_number) and star coloring is p = 2. One backtracking search
 decides whether a connected graph has a depth-p coloring with k colors, and one
 driver runs it component by component with iterative deepening over k. The
 search uses saturation-first vertex selection, ascending colors, and first-use
-symmetry breaking, so witnesses are deterministic. Validators re-check
-certificates by brute enumeration of the defining property and share none of
-the search pruning.
+symmetry breaking, so witnesses are deterministic. At p >= 2 it also forward
+checks: once all k colors are in use it skips a subtree as soon as an uncolored
+vertex near the one just colored has every color forbidden. Forbidden colors
+only grow as vertices get colored, so such a subtree holds no coloring, and the
+depth-first search still reaches the same first coloring: forward checking
+saves nodes and never changes a witness. Validators re-check certificates by
+brute enumeration of the defining property and share none of the search
+pruning.
 
 Definitions in force:
 - depth-p coloring (chi_p): every union of at most p color classes induces a
@@ -126,41 +131,18 @@ def validate_coloring(g, coloring):
     return True, None
 
 
-def _star_ok(nbrs, a, v, c):
-    """Would coloring v with c create a bicolored 4-vertex path (among colored)?"""
-    # path v-x-y-d: bicolored when col(y) == c and col(d) == col(x)
-    for x in nbrs[v]:
-        cx = a[x]
-        if cx < 0:
-            continue
-        for y in nbrs[x]:
-            if y == v or a[y] != c:
-                continue
-            for d in nbrs[y]:
-                if d == v or d == x:
-                    continue
-                if a[d] == cx:
-                    return False
-        # path x-v-y-d: bicolored when col(x) == col(y) and col(d) == c
-        for y in nbrs[v]:
-            if y == x or a[y] != cx:
-                continue
-            for d in nbrs[y]:
-                if d == v or d == x:
-                    continue
-                if a[d] == c:
-                    return False
-    return True
-
-
 class _ColoringSearch:
     """Backtracking search for a depth-p coloring with at most k colors.
 
-    p = 1 checks edges only; p >= 2 also rejects bicolored 4-vertex paths, which
-    is exactly the condition on pairs of classes; p >= 3 adds tree-depth checks
-    on every color subset of size 3..p that includes the color just placed.
-    Meant for one connected graph: on a disconnected one a failing component
-    makes it backtrack through the colorings of the others.
+    The state is bitmasks: one vertex mask per color class, the mask of
+    uncolored vertices, and per vertex the mask of colors on its colored
+    neighbours (its saturation). `_forbidden` turns them into the colors a
+    vertex cannot take: p = 1 forbids neighbour colors, p >= 2 also colors that
+    close a bicolored 4-vertex path, which is exactly the condition on pairs of
+    classes; p >= 3 adds tree-depth checks on every color subset of size 3..p
+    that includes the color just placed. Meant for one connected graph: on a
+    disconnected one a failing component makes it backtrack through the
+    colorings of the others.
     """
 
     def __init__(self, g, k, p):
@@ -168,13 +150,18 @@ class _ColoringSearch:
         self.k = k
         self.p = p
         self.nbrs = [sorted(g.adj[v]) for v in range(g.n)]
+        self.nbr_bits = g.adj_bits
+        # DSATUR ties go to the larger degree, then (stable sort) the smaller vertex
+        self.order = sorted(range(g.n), key=lambda v: -len(self.nbrs[v]))
         self.assignment = [-1] * g.n
-        self.sat_counts = [[0] * k for _ in range(g.n)]
+        self.color_masks = [0] * k
+        self.uncolored = (1 << g.n) - 1
         self.sat_mask = [0] * g.n
+        self.nodes = 0
+        # distance-3 balls for the wipe-out check, built at the first dead end
+        self.near = None
         if p >= 3:
             self.td = TreedepthSolver(g)
-            self.color_masks = [0] * k
-            self.class_sizes = [0] * k
 
     def run(self):
         """The coloring as a tuple, colors by first use in the search, or None."""
@@ -184,75 +171,124 @@ class _ColoringSearch:
             return tuple(self.assignment)
         return None
 
-    def _select(self):
-        best = -1
-        best_key = None
-        for v in range(self.n):
-            if self.assignment[v] >= 0:
-                continue
-            key = (self.sat_mask[v].bit_count(), len(self.nbrs[v]), -v)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = v
+    def _select(self, max_used):
+        """The uncolored vertex of most colored-neighbour colors, first in order."""
+        best, best_sat = -1, -1
+        uncolored = self.uncolored
+        for v in self.order:
+            if uncolored >> v & 1:
+                sat = self.sat_mask[v].bit_count()
+                if sat > best_sat:
+                    best, best_sat = v, sat
+                    if sat == max_used:
+                        break
         return best
 
+    def _forbidden(self, u):
+        """Mask of the colors u cannot take next to the colored vertices."""
+        sat = self.sat_mask
+        forbidden = sat[u]
+        if self.p == 1:
+            return forbidden
+        a = self.assignment
+        bits = self.nbr_bits
+        for x in self.nbrs[u]:
+            cx = a[x]
+            if cx < 0:
+                continue
+            same = self.color_masks[cx]
+            xbit = 1 << x
+            if bits[u] & same != xbit:
+                # x-u-y-d with col(y) == col(x): every color next to x is out
+                forbidden |= sat[x]
+            for y in self.nbrs[x]:
+                cy = a[y]
+                if cy >= 0 and bits[y] & same != xbit:
+                    # u-x-y-d with col(d) == col(x): col(y) is out
+                    forbidden |= 1 << cy
+        return forbidden
+
     def _extend(self, colored, max_used):
+        self.nodes += 1
         if colored == self.n:
             return True
-        v = self._select()
-        limit = min(max_used + 1, self.k)
-        for c in range(limit):
-            if self.sat_mask[v] >> c & 1:
+        v = self._select(max_used)
+        forbidden = self._forbidden(v)
+        for c in range(min(max_used + 1, self.k)):
+            if forbidden >> c & 1:
                 continue
-            if not self._place_ok(v, c):
+            if self.p >= 3 and not self._depth_ok(v, c, max_used):
                 continue
+            used = max(max_used, c + 1)
             self._assign(v, c)
-            if self._extend(colored + 1, max(max_used, c + 1)):
-                return True
+            if not (used == self.k and self._wiped_out(v)):
+                if self._extend(colored + 1, used):
+                    return True
             self._unassign(v, c)
+        if self.near is None and self.p >= 2:
+            self.near = self._distance_3_balls()
         return False
 
-    def _place_ok(self, v, c):
-        if self.p == 1:
-            return True
-        if not _star_ok(self.nbrs, self.assignment, v, c):
-            return False
-        if self.p >= 3:
-            used = [i for i in range(self.k) if self.class_sizes[i] > 0 and i != c]
-            new_mask = self.color_masks[c] | 1 << v
-            top = min(self.p, len(used) + 1)
-            for size in range(3, top + 1):
-                for others in combinations(used, size - 1):
-                    mask = new_mask
-                    for i in others:
-                        mask |= self.color_masks[i]
-                    if not self.td.td_at_most(mask, size):
-                        return False
+    def _depth_ok(self, v, c, max_used):
+        """Tree-depth of every 3..p color subset with v in class c (colors in
+        use are exactly 0..max_used-1 by first-use symmetry breaking)."""
+        others = [i for i in range(max_used) if i != c]
+        new_mask = self.color_masks[c] | 1 << v
+        for size in range(3, min(self.p, len(others) + 1) + 1):
+            for rest in combinations(others, size - 1):
+                mask = new_mask
+                for i in rest:
+                    mask |= self.color_masks[i]
+                if not self.td.td_at_most(mask, size):
+                    return False
         return True
+
+    def _wiped_out(self, v):
+        """Forward check once all k colors are in use: is some uncolored vertex
+        near v left with no color? Colors only become forbidden as vertices get
+        colored, so a wiped-out vertex dooms the subtree, and skipping it keeps
+        the first coloring found. Runs from the first dead end on, so searches
+        that never backtrack skip it."""
+        if self.near is None:
+            return False
+        full = (1 << self.k) - 1
+        rest = self.near[v] & self.uncolored
+        while rest:
+            low = rest & -rest
+            if self._forbidden(low.bit_length() - 1) == full:
+                return True
+            rest ^= low
+        return False
+
+    def _distance_3_balls(self):
+        """Per vertex v, the mask of the other vertices within distance 3: the
+        ones whose forbidden colors can change when v is colored."""
+        balls = [bits | 1 << v for v, bits in enumerate(self.nbr_bits)]
+        for _ in range(2):
+            grown = []
+            for v, ball in enumerate(balls):
+                for u in self.nbrs[v]:
+                    ball |= balls[u]
+                grown.append(ball)
+            balls = grown
+        return [ball & ~(1 << v) for v, ball in enumerate(balls)]
 
     def _assign(self, v, c):
         self.assignment[v] = c
+        self.color_masks[c] |= 1 << v
+        self.uncolored &= ~(1 << v)
+        bit = 1 << c
         for u in self.nbrs[v]:
-            if self.assignment[u] < 0:
-                counts = self.sat_counts[u]
-                counts[c] += 1
-                if counts[c] == 1:
-                    self.sat_mask[u] |= 1 << c
-        if self.p >= 3:
-            self.color_masks[c] |= 1 << v
-            self.class_sizes[c] += 1
+            self.sat_mask[u] |= bit
 
     def _unassign(self, v, c):
         self.assignment[v] = -1
+        self.color_masks[c] &= ~(1 << v)
+        self.uncolored |= 1 << v
+        same = self.color_masks[c]
         for u in self.nbrs[v]:
-            if self.assignment[u] < 0:
-                counts = self.sat_counts[u]
-                counts[c] -= 1
-                if counts[c] == 0:
-                    self.sat_mask[u] &= ~(1 << c)
-        if self.p >= 3:
-            self.color_masks[c] &= ~(1 << v)
-            self.class_sizes[c] -= 1
+            if not self.nbr_bits[u] & same:
+                self.sat_mask[u] &= ~(1 << c)
 
 
 def greedy_proper_coloring(g):

@@ -1,7 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
+from chibound.codec import graph_to_graph6
 from chibound.coloring import (
     Coloring,
+    _ColoringSearch,
     chi_p,
     chromatic_number,
     chromatic_number_value,
@@ -12,6 +17,7 @@ from chibound.coloring import (
     uniform_subdivision_coloring,
     validate_coloring,
 )
+from chibound.corpus import all_graphs, connected_graphs
 from chibound.errors import SizeCapError, ValidationError
 from chibound.generators import (
     SplitMix64,
@@ -123,6 +129,14 @@ def test_chi_p_examples():
     assert chi_p(g, g.n).value == td
 
 
+def test_star_search_node_count():
+    # forward checking prunes the doomed subtrees of this 4-coloring search;
+    # plain backtracking walks about ten thousand nodes
+    search = _ColoringSearch(subdivide_exact(complete(7), 1), 4, 2)
+    found = search.run()
+    assert found is not None and search.nodes <= 2000
+
+
 def test_chi_p_caps():
     with pytest.raises(SizeCapError):
         chi_p(complete(15), 2)
@@ -225,3 +239,26 @@ def test_product_coloring_names_missing_subset():
 def test_make_coloring_normalizes():
     col = make_coloring([5, 5, 9], "proper")
     assert col.assignment == (0, 0, 1) and col.num_colors == 2
+
+
+# SHA-256 of every certificate below; recorded before the forward-checking search
+CERTIFICATES_SHA256 = "a8d0b8b9eb45e89b6da5d8d873a0952665df39f22d512364515ee3ce93b3faae"
+
+
+def test_certificate_bytes_are_pinned():
+    h = hashlib.sha256()
+
+    def add(g, res):
+        text = json.dumps(res.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        h.update(f"{graph_to_graph6(g)} {text}\n".encode())
+
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            add(g, chromatic_number(g))
+            for p in (1, 2, 3):
+                add(g, chi_p(g, p))
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            sub = subdivide_exact(g, 1)
+            add(sub, chi_p(sub, 2, cap=44))
+    assert h.hexdigest() == CERTIFICATES_SHA256

@@ -9,7 +9,7 @@ from chibound.codec import (
     graph_to_graph6,
     graph_to_json,
 )
-from chibound.coloring import chi_p, chromatic_number
+from chibound.coloring import _ColoringSearch, chi_p, chromatic_number
 from chibound.graphs import Graph, blow_up, induced_subgraph, orientations, subdivide_exact
 from chibound.invariants import biclique_number, clique_number
 from chibound.treedepth import tree_depth
@@ -91,3 +91,37 @@ def test_chi_2_is_the_star_chromatic_number(g):
     res = chi_p(g, 2)
     assert res.value == naive_star_chromatic(g)
     assert naive_is_star_coloring(g, res.certificate.assignment)
+
+
+def _star_valid(g, colors, vertices):
+    sub, verts = induced_subgraph(g, vertices)
+    return naive_is_star_coloring(sub, [colors[v] for v in verts])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7), st.integers(min_value=1, max_value=5), st.data())
+def test_forbidden_colors_are_the_star_violations(g, k, data):
+    # a random star-valid partial coloring: each vertex in a random order gets
+    # a drawn color, or none, and keeps it only if the colored part stays valid
+    colors = [-1] * g.n
+    order = data.draw(st.permutations(range(g.n)))
+    for v in order:
+        c = data.draw(st.integers(min_value=-1, max_value=k - 1))
+        if c < 0:
+            continue
+        colors[v] = c
+        if not _star_valid(g, colors, [u for u in range(g.n) if colors[u] >= 0]):
+            colors[v] = -1
+    search = _ColoringSearch(g, k, 2)
+    for v in order:
+        if colors[v] >= 0:
+            search._assign(v, colors[v])
+    colored = [v for v in range(g.n) if colors[v] >= 0]
+    for u in range(g.n):
+        if colors[u] >= 0:
+            continue
+        forbidden = search._forbidden(u)
+        for c in range(k):
+            colors[u] = c
+            assert (forbidden >> c & 1) == (not _star_valid(g, colors, colored + [u]))
+        colors[u] = -1

@@ -41,9 +41,14 @@ def test_report_determinism_and_anchor():
 
 
 def test_seed0_reports_match_recorded_digests():
-    # S8 is the suite that consumes depth-2 certificates, so this pins their bytes
-    expected = json.loads(EXPECTED_DIGESTS.read_text())["tm-sweep"]
-    for claim in ("S1", "S5", "S6", "S7", "S8", "S9", "S10"):
+    # S2, S3 and S8 consume star and depth-p certificates, so this pins their bytes
+    recorded = json.loads(EXPECTED_DIGESTS.read_text())
+    expected = {
+        **recorded["star-search"],
+        **recorded["td-chain"],
+        **recorded["tm-sweep"],
+    }
+    for claim in ("S1", "S2", "S3", "S5", "S6", "S7", "S8", "S9", "S10"):
         report = run_suite(SuiteSpec(claim=claim)).to_jsonable()
         del report["elapsed_ms"]
         text = json.dumps(report, sort_keys=True, separators=(",", ":"))
