@@ -158,8 +158,8 @@ class _ColoringSearch:
         self.uncolored = (1 << g.n) - 1
         self.sat_mask = [0] * g.n
         self.nodes = 0
-        # distance-3 balls for the wipe-out check, built at the first dead end
-        self.near = None
+        if p >= 2:
+            self.near = self._distance_3_balls()
         if p >= 3:
             self.td = TreedepthSolver(g)
 
@@ -221,12 +221,10 @@ class _ColoringSearch:
                 continue
             used = max(max_used, c + 1)
             self._assign(v, c)
-            if not (used == self.k and self._wiped_out(v)):
+            if not (self.p >= 2 and used == self.k and self._wiped_out(v)):
                 if self._extend(colored + 1, used):
                     return True
             self._unassign(v, c)
-        if self.near is None and self.p >= 2:
-            self.near = self._distance_3_balls()
         return False
 
     def _depth_ok(self, v, c, max_used):
@@ -247,10 +245,7 @@ class _ColoringSearch:
         """Forward check once all k colors are in use: is some uncolored vertex
         near v left with no color? Colors only become forbidden as vertices get
         colored, so a wiped-out vertex dooms the subtree, and skipping it keeps
-        the first coloring found. Runs from the first dead end on, so searches
-        that never backtrack skip it."""
-        if self.near is None:
-            return False
+        the first coloring found."""
         full = (1 << self.k) - 1
         rest = self.near[v] & self.uncolored
         while rest:
