@@ -60,7 +60,6 @@ from .coloring import (
     Coloring,
     chi_p,
     chromatic_number,
-    greedy_proper_coloring,
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
     uniform_subdivision_coloring,

@@ -35,7 +35,7 @@ from .graphs import (
     subdivision_internal_vertices,
 )
 from .invariants import InvariantResult, clique_number
-from .treedepth import EliminationForest, TreedepthSolver, depth_coloring
+from .treedepth import TreedepthSolver, depth_coloring
 
 
 def chi_p_cap(p):
@@ -149,7 +149,7 @@ class _ColoringSearch:
         self.n = g.n
         self.k = k
         self.p = p
-        self.nbrs = [sorted(g.adj[v]) for v in range(g.n)]
+        self.nbrs = [g.neighbors(v) for v in range(g.n)]
         self.nbr_bits = g.adj_bits
         # DSATUR ties go to the larger degree, then (stable sort) the smaller vertex
         self.order = sorted(range(g.n), key=lambda v: -len(self.nbrs[v]))
@@ -286,25 +286,6 @@ class _ColoringSearch:
                 self.sat_mask[u] &= ~(1 << c)
 
 
-def greedy_proper_coloring(g):
-    """Deterministic DSATUR greedy; an upper bound only, never an exact answer."""
-    assignment = [-1] * g.n
-    sat = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        v = max(
-            (u for u in range(g.n) if assignment[u] < 0),
-            key=lambda u: (len(sat[u]), g.degree(u), -u),
-        )
-        c = 0
-        while c in sat[v]:
-            c += 1
-        assignment[v] = c
-        for u in g.adj[v]:
-            if assignment[u] < 0:
-                sat[u].add(c)
-    return make_coloring(assignment, "proper")
-
-
 def _by_component(g, color):
     """Assignment of g gluing color(component) over its connected components,
     or None as soon as color returns None for one of them."""
@@ -328,22 +309,15 @@ def _least_coloring(g, p):
     Starts k at a lower bound: the clique number for p = 1, the chromatic
     number for p >= 2. For k <= p a k-coloring exists exactly when the
     tree-depth is at most k, and then an optimal elimination forest colored by
-    depth is one. The upper bound (a greedy coloring for p = 1, one color per
-    vertex otherwise) must succeed.
+    depth is one. The climb ends at one color per vertex, which must succeed.
     """
-    if p == 1:
-        lower = clique_number(g).value
-        upper = greedy_proper_coloring(g).num_colors
-    else:
-        lower, upper = chromatic_number_value(g), g.n
+    lower = clique_number(g).value if p == 1 else chromatic_number_value(g)
     solver = TreedepthSolver(g)
     full = (1 << g.n) - 1
-    for k in range(max(lower, 1), upper + 1):
+    for k in range(max(lower, 1), g.n + 1):
         if k <= p:
             if solver.td_at_most(full, k):
-                parent = solver.forest(full)
-                forest = EliminationForest(tuple(parent.get(v, -1) for v in range(g.n)))
-                return depth_coloring(g, forest)
+                return depth_coloring(g, solver.forest(full))
         else:
             found = _ColoringSearch(g, k, p).run()
             if found is not None:

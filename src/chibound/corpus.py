@@ -109,7 +109,7 @@ def all_graphs(n):
         result = []
         seen = set()
         for base in all_graphs(n - 1):
-            base_edges = list(base.edges)
+            base_edges = base.sorted_edges()
             for mask in range(1 << (n - 1)):
                 edges = base_edges + [
                     (i, n - 1) for i in range(n - 1) if mask >> i & 1

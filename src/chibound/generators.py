@@ -135,6 +135,7 @@ def random_gnp(n, p, rng):
 def _shortest_cycle_below(g, bound):
     """A simple cycle shorter than `bound`, or None. Per-edge BFS: exact."""
     best = None
+    nbrs = [g.neighbors(x) for x in range(g.n)]
     for u, v in g.sorted_edges():
         # shortest u-v path avoiding the edge itself
         dist = {u: 0}
@@ -144,7 +145,7 @@ def _shortest_cycle_below(g, bound):
         while frontier and found is None:
             nxt = []
             for x in frontier:
-                for y in g.adj[x]:
+                for y in nbrs[x]:
                     if (x, y) in ((u, v), (v, u)) or y in dist:
                         continue
                     dist[y] = dist[x] + 1
@@ -198,7 +199,8 @@ def high_girth(n, d, g, rng):
             (min(a, b), max(a, b))
             for a, b in zip(cyc, cyc[1:] + cyc[:1])
         )
-        graph = Graph(n, graph.edges - {drop})
+        edges.remove(drop)
+        graph = Graph(n, edges)
     actual = girth(graph)
     if actual is not None and actual < g:
         raise ParameterError(f"internal girth check failed: {actual} < {g}")

@@ -1,8 +1,14 @@
 """Immutable graph and digraph types plus the structural operators built on them.
 
-Vertices are dense 0-based integers. Subdivision vertices are appended after
-the original vertices in a fixed order (edges sorted, then position along the
-path) so that certificates and serializations are stable across runs.
+Vertices are dense 0-based integers. Adjacency is stored once, as bit rows:
+bit v of `Graph.adj_bits[u]` is set when uv is an edge, and bit v of
+`Digraph.out_bits[u]` (bit u of `Digraph.in_bits[v]`) when uv is an arc. Every
+other view (edge and arc sets, sorted edge lists, neighbour tuples, degrees) is
+derived from the rows on demand, always in ascending vertex order.
+
+Subdivision vertices are appended after the original vertices in a fixed order
+(edges sorted, then position along the path) so that certificates and
+serializations are stable across runs.
 """
 
 from __future__ import annotations
@@ -16,67 +22,72 @@ def _normalize_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def bits(mask):
+    """The set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Graph:
     """Finite simple undirected graph. Immutable after construction."""
 
-    __slots__ = ("n", "edges", "adj", "adj_bits")
+    __slots__ = ("n", "adj_bits")
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValidationError(f"vertex count must be non-negative, got {n}")
-        seen = set()
+        rows = [0] * n
         for e in edges:
             u, v = e
             if u == v:
                 raise ValidationError(f"loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge {e!r} has an endpoint outside 0..{n - 1}")
-            e = _normalize_edge(u, v)
-            if e in seen:
-                raise ValidationError(f"duplicate edge {e!r}")
-            seen.add(e)
-        adj = [set() for _ in range(n)]
-        for u, v in seen:
-            adj[u].add(v)
-            adj[v].add(u)
-        bits = [0] * n
-        for u, v in seen:
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
+            if rows[u] >> v & 1:
+                raise ValidationError(f"duplicate edge {_normalize_edge(u, v)!r}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(seen))
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
-        object.__setattr__(self, "adj_bits", tuple(bits))
+        object.__setattr__(self, "adj_bits", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @property
+    def edges(self):
+        return frozenset(self.sorted_edges())
+
+    @property
     def m(self):
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adj_bits) // 2
 
     def has_edge(self, u, v):
-        return _normalize_edge(u, v) in self.edges
+        """Whether uv is an edge; False when u or v lies outside 0..n-1."""
+        return 0 <= u < self.n and 0 <= v < self.n and self.adj_bits[u] >> v & 1 == 1
 
     def degree(self, v):
-        return len(self.adj[v])
+        return self.adj_bits[v].bit_count()
 
     def neighbors(self, v):
-        return self.adj[v]
+        return tuple(bits(self.adj_bits[v]))
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        return [
+            (u, v)
+            for u, row in enumerate(self.adj_bits)
+            for v in bits(row >> u + 1 << u + 1)
+        ]
 
     def vertices(self):
         return range(self.n)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.adj_bits == other.adj_bits
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.adj_bits)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -85,67 +96,57 @@ class Graph:
 class Digraph:
     """Loopless directed graph; an oriented graph additionally has no 2-cycles."""
 
-    __slots__ = ("n", "arcs", "out_adj", "in_adj", "out_bits", "in_bits")
+    __slots__ = ("n", "out_bits", "in_bits")
 
     def __init__(self, n, arcs=()):
         if n < 0:
             raise ValidationError(f"vertex count must be non-negative, got {n}")
-        seen = set()
+        out_rows = [0] * n
+        in_rows = [0] * n
         for a in arcs:
             u, v = a
             if u == v:
                 raise ValidationError(f"loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"arc {a!r} has an endpoint outside 0..{n - 1}")
-            a = (u, v)
-            if a in seen:
-                raise ValidationError(f"duplicate arc {a!r}")
-            seen.add(a)
-        out_adj = [set() for _ in range(n)]
-        in_adj = [set() for _ in range(n)]
-        out_bits = [0] * n
-        in_bits = [0] * n
-        for u, v in seen:
-            out_adj[u].add(v)
-            in_adj[v].add(u)
-            out_bits[u] |= 1 << v
-            in_bits[v] |= 1 << u
+            if out_rows[u] >> v & 1:
+                raise ValidationError(f"duplicate arc {(u, v)!r}")
+            out_rows[u] |= 1 << v
+            in_rows[v] |= 1 << u
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", frozenset(seen))
-        object.__setattr__(self, "out_adj", tuple(frozenset(s) for s in out_adj))
-        object.__setattr__(self, "in_adj", tuple(frozenset(s) for s in in_adj))
-        object.__setattr__(self, "out_bits", tuple(out_bits))
-        object.__setattr__(self, "in_bits", tuple(in_bits))
+        object.__setattr__(self, "out_bits", tuple(out_rows))
+        object.__setattr__(self, "in_bits", tuple(in_rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
 
     @property
+    def arcs(self):
+        return frozenset(self.sorted_arcs())
+
+    @property
     def m(self):
-        return len(self.arcs)
+        return sum(row.bit_count() for row in self.out_bits)
 
     def has_arc(self, u, v):
-        return (u, v) in self.arcs
+        """Whether uv is an arc; False when u or v lies outside 0..n-1."""
+        return 0 <= u < self.n and 0 <= v < self.n and self.out_bits[u] >> v & 1 == 1
 
     @property
     def is_oriented(self):
-        return all((v, u) not in self.arcs for u, v in self.arcs)
+        return not any(o & i for o, i in zip(self.out_bits, self.in_bits))
 
     def underlying_graph(self):
-        return Graph(self.n, {_normalize_edge(u, v) for u, v in self.arcs})
+        return Graph(self.n, {_normalize_edge(u, v) for u, v in self.sorted_arcs()})
 
     def sorted_arcs(self):
-        return sorted(self.arcs)
+        return [(u, v) for u, row in enumerate(self.out_bits) for v in bits(row)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self.arcs == other.arcs
-        )
+        return isinstance(other, Digraph) and self.out_bits == other.out_bits
 
     def __hash__(self):
-        return hash((self.n, self.arcs))
+        return hash(self.out_bits)
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m})"
@@ -155,8 +156,12 @@ def induced_subgraph(g, vertices):
     """Induced subgraph on `vertices` plus the new->old index mapping."""
     verts = sorted(set(vertices))
     index = {v: i for i, v in enumerate(verts)}
+    keep = sum(1 << v for v in verts)
     edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
+        (i, index[v])
+        for i, u in enumerate(verts)
+        for v in bits(g.adj_bits[u] & keep)
+        if v > u
     ]
     return Graph(len(verts), edges), verts
 
@@ -223,7 +228,7 @@ def subdivide_exact(g, p):
     """The p-subdivision: every edge replaced by a path with p internal vertices."""
     if p < 0:
         raise ParameterError("subdivision depth must be non-negative")
-    return subdivide(g, {e: p for e in g.edges})
+    return subdivide(g, {e: p for e in g.sorted_edges()})
 
 
 def subdivision_internal_vertices(g, p):
@@ -260,23 +265,18 @@ def power(g, d):
     """Graph power: join vertices at graph distance at most d."""
     if d < 1:
         raise ParameterError("power exponent must be at least 1")
-    edges = set()
+    edges = []
     for s in range(g.n):
-        dist = {s: 0}
-        frontier = [s]
-        depth = 0
-        while frontier and depth < d:
-            depth += 1
-            nxt = []
-            for x in frontier:
-                for y in g.adj[x]:
-                    if y not in dist:
-                        dist[y] = depth
-                        nxt.append(y)
-            frontier = nxt
-        for t in dist:
-            if t != s:
-                edges.add(_normalize_edge(s, t))
+        reach = frontier = 1 << s
+        for _ in range(d):
+            if not frontier:
+                break
+            grown = 0
+            for x in bits(frontier):
+                grown |= g.adj_bits[x]
+            frontier = grown & ~reach
+            reach |= frontier
+        edges.extend((s, t) for t in bits(reach >> s + 1 << s + 1))
     return Graph(g.n, edges)
 
 
@@ -308,22 +308,18 @@ def acyclic_orientation(g, order):
 
 def connected_components(g):
     """Vertex lists of the connected components, each sorted, smallest vertex first."""
-    seen = [False] * g.n
     comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in g.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            grown = 0
+            for x in bits(frontier):
+                grown |= g.adj_bits[x]
+            frontier = grown & ~comp
+            comp |= frontier
+        comps.append(list(bits(comp)))
+        rest &= ~comp
     return comps
 
 
@@ -334,6 +330,7 @@ def is_connected(g):
 def girth(g):
     """Length of a shortest cycle, or None for a forest (BFS from every vertex)."""
     best = None
+    nbrs = [g.neighbors(v) for v in range(g.n)]
     for s in range(g.n):
         dist = {s: 0}
         parent = {s: -1}
@@ -341,7 +338,7 @@ def girth(g):
         while frontier:
             nxt = []
             for x in frontier:
-                for y in g.adj[x]:
+                for y in nbrs[x]:
                     if y == parent[x]:
                         continue
                     if y in dist:

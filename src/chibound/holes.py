@@ -68,15 +68,16 @@ def _iter_holes(g, max_len):
     Direction duplicates are dropped by requiring second vertex < last vertex.
     """
     adj_bits = g.adj_bits
+    nbrs = [g.neighbors(v) for v in range(g.n)]
     for a in range(g.n):
-        higher = [u for u in sorted(g.adj[a]) if u > a]
+        higher = [u for u in nbrs[a] if u > a]
         for first in higher:
             stack = [([a, first], 1 << a | 1 << first)]
             while stack:
                 pathv, mask = stack.pop()
                 last = pathv[-1]
                 interior = mask & ~(1 << a) & ~(1 << last)
-                for w in sorted(g.adj[last]):
+                for w in nbrs[last]:
                     if w <= a or mask >> w & 1:
                         continue
                     if adj_bits[w] & interior:

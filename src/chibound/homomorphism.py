@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .codec import digraph_to_digraph6
 from .errors import BudgetError, ParameterError, SizeCapError, WalkLoopError
-from .graphs import Digraph, induced_subgraph, shrink_to_minimal
+from .graphs import Digraph, bits, induced_subgraph, shrink_to_minimal
 from .invariants import clique_number, degeneracy
 
 HOM_CAP = 12
@@ -66,8 +66,10 @@ def homomorphism(f, g, cap=HOM_CAP, budget=None):
         return None
     order = sorted(
         range(f.n),
-        key=lambda v: (-(len(f.out_adj[v]) + len(f.in_adj[v])), v),
+        key=lambda v: (-(f.out_bits[v].bit_count() + f.in_bits[v].bit_count()), v),
     )
+    outs = [tuple(bits(row)) for row in f.out_bits]
+    ins = [tuple(bits(row)) for row in f.in_bits]
     full = (1 << g.n) - 1
     domains = [full] * f.n
     assignment = [-1] * f.n
@@ -88,7 +90,7 @@ def homomorphism(f, g, cap=HOM_CAP, budget=None):
             new_domains = list(domains)
             new_domains[v] = 1 << x
             ok = True
-            for w in f.out_adj[v]:
+            for w in outs[v]:
                 if assignment[w] < 0:
                     new_domains[w] &= g.out_bits[x]
                     if not new_domains[w]:
@@ -98,7 +100,7 @@ def homomorphism(f, g, cap=HOM_CAP, budget=None):
                     ok = False
                     break
             if ok:
-                for w in f.in_adj[v]:
+                for w in ins[v]:
                     if assignment[w] < 0:
                         new_domains[w] &= g.in_bits[x]
                         if not new_domains[w]:
@@ -150,7 +152,7 @@ def longest_directed_path_order(d):
 
     def visit(v):
         color[v] = 1
-        for w in sorted(d.out_adj[v]):
+        for w in bits(d.out_bits[v]):
             if color[w] == 1:
                 return False
             if color[w] == 0 and not visit(w):
@@ -164,7 +166,7 @@ def longest_directed_path_order(d):
             return None
     best = [1] * d.n
     for v in topo:  # reverse topological order: children first
-        for w in d.out_adj[v]:
+        for w in bits(d.out_bits[v]):
             best[v] = max(best[v], best[w] + 1)
     return max(best, default=0)
 
@@ -180,24 +182,15 @@ def walk_power(d, length):
     for _ in range(length - 1):
         nxt = [0] * d.n
         for u in range(d.n):
-            m = reach[u]
             acc = 0
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
+            for w in bits(reach[u]):
                 acc |= rows[w]
             nxt[u] = acc
         reach = nxt
     for v in range(d.n):
         if reach[v] >> v & 1:
             raise WalkLoopError(v, _reconstruct_walk(d, v, v, length))
-    arcs = []
-    for u in range(d.n):
-        m = reach[u]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            arcs.append((u, v))
+    arcs = [(u, v) for u in range(d.n) for v in bits(reach[u])]
     return Digraph(d.n, arcs)
 
 
@@ -318,7 +311,7 @@ def _core_above(g, threshold):
         for v in sorted(alive):
             if deg[v] <= threshold:
                 alive.remove(v)
-                for u in g.adj[v]:
+                for u in g.neighbors(v):
                     if u in alive:
                         deg[u] -= 1
                 changed = True

@@ -195,7 +195,7 @@ def degeneracy(g):
         value = max(value, deg[v])
         order.append(v)
         remaining.remove(v)
-        for u in g.adj[v]:
+        for u in g.neighbors(v):
             if u in remaining:
                 deg[u] -= 1
     return value, tuple(order)
@@ -204,12 +204,12 @@ def degeneracy(g):
 def validate_degeneracy_order(g, value, order):
     if sorted(order) != list(range(g.n)):
         return False, "order is not a vertex permutation"
-    seen = set()
+    seen = 0
     worst = 0
     for v in reversed(order):
-        back = len(g.adj[v] & seen)
+        back = (g.adj_bits[v] & seen).bit_count()
         worst = max(worst, back)
-        seen.add(v)
+        seen |= 1 << v
     if worst != value:
         return False, f"max back-degree {worst} != claimed {value}"
     return True, None

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .corpus import all_graphs, connected_graphs
 from .errors import SizeCapError
-from .graphs import Graph, induced_subgraph, subdivide_exact
+from .graphs import Graph, bits, induced_subgraph, subdivide_exact
 from .invariants import clique_number
 from .coloring import _chromatic_at_least, chromatic_number_value
 
@@ -79,17 +79,16 @@ def validate_topo_embedding(g, emb, r, exact=False, induced=False):
         for p in emb.paths.values():
             for a, b in zip(p, p[1:]):
                 path_edges.add((min(a, b), max(a, b)))
-        host_edges = {
-            (min(verts[a], verts[b]), max(verts[a], verts[b])) for a, b in sub.edges
-        }
+        host_edges = {(verts[a], verts[b]) for a, b in sub.sorted_edges()}
         if host_edges != path_edges:
             return False, "embedded subdivision is not induced (extra host edges)"
     return True, None
 
 
-def _paths_up_to(g, source, target, max_edges, blocked):
+def _paths_up_to(nbrs, source, target, max_edges, blocked):
     """All simple source->target paths with <= max_edges edges avoiding `blocked`
-    interiors, shortest first, deterministic order."""
+    interiors, shortest first, deterministic order; nbrs[v] lists v's neighbours
+    in ascending order."""
     results = []
 
     def walk(pathv, used):
@@ -99,7 +98,7 @@ def _paths_up_to(g, source, target, max_edges, blocked):
             return
         if len(pathv) > max_edges:
             return
-        for nxt in sorted(g.adj[last]):
+        for nxt in nbrs[last]:
             if nxt == target:
                 walk(pathv + [nxt], used)
             elif nxt not in used and nxt not in blocked and len(pathv) < max_edges:
@@ -110,14 +109,14 @@ def _paths_up_to(g, source, target, max_edges, blocked):
     return results
 
 
-def _bfs_distances(g, source):
-    dist = [-1] * g.n
+def _bfs_distances(nbrs, source):
+    dist = [-1] * len(nbrs)
     dist[source] = 0
     frontier = [source]
     while frontier:
         nxt = []
         for x in frontier:
-            for y in g.adj[x]:
+            for y in nbrs[x]:
                 if dist[y] < 0:
                     dist[y] = dist[x] + 1
                     nxt.append(y)
@@ -140,7 +139,9 @@ def find_topo_embedding(pattern, g, r, host_cap=HOST_CAP):
     if any(not candidates[v] for v in order):
         return None
     edges = h.sorted_edges()
-    dist = [_bfs_distances(g, s) for s in range(g.n)]
+    nbrs = [g.neighbors(x) for x in range(g.n)]
+    pattern_nbrs = [h.neighbors(v) for v in range(h.n)]
+    dist = [_bfs_distances(nbrs, s) for s in range(g.n)]
     # a complete pattern is vertex-transitive: fix ascending branch images
     symmetric = all(d == h.n - 1 for d in hdeg)
 
@@ -161,7 +162,7 @@ def find_topo_embedding(pattern, g, r, host_cap=HOST_CAP):
                 continue
             demand = interior_demand
             ok = True
-            for w in h.adj[v]:
+            for w in pattern_nbrs[v]:
                 if w in branch:
                     d = dist[x][branch[w]]
                     if d < 0 or d > r + 1:
@@ -183,7 +184,7 @@ def find_topo_embedding(pattern, g, r, host_cap=HOST_CAP):
         u, v = edges[eidx]
         su, sv = branch[u], branch[v]
         blocked = (set(branch.values()) | set(used)) - {su, sv}
-        for p in _paths_up_to(g, su, sv, r + 1, blocked):
+        for p in _paths_up_to(nbrs, su, sv, r + 1, blocked):
             inner = set(p[1:-1])
             if inner & used:
                 continue
@@ -208,7 +209,7 @@ def _route_depth1(g, h, branch):
     """Exact routing for depth 1: host-adjacent pairs take the direct edge
     (never worse: it consumes no interior vertex), every other pattern edge
     needs its own middle vertex, which is a bipartite matching problem."""
-    branch_set = set(branch.values())
+    branch_mask = sum(1 << b for b in branch.values())
     paths = {}
     need = []
     for u, v in h.sorted_edges():
@@ -216,7 +217,7 @@ def _route_depth1(g, h, branch):
         if g.has_edge(su, sv):
             paths[(u, v)] = (su, sv)
         else:
-            cands = sorted((g.adj[su] & g.adj[sv]) - branch_set)
+            cands = list(bits(g.adj_bits[su] & g.adj_bits[sv] & ~branch_mask))
             if not cands:
                 return None
             need.append(((u, v), cands))
@@ -276,13 +277,14 @@ def is_induced_exact_subdivision(h, r, g, host_cap=HOST_CAP):
         return None
     # map the subdivision into g; order pattern vertices to stay connected
     sdeg = [sub.degree(v) for v in range(sub.n)]
+    snbrs = [sub.neighbors(v) for v in range(sub.n)]
     order = []
     placed = set()
     pending = sorted(range(sub.n), key=lambda v: (-sdeg[v], v))
     while pending:
         nxt = None
         for v in pending:
-            if any(u in placed for u in sub.adj[v]):
+            if any(u in placed for u in snbrs[v]):
                 nxt = v
                 break
         if nxt is None:
@@ -301,7 +303,7 @@ def is_induced_exact_subdivision(h, r, g, host_cap=HOST_CAP):
             if x in used or g.degree(x) < sdeg[v]:
                 continue
             ok = True
-            for u in sub.adj[v]:
+            for u in snbrs[v]:
                 if u in mapping and not g.has_edge(mapping[u], x):
                     ok = False
                     break
@@ -408,9 +410,10 @@ def critical_patterns(chi, max_size):
                     continue
                 if chromatic_number_value(h) != chi:
                     continue
+                edges = h.sorted_edges()
                 if not any(
-                    _chromatic_at_least(Graph(h.n, h.edges - {e}), chi)
-                    for e in h.sorted_edges()
+                    _chromatic_at_least(Graph(h.n, [f for f in edges if f != e]), chi)
+                    for e in edges
                 ):
                     out.append(h)
     _critical_cache[key] = out

@@ -266,7 +266,7 @@ def _instances_s4(spec):
 
 def _is_k1t_free(g, t):
     for v in range(g.n):
-        nbrs = sorted(g.adj[v])
+        nbrs = g.neighbors(v)
         if len(nbrs) < t:
             continue
         for group in combinations(nbrs, t):

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeCapError
+from .graphs import bits
+
 TREEDEPTH_CAP = 16
 TREEDEPTH_HARD_CAP = 24
 
@@ -76,7 +78,7 @@ def validate_elimination_forest(g, forest, claimed_height=None):
             x = parent[x]
         return out
 
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         if u not in ancestors(v) and v not in ancestors(u):
             return False, f"edge ({u}, {v}) is not ancestor-descendant"
     if claimed_height is not None and forest.height != claimed_height:
@@ -89,7 +91,7 @@ class TreedepthSolver:
 
     def __init__(self, g):
         self.g = g
-        self.adj = g.adj_bits
+        self.adj_bits = g.adj_bits
         # mask -> [lower, upper] bounds on td of the induced subgraph
         self.bounds = {}
 
@@ -103,7 +105,7 @@ class TreedepthSolver:
             while frontier:
                 v = (frontier & -frontier).bit_length() - 1
                 frontier &= frontier - 1
-                grow = self.adj[v] & mask & ~comp
+                grow = self.adj_bits[v] & mask & ~comp
                 comp |= grow
                 frontier |= grow
             comps.append(comp)
@@ -146,8 +148,8 @@ class TreedepthSolver:
             return False
         # root choice: high-degree vertices first gives good separators early
         order = sorted(
-            (v for v in _bits(comp)),
-            key=lambda v: (-(self.adj[v] & comp).bit_count(), v),
+            bits(comp),
+            key=lambda v: (-(self.adj_bits[v] & comp).bit_count(), v),
         )
         for v in order:
             if self.td_at_most(comp & ~(1 << v), k - 1):
@@ -170,16 +172,16 @@ class TreedepthSolver:
         return value
 
     def forest(self, mask):
-        """An optimal elimination forest of G[mask], as {vertex: parent}."""
-        parent = {}
+        """An optimal elimination forest of G[mask]; vertices outside mask are roots."""
+        parent = [-1] * self.g.n
 
         def build(sub, above):
             for comp in self._components(sub):
                 t = self.treedepth(comp)
                 root = None
                 for v in sorted(
-                    _bits(comp),
-                    key=lambda v: (-(self.adj[v] & comp).bit_count(), v),
+                    bits(comp),
+                    key=lambda v: (-(self.adj_bits[v] & comp).bit_count(), v),
                 ):
                     if self.td_at_most(comp & ~(1 << v), t - 1):
                         root = v
@@ -188,14 +190,7 @@ class TreedepthSolver:
                 build(comp & ~(1 << root), root)
 
         build(mask, -1)
-        return parent
-
-
-def _bits(mask):
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        yield v
+        return EliminationForest(tuple(parent))
 
 
 def tree_depth_at_most(g, k):
@@ -215,9 +210,7 @@ def tree_depth(g, cap=TREEDEPTH_CAP):
     solver = TreedepthSolver(g)
     full = (1 << g.n) - 1
     value = solver.treedepth(full)
-    parent_map = solver.forest(full)
-    forest = EliminationForest(tuple(parent_map.get(v, -1) for v in range(g.n)))
-    return InvariantResult("tree_depth", value, certificate=forest)
+    return InvariantResult("tree_depth", value, certificate=solver.forest(full))
 
 
 def depth_coloring(g, forest):

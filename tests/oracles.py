@@ -20,7 +20,7 @@ def naive_chromatic(g):
             if v == g.n:
                 return True
             for c in range(k):
-                if all(colors[u] != c for u in g.adj[v]):
+                if all(colors[u] != c for u in g.neighbors(v)):
                     colors[v] = c
                     if assign(v + 1):
                         return True
@@ -98,7 +98,7 @@ def _components_of(g, vertices):
         stack = [start]
         while stack:
             x = stack.pop()
-            for y in g.adj[x]:
+            for y in g.neighbors(x):
                 if y in remaining and y not in comp:
                     comp.add(y)
                     stack.append(y)

@@ -9,8 +9,6 @@ from chibound.coloring import (
     _ColoringSearch,
     chi_p,
     chromatic_number,
-    chromatic_number_value,
-    greedy_proper_coloring,
     make_coloring,
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
@@ -147,15 +145,6 @@ def test_chi_p_caps():
         chi_p(complete(10), 1, cap=5)
     with pytest.raises(SizeCapError):
         chromatic_number(complete(33))
-
-
-def test_greedy_bounds_are_valid_colorings():
-    rng = SplitMix64(8)
-    for _ in range(10):
-        g = random_gnp(8, 0.5, rng)
-        ok, _ = validate_coloring(g, greedy_proper_coloring(g))
-        assert ok
-        assert greedy_proper_coloring(g).num_colors >= chromatic_number_value(g)
 
 
 def test_uniform_subdivision_coloring():

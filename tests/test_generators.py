@@ -78,6 +78,12 @@ def test_high_girth_meets_target():
             pass  # forest: no cycle at all
 
 
+def test_high_girth_is_pinned():
+    # each short cycle loses an edge found by a BFS in ascending neighbour order
+    g = generate("high_girth", {"n": 12, "d": 3, "g": 6}, 116)
+    assert graph_to_graph6(g) == "KAOccAgO?AC?"
+
+
 def test_mycielski_chromatic_ladder():
     from chibound.coloring import chromatic_number_value
 

@@ -4,6 +4,7 @@ from chibound.corpus import are_isomorphic
 from chibound.errors import ParameterError, SizeCapError, ValidationError
 from chibound.generators import complete, complete_bipartite, cycle, path, star
 from chibound.graphs import (
+    Digraph,
     Graph,
     acyclic_orientation,
     blow_up,
@@ -25,6 +26,10 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(ValidationError):
         Graph(3, [(0, 1), (1, 0)])
+    assert Digraph(2, [(0, 1), (1, 0)]).m == 2
+    for arcs in ([(0, 1), (0, 1)], [(1, 1)], [(0, 2)]):
+        with pytest.raises(ValidationError):
+            Digraph(2, arcs)
 
 
 def test_graph_immutable():

@@ -10,7 +10,14 @@ from chibound.codec import (
     graph_to_json,
 )
 from chibound.coloring import _ColoringSearch, chi_p, chromatic_number
-from chibound.graphs import Graph, blow_up, induced_subgraph, orientations, subdivide_exact
+from chibound.graphs import (
+    Digraph,
+    Graph,
+    blow_up,
+    induced_subgraph,
+    orientations,
+    subdivide_exact,
+)
 from chibound.invariants import biclique_number, clique_number
 from chibound.treedepth import tree_depth
 from oracles import naive_is_star_coloring, naive_star_chromatic
@@ -26,6 +33,66 @@ def graphs(draw, max_n=7):
 
 
 common = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def edge_lists(draw, max_n=12):
+    """(n, model edge set, the same edges listed in a drawn order and orientation)."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    model = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    listed = draw(st.permutations(sorted(model)))
+    flips = draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed)))
+    return n, model, [(v, u) if f else (u, v) for (u, v), f in zip(listed, flips)]
+
+
+@st.composite
+def arc_lists(draw, max_n=10):
+    """(n, model arc set, the same arcs listed in a drawn order)."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    model = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return n, model, draw(st.permutations(sorted(model)))
+
+
+@common
+@given(edge_lists(), st.data())
+def test_graph_views_match_the_edge_set(case, data):
+    n, model, listed = case
+    g = Graph(n, listed)
+    assert g.edges == frozenset(model)
+    assert g.sorted_edges() == sorted(model)
+    assert g.m == len(model)
+    for v in range(n):
+        nbrs = sorted(u for e in model if v in e for u in e if u != v)
+        assert g.neighbors(v) == tuple(nbrs)
+        assert g.degree(v) == len(nbrs)
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in model)
+    same = Graph(n, data.draw(st.permutations(listed)))
+    assert same == g and hash(same) == hash(g)
+    if listed:
+        assert Graph(n, listed[1:]) != g
+
+
+@common
+@given(arc_lists(), st.data())
+def test_digraph_views_match_the_arc_set(case, data):
+    n, model, listed = case
+    d = Digraph(n, listed)
+    assert d.arcs == frozenset(model)
+    assert d.sorted_arcs() == sorted(model)
+    assert d.m == len(model)
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert d.has_arc(u, v) == ((u, v) in model)
+    assert d.is_oriented == all((v, u) not in model for u, v in model)
+    assert d.underlying_graph().edges == {(min(a), max(a)) for a in model}
+    same = Digraph(n, data.draw(st.permutations(listed)))
+    assert same == d and hash(same) == hash(d)
+    if listed:
+        assert Digraph(n, listed[1:]) != d
 
 
 @common
