@@ -217,6 +217,8 @@ def _cmd_dual_verify(args):
 def _cmd_verify(args):
     params = _parse_params(args.param)
     if args.all:
+        if params:
+            raise ChiboundError("--param needs a single claim, not --all")
         reports = run_all(seed=args.seed, jobs=args.jobs)
     else:
         if not args.claim:

@@ -145,7 +145,7 @@ class _ColoringSearch:
     colorings of the others.
     """
 
-    def __init__(self, g, k, p):
+    def __init__(self, g, k, p, td=None):
         self.n = g.n
         self.k = k
         self.p = p
@@ -160,8 +160,9 @@ class _ColoringSearch:
         self.nodes = 0
         if p >= 2:
             self.near = self._distance_3_balls()
-        if p >= 3:
-            self.td = TreedepthSolver(g)
+        # at p >= 3 the subset checks ask this TreedepthSolver of g, which
+        # the driver shares across its whole climb over k
+        self.td = td
 
     def run(self):
         """The coloring as a tuple, colors by first use in the search, or None."""
@@ -310,6 +311,7 @@ def _least_coloring(g, p):
     number for p >= 2. For k <= p a k-coloring exists exactly when the
     tree-depth is at most k, and then an optimal elimination forest colored by
     depth is one. The climb ends at one color per vertex, which must succeed.
+    One TreedepthSolver serves every k, so its memo carries over the climb.
     """
     lower = clique_number(g).value if p == 1 else chromatic_number_value(g)
     solver = TreedepthSolver(g)
@@ -319,7 +321,7 @@ def _least_coloring(g, p):
             if solver.td_at_most(full, k):
                 return depth_coloring(g, solver.forest(full))
         else:
-            found = _ColoringSearch(g, k, p).run()
+            found = _ColoringSearch(g, k, p, solver).run()
             if found is not None:
                 return found
     raise AssertionError("upper bound for coloring search was not valid")

@@ -55,6 +55,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, since __setattr__
+        # blocks the default restore of slot state
+        return (Graph, (self.n, self.sorted_edges()))
+
     @property
     def edges(self):
         return frozenset(self.sorted_edges())
@@ -119,6 +124,9 @@ class Digraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
+
+    def __reduce__(self):
+        return (Digraph, (self.n, self.sorted_arcs()))
 
     @property
     def arcs(self):
@@ -306,21 +314,26 @@ def acyclic_orientation(g, order):
     return Digraph(g.n, arcs)
 
 
+def component_masks(rows, mask):
+    """Vertex masks of the components of the subgraph induced on `mask`,
+    ordered by lowest vertex; rows[v] is the neighbour mask of vertex v."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            grow = rows[v] & mask & ~comp
+            comp |= grow
+            frontier |= grow
+        comps.append(comp)
+        mask &= ~comp
+    return comps
+
+
 def connected_components(g):
     """Vertex lists of the connected components, each sorted, smallest vertex first."""
-    comps = []
-    rest = (1 << g.n) - 1
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            grown = 0
-            for x in bits(frontier):
-                grown |= g.adj_bits[x]
-            frontier = grown & ~comp
-            comp |= frontier
-        comps.append(list(bits(comp)))
-        rest &= ~comp
-    return comps
+    return [list(bits(c)) for c in component_masks(g.adj_bits, (1 << g.n) - 1)]
 
 
 def is_connected(g):

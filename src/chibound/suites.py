@@ -498,7 +498,6 @@ def _instances_s10(spec):
     )
     tasks = []
     for idx, (n, d, girth_target) in enumerate(grid):
-        rng = SplitMix64(spec.seed).split(f"s10-{idx}")
         g = generate("high_girth", {"n": n, "d": d, "g": girth_target}, spec.seed + idx)
         tasks.append(
             {

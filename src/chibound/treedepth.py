@@ -1,10 +1,12 @@
 """Exact tree-depth via root-removal recursion over vertex bitmasks.
 
 td(connected G) = 1 + min over v of td(G - v); disconnected graphs take the
-max over components. A TreedepthSolver keeps interval bounds per connected
-mask so that bounded queries (td <= k?) from many callers share work. The
-bounded decision is what the chi_p machinery calls, and it stays cheap even
-on graphs far above the exact-solve cap as long as k is small.
+max over components, split by graphs.component_masks. A TreedepthSolver keeps
+one memo per connected mask: lower and upper bounds on its tree-depth and the
+root that met the upper bound, so bounded queries (td <= k?) from many callers
+share work and elimination forests are read from the memo without another
+search. The bounded decision is what the chi_p machinery calls, and it stays
+cheap even on graphs far above the exact-solve cap as long as k is small.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeCapError
-from .graphs import bits
+from .graphs import bits, component_masks
 
 TREEDEPTH_CAP = 16
 TREEDEPTH_HARD_CAP = 24
@@ -26,17 +28,7 @@ class EliminationForest:
 
     @property
     def height(self):
-        depths = {}
-
-        def depth(v):
-            if v in depths:
-                return depths[v]
-            p = self.parent[v]
-            d = 1 if p == -1 else depth(p) + 1
-            depths[v] = d
-            return d
-
-        return max((depth(v) for v in range(len(self.parent))), default=0)
+        return max(self.depths(), default=0)
 
     def depths(self):
         out = [0] * len(self.parent)
@@ -87,39 +79,21 @@ def validate_elimination_forest(g, forest, claimed_height=None):
 
 
 class TreedepthSolver:
-    """Shared-bound tree-depth engine for one graph."""
+    """Tree-depth engine for one graph with one memo shared by all queries."""
 
     def __init__(self, g):
-        self.g = g
+        self.n = g.n
         self.adj_bits = g.adj_bits
-        # mask -> [lower, upper] bounds on td of the induced subgraph
-        self.bounds = {}
+        # connected mask -> [lower, upper, root]: bounds on the tree-depth of
+        # the induced subgraph, and the first vertex in root order whose
+        # removal was shown to meet upper (None before any root met it)
+        self.memo = {}
 
-    def _components(self, mask):
-        comps = []
-        rest = mask
-        while rest:
-            start = rest & -rest
-            comp = start
-            frontier = start
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                grow = self.adj_bits[v] & mask & ~comp
-                comp |= grow
-                frontier |= grow
-            comps.append(comp)
-            rest &= ~comp
-        return comps
-
-    def _bounds_for(self, mask):
-        b = self.bounds.get(mask)
-        if b is None:
-            size = mask.bit_count()
-            lb = 0 if size == 0 else 1
-            b = [lb, size]
-            self.bounds[mask] = b
-        return b
+    def _entry(self, comp):
+        e = self.memo.get(comp)
+        if e is None:
+            e = self.memo[comp] = [1, comp.bit_count(), None]
+        return e
 
     def td_at_most(self, mask, k):
         """Decide td(G[mask]) <= k. Sound and complete; memoized."""
@@ -127,7 +101,7 @@ class TreedepthSolver:
             return True
         if k <= 0:
             return False
-        for comp in self._components(mask):
+        for comp in component_masks(self.adj_bits, mask):
             if not self._td_conn_at_most(comp, k):
                 return False
         return True
@@ -138,54 +112,48 @@ class TreedepthSolver:
             return k >= size
         if size <= k:
             return True
-        b = self._bounds_for(comp)
-        if b[1] <= k:
+        e = self._entry(comp)
+        if e[1] <= k:
             return True
-        if b[0] > k:
+        if e[0] > k:
             return False
         if k == 1:
-            b[0] = max(b[0], 2)
+            e[0] = 2
             return False
         # root choice: high-degree vertices first gives good separators early
-        order = sorted(
-            bits(comp),
-            key=lambda v: (-(self.adj_bits[v] & comp).bit_count(), v),
-        )
-        for v in order:
+        adj = self.adj_bits
+        for v in sorted(bits(comp), key=lambda v: (-(adj[v] & comp).bit_count(), v)):
             if self.td_at_most(comp & ~(1 << v), k - 1):
-                b[1] = min(b[1], k)
+                e[1], e[2] = k, v
                 return True
-        b[0] = max(b[0], k + 1)
+        e[0] = k + 1
         return False
 
     def treedepth(self, mask):
-        """Exact td(G[mask]) by iterative deepening over the shared bounds."""
-        if mask == 0:
-            return 0
+        """Exact td(G[mask]) by iterative deepening over the memo's bounds."""
         value = 0
-        for comp in self._components(mask):
-            b = self._bounds_for(comp)
-            k = b[0]
+        for comp in component_masks(self.adj_bits, mask):
+            k = self._entry(comp)[0]
             while not self._td_conn_at_most(comp, k):
                 k += 1
             value = max(value, k)
         return value
 
     def forest(self, mask):
-        """An optimal elimination forest of G[mask]; vertices outside mask are roots."""
-        parent = [-1] * self.g.n
+        """An optimal elimination forest of G[mask]; vertices outside mask are roots.
+
+        Each component's root is the one its memo entry recorded. A component
+        whose tree-depth equals its size is a clique, whose vertices tie on
+        degree, so the first in root order is its lowest vertex.
+        """
+        parent = [-1] * self.n
 
         def build(sub, above):
-            for comp in self._components(sub):
-                t = self.treedepth(comp)
-                root = None
-                for v in sorted(
-                    bits(comp),
-                    key=lambda v: (-(self.adj_bits[v] & comp).bit_count(), v),
-                ):
-                    if self.td_at_most(comp & ~(1 << v), t - 1):
-                        root = v
-                        break
+            for comp in component_masks(self.adj_bits, sub):
+                if self.treedepth(comp) < comp.bit_count():
+                    root = self.memo[comp][2]
+                else:
+                    root = (comp & -comp).bit_length() - 1
                 parent[root] = above
                 build(comp & ~(1 << root), root)
 

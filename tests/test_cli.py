@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chibound.cli import EXIT_CAP, EXIT_IO, EXIT_OK, main
+from chibound.cli import EXIT_CAP, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +143,14 @@ def test_verify_report_bytes_deterministic(tmp_path, capsys):
     assert a == b
     # modulo timing, the serialized bytes agree
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_verify_all_rejects_params(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--all", "--param", "samples=3",
+                             "--out", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert "--param" in err and out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_error_exit_code(capsys):

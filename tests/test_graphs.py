@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from chibound.corpus import are_isomorphic
@@ -130,6 +133,17 @@ def test_components_and_union():
     assert [len(c) for c in connected_components(g)] == [3, 2]
     sub, verts = induced_subgraph(g, [3, 4])
     assert sub == complete(2) and verts == [3, 4]
+
+
+def test_graphs_pickle_and_copy():
+    g = Graph(4, [(0, 1), (3, 1), (2, 3)])
+    d = Digraph(3, [(0, 1), (1, 0), (2, 1)])
+    for x in (g, d, Graph(0), Digraph(0)):
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+    assert pickle.loads(pickle.dumps(d)).in_bits == d.in_bits
+    with pytest.raises(AttributeError):
+        copy.copy(g).n = 5
 
 
 def test_star_generator():

@@ -14,13 +14,19 @@ from chibound.graphs import (
     Digraph,
     Graph,
     blow_up,
+    component_masks,
     induced_subgraph,
     orientations,
     subdivide_exact,
 )
 from chibound.invariants import biclique_number, clique_number
-from chibound.treedepth import tree_depth
-from oracles import naive_is_star_coloring, naive_star_chromatic
+from chibound.treedepth import tree_depth, tree_depth_at_most, validate_elimination_forest
+from oracles import (
+    _components_of,
+    naive_is_star_coloring,
+    naive_star_chromatic,
+    naive_treedepth,
+)
 
 
 @st.composite
@@ -192,3 +198,20 @@ def test_forbidden_colors_are_the_star_violations(g, k, data):
             colors[u] = c
             assert (forbidden >> c & 1) == (not _star_valid(g, colors, colored + [u]))
         colors[u] = -1
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_tree_depth_matches_the_naive_oracle(g, data):
+    res = tree_depth(g)
+    assert res.value == naive_treedepth(g)
+    for k in range(g.n + 2):
+        assert tree_depth_at_most(g, k) == (k >= res.value)
+    ok, why = validate_elimination_forest(g, res.certificate, res.value)
+    assert ok, why
+    for _ in range(4):
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+        vertices = [v for v in range(g.n) if mask >> v & 1]
+        comps = [frozenset(v for v in range(g.n) if c >> v & 1)
+                 for c in component_masks(g.adj_bits, mask)]
+        assert comps == _components_of(g, vertices)

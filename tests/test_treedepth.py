@@ -1,5 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
+from chibound.codec import graph_to_graph6
+from chibound.corpus import all_graphs
 from chibound.errors import SizeCapError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp, star
 from chibound.graphs import disjoint_union
@@ -76,6 +81,40 @@ def test_exact_cap_is_enforced():
         tree_depth(subdivide_exact(complete(5), 3))
 
 
+def test_forest_reads_roots_from_the_memo():
+    # after treedepth(full), forest(full) asks td_at_most nothing itself; any
+    # call comes from treedepth() of a component below a root whose exact
+    # depth the first search did not need (none up to 6 vertices)
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            solver = TreedepthSolver(g)
+            full = (1 << g.n) - 1
+            solver.treedepth(full)
+            td_at_most, treedepth = solver.td_at_most, solver.treedepth
+            open_treedepth = own = calls = 0
+
+            def counting_td_at_most(mask, k):
+                nonlocal own, calls
+                calls += 1
+                own += open_treedepth == 0
+                return td_at_most(mask, k)
+
+            def counting_treedepth(mask):
+                nonlocal open_treedepth
+                open_treedepth += 1
+                try:
+                    return treedepth(mask)
+                finally:
+                    open_treedepth -= 1
+
+            solver.td_at_most = counting_td_at_most
+            solver.treedepth = counting_treedepth
+            solver.forest(full)
+            assert own == 0
+            if n <= 6:
+                assert calls == 0
+
+
 def test_depth_coloring_counts():
     g = path(7)
     res = tree_depth(g)
@@ -83,3 +122,31 @@ def test_depth_coloring_counts():
     assert len(set(colors)) == res.value
     solver = TreedepthSolver(g)
     assert solver.treedepth((1 << g.n) - 1) == res.value
+
+
+# SHA-256 of tree_depth(g).to_jsonable() over the graphs of
+# test_forest_bytes_are_pinned, taken before the engine moved to one memo of
+# bounds and roots.
+FORESTS_SHA256 = "d29586c899d1aec592d304ae6f2433b8ae3b8fc0d8860deaeb84b8f6e8fe2d35"
+
+
+def test_forest_bytes_are_pinned():
+    h = hashlib.sha256()
+
+    def add(g):
+        text = json.dumps(tree_depth(g).to_jsonable(), sort_keys=True, separators=(",", ":"))
+        h.update(f"{graph_to_graph6(g)} {text}\n".encode())
+
+    count = 0
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            add(g)
+            count += 1
+    rng = SplitMix64(20200)
+    for n in range(8, 13):
+        for density in (0.2, 0.35, 0.5, 0.7):
+            for _ in range(6):
+                add(random_gnp(n, density, rng))
+                count += 1
+    assert count == 1252 + 120
+    assert h.hexdigest() == FORESTS_SHA256
