@@ -1,10 +1,11 @@
 """Exact coloring solvers and their certificate checkers.
 
 Every solver is the depth-p chromatic number chi_p for some p: proper coloring
-is p = 1 (chromatic_number) and star coloring is p = 2. One backtracking search
-decides whether a connected graph has a depth-p coloring with k colors, and one
-driver runs it component by component with iterative deepening over k. The
-search uses saturation-first vertex selection, ascending colors, and first-use
+is p = 1 (chromatic_number) and star coloring is p = 2. One search object per
+connected graph and p, built once, decides for every k whether a depth-p
+k-coloring exists (by tree-depth at k <= p), and one driver runs it component by
+component with iterative deepening over k. The backtracking search uses
+saturation-first vertex selection, ascending colors, and first-use
 symmetry breaking, so witnesses are deterministic. At p >= 2 it also forward
 checks: once all k colors are in use it skips a subtree as soon as an uncolored
 vertex near the one just colored has every color forbidden. Forbidden colors
@@ -132,9 +133,11 @@ def validate_coloring(g, coloring):
 
 
 class _ColoringSearch:
-    """Backtracking search for a depth-p coloring with at most k colors.
+    """Backtracking search for depth-p colorings of one graph, any k colors.
 
-    The state is bitmasks: one vertex mask per color class, the mask of
+    Built once per graph and p: neighbour tuples, degree order, distance-3
+    balls (p >= 2) and one TreedepthSolver, whose memo every k shares. The
+    state of a run is bitmasks: one vertex mask per color class, the mask of
     uncolored vertices, and per vertex the mask of colors on its colored
     neighbours (its saturation). `_forbidden` turns them into the colors a
     vertex cannot take: p = 1 forbids neighbour colors, p >= 2 also colors that
@@ -145,32 +148,36 @@ class _ColoringSearch:
     colorings of the others.
     """
 
-    def __init__(self, g, k, p, td=None):
+    def __init__(self, g, p):
+        self.g = g
         self.n = g.n
-        self.k = k
         self.p = p
         self.nbrs = [g.neighbors(v) for v in range(g.n)]
         self.nbr_bits = g.adj_bits
         # DSATUR ties go to the larger degree, then (stable sort) the smaller vertex
         self.order = sorted(range(g.n), key=lambda v: -len(self.nbrs[v]))
-        self.assignment = [-1] * g.n
-        self.color_masks = [0] * k
-        self.uncolored = (1 << g.n) - 1
-        self.sat_mask = [0] * g.n
         self.nodes = 0
         if p >= 2:
             self.near = self._distance_3_balls()
-        # at p >= 3 the subset checks ask this TreedepthSolver of g, which
-        # the driver shares across its whole climb over k
-        self.td = td
+        self.td = TreedepthSolver(g)
 
-    def run(self):
-        """The coloring as a tuple, colors by first use in the search, or None."""
-        if self.n == 0:
-            return ()
-        if self._extend(0, 0):
-            return tuple(self.assignment)
-        return None
+    def _reset(self, k):
+        self.k = k
+        self.assignment = [-1] * self.n
+        self.color_masks = [0] * k
+        self.uncolored = (1 << self.n) - 1
+        self.sat_mask = [0] * self.n
+
+    def run(self, k):
+        """A depth-p k-coloring as a tuple, or None. For k <= p one exists
+        exactly when td <= k, and an optimal elimination forest colored by
+        depth is one; above p the search colors by first use."""
+        full = (1 << self.n) - 1
+        if k <= self.p:
+            ok = self.td.td_at_most(full, k)
+            return depth_coloring(self.g, self.td.forest(full)) if ok else None
+        self._reset(k)
+        return tuple(self.assignment) if self._extend(0, 0) else None
 
     def _select(self, max_used):
         """The uncolored vertex of most colored-neighbour colors, first in order."""
@@ -308,22 +315,15 @@ def _least_coloring(g, p):
     """A least depth-p coloring of connected g, colors numbered from 0.
 
     Starts k at a lower bound: the clique number for p = 1, the chromatic
-    number for p >= 2. For k <= p a k-coloring exists exactly when the
-    tree-depth is at most k, and then an optimal elimination forest colored by
-    depth is one. The climb ends at one color per vertex, which must succeed.
-    One TreedepthSolver serves every k, so its memo carries over the climb.
+    number for p >= 2. The climb ends at one color per vertex, which must
+    succeed. One search object serves every k.
     """
     lower = clique_number(g).value if p == 1 else chromatic_number_value(g)
-    solver = TreedepthSolver(g)
-    full = (1 << g.n) - 1
+    search = _ColoringSearch(g, p)
     for k in range(max(lower, 1), g.n + 1):
-        if k <= p:
-            if solver.td_at_most(full, k):
-                return depth_coloring(g, solver.forest(full))
-        else:
-            found = _ColoringSearch(g, k, p, solver).run()
-            if found is not None:
-                return found
+        found = search.run(k)
+        if found is not None:
+            return found
     raise AssertionError("upper bound for coloring search was not valid")
 
 
@@ -353,7 +353,7 @@ def chromatic_number_value(g):
 
 def _chromatic_at_least(g, chi):
     """Whether g has no proper coloring with chi - 1 colors."""
-    return _by_component(g, lambda sub: _ColoringSearch(sub, chi - 1, 1).run()) is None
+    return _by_component(g, lambda sub: _ColoringSearch(sub, 1).run(chi - 1)) is None
 
 
 def chromatic_number(g, cap=None):

@@ -9,6 +9,7 @@ byte-identical and cheap.
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 
 from .codec import graph_from_graph6, graph_to_graph6
@@ -87,9 +88,11 @@ def _load_cached(name):
 def _store_cached(name, graphs):
     directory = _cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
-    tmp = directory / (name + ".tmp")
-    tmp.write_text("".join(graph_to_graph6(g) + "\n" for g in graphs))
-    tmp.replace(directory / name)
+    # a temp file per writer, so concurrent writers never rename each other's
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
+    with os.fdopen(fd, "w") as f:
+        f.write("".join(graph_to_graph6(g) + "\n" for g in graphs))
+    os.replace(tmp, directory / name)
 
 
 def all_graphs(n):

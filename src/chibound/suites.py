@@ -17,8 +17,9 @@ from itertools import combinations
 from math import comb
 
 from . import corpus
-from .codec import graph_to_graph6
+from .codec import graph_from_graph6, graph_to_graph6
 from .coloring import (
+    _chromatic_at_least,
     chi_p,
     chi_p_cap,
     chromatic_number,
@@ -30,7 +31,7 @@ from .coloring import (
 )
 from .errors import ParameterError
 from .generators import SplitMix64, complete, random_gnp, generate
-from .graphs import orientations, subdivide_exact
+from .graphs import induced_subgraph, orientations, subdivide_exact
 from .holes import verify_hole_density
 from .homomorphism import directed_path, transitive_tournament, verify_restricted_dual
 from .invariants import (
@@ -164,8 +165,8 @@ def _check_s2(payload):
     expected = {"square_at_least_chi": True, "at_most_max_chi_3": True}
     ok = s * s >= chi and s <= max(chi, 3)
     return _record(
-        graph_to_graph6(g), payload.get("params", {}), measured, expected, ok,
-        witness={"graph6": graph_to_graph6(g)},
+        payload["graph6"], payload.get("params", {}), measured, expected, ok,
+        witness={"graph6": payload["graph6"]},
     )
 
 
@@ -186,8 +187,6 @@ def _instances_s2(spec):
 
 
 def corpus_graph(payload):
-    from .codec import graph_from_graph6
-
     return graph_from_graph6(payload["graph6"])
 
 
@@ -198,10 +197,10 @@ def corpus_graph(payload):
 def _check_s3(payload):
     g = corpus_graph(payload)
     p = payload["p"]
-    chi = chromatic_number_value(g)
+    base = chromatic_number(g).certificate
+    chi = base.num_colors
     gs = subdivide_exact(g, p)
     exact = chi_p(gs, p + 1, cap=44).value
-    base = chromatic_number(g).certificate
     constructive = subdivision_chi_p_coloring(g, p, base)
     cons_ok, cons_witness = validate_coloring(gs, constructive)
     measured = {
@@ -218,8 +217,8 @@ def _check_s3(payload):
         and constructive.num_colors <= max(chi, p + 2)
     )
     return _record(
-        graph_to_graph6(g), {"p": p}, measured, expected, ok,
-        witness={"graph6": graph_to_graph6(g), "p": p},
+        payload["graph6"], {"p": p}, measured, expected, ok,
+        witness={"graph6": payload["graph6"], "p": p},
     )
 
 
@@ -246,8 +245,8 @@ def _check_s4(payload):
     expected = {"chi_p_power_at_least_chi_tm": True}
     ok = value**p >= tm.value and tm.exact
     return _record(
-        graph_to_graph6(g), {"p": p}, measured, expected, ok,
-        witness={"graph6": graph_to_graph6(g), "p": p},
+        payload["graph6"], {"p": p}, measured, expected, ok,
+        witness={"graph6": payload["graph6"], "p": p},
     )
 
 
@@ -308,8 +307,8 @@ def _check_s5(payload):
     }
     ok = measured["k1t_free"] and delta < bound
     return _record(
-        graph_to_graph6(g), {"t": t}, measured, {"delta_below_bound": True}, ok,
-        witness={"graph6": graph_to_graph6(g), "t": t},
+        payload["graph6"], {"t": t}, measured, {"delta_below_bound": True}, ok,
+        witness={"graph6": payload["graph6"], "t": t},
     )
 
 
@@ -397,8 +396,6 @@ def _instances_s7(spec):
 
 def build_sub_colorings(g, base, p):
     """Exact depth-p colorings of every needed color-subset subgraph."""
-    from .graphs import induced_subgraph
-
     chi = base.num_colors
     size = min(p, chi)
     out = {}
@@ -431,8 +428,8 @@ def _check_s8(payload):
     }
     ok = ok_valid and zeta.num_colors <= bound
     return _record(
-        graph_to_graph6(g), {"p": p}, measured, {"valid_within_bound": True}, ok,
-        witness={"graph6": graph_to_graph6(g), "violation": str(witness)},
+        payload["graph6"], {"p": p}, measured, {"valid_within_bound": True}, ok,
+        witness={"graph6": payload["graph6"], "violation": str(witness)},
     )
 
 
@@ -484,7 +481,7 @@ def _check_s10(payload):
     measured = {"chi": chi, "star_of_subdivision": s, "girth_target": payload["girth"]}
     ok = s * s >= chi
     return _record(
-        graph_to_graph6(g),
+        payload["graph6"],
         {k: payload[k] for k in ("n", "d", "girth", "index")},
         measured,
         {"square_at_least_chi": True},
@@ -540,9 +537,6 @@ def _check_s11(payload):
             validate_clique(g, lb_verts)[0] and len(lb_verts) == chi_res.value
         )
     else:
-        from .coloring import _chromatic_at_least
-        from .graphs import induced_subgraph
-
         sub, _ = induced_subgraph(g, lb_verts)
         revalidations["chi_lower_bound"] = _chromatic_at_least(sub, chi_res.value)
 
@@ -559,9 +553,9 @@ def _check_s11(payload):
     }
     ok = chain_ok and floor_ok and all(revalidations.values())
     return _record(
-        graph_to_graph6(g), payload.get("params", {}), measured,
+        payload["graph6"], payload.get("params", {}), measured,
         {"chain": True, "biclique_floor": True, "revalidations": True}, ok,
-        witness={"graph6": graph_to_graph6(g)},
+        witness={"graph6": payload["graph6"]},
     )
 
 

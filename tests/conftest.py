@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -5,6 +7,25 @@ from pathlib import Path
 import pytest
 
 ACCEPTANCE_LINES = []
+
+# seed-0 report digests recorded with the benchmark, read here and never written
+EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def recorded_digests():
+    """Seed-0 report digest by claim, over every benchmark workload."""
+    recorded = json.loads(EXPECTED_DIGESTS.read_text())
+    return {claim: digest for entry in recorded.values() for claim, digest in entry.items()}
+
+
+def report_digest(report):
+    """SHA-256 of a suite report as the benchmark records it: elapsed_ms
+    removed and jobs set to 1, since parallel runs give the same instances."""
+    data = report.to_jsonable()
+    data["config"] = {**data["config"], "jobs": 1}
+    del data["elapsed_ms"]
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def pytest_configure(config):

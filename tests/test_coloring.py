@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from chibound import coloring
 from chibound.codec import graph_to_graph6
 from chibound.coloring import (
     Coloring,
@@ -130,9 +131,26 @@ def test_chi_p_examples():
 def test_star_search_node_count():
     # forward checking prunes the doomed subtrees of this 4-coloring search;
     # plain backtracking walks about ten thousand nodes
-    search = _ColoringSearch(subdivide_exact(complete(7), 1), 4, 2)
-    found = search.run()
+    search = _ColoringSearch(subdivide_exact(complete(7), 1), 2)
+    found = search.run(4)
     assert found is not None and search.nodes <= 2000
+
+
+def test_one_search_per_climb(monkeypatch):
+    # the p = 2 climb runs k = 3 and 4 on one search object, and its chi lower
+    # bound runs the p = 1 climb on another
+    built = []
+    init = _ColoringSearch.__init__
+
+    def counting_init(self, g, p):
+        built.append((g.n, p))
+        init(self, g, p)
+
+    monkeypatch.setattr(_ColoringSearch, "__init__", counting_init)
+    monkeypatch.setattr(coloring, "_chi_value_memo", {})
+    g = subdivide_exact(complete(7), 1)
+    assert chi_p(g, 2, cap=28).value == 4
+    assert built == [(g.n, 1), (g.n, 2)]
 
 
 def test_chi_p_caps():

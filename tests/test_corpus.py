@@ -1,6 +1,10 @@
+import multiprocessing
+import os
+
 import pytest
 
 from chibound import corpus
+from chibound.codec import graph_to_graph6
 from chibound.errors import SizeCapError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp
 from chibound.graphs import Graph
@@ -59,6 +63,54 @@ def test_cache_round_trip(tmp_path, monkeypatch):
         assert (tmp_path / "all_4.g6").read_bytes() == stamp
     finally:
         corpus._memory_cache.clear()
+
+
+def test_cache_writers_leave_other_temp_files_alone(tmp_path, monkeypatch):
+    # every writer has a temp file of its own, so a file another writer left
+    # at the cache name plus ".tmp" is never overwritten or renamed into place
+    monkeypatch.setenv("CHIBOUND_CACHE_DIR", str(tmp_path))
+    stale = tmp_path / "all_3.g6.tmp"
+    stale.write_text("stale\n")
+    corpus._memory_cache.clear()
+    try:
+        assert len(corpus.all_graphs(3)) == ALL_COUNTS[3]
+    finally:
+        corpus._memory_cache.clear()
+    assert stale.read_text() == "stale\n"
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert names == ["all_1.g6", "all_2.g6", "all_3.g6", "all_3.g6.tmp"]
+
+
+def _store_many(directory, graphs, times, go):
+    os.environ["CHIBOUND_CACHE_DIR"] = directory
+    go.wait(60)
+    for _ in range(times):
+        corpus._store_cached("race.g6", graphs)
+
+
+def test_concurrent_cache_writers_do_not_collide(tmp_path):
+    # more writer processes than cores, all replacing the same cache file
+    graphs = corpus.all_graphs(4)
+    ctx = multiprocessing.get_context("spawn")
+    go = ctx.Event()
+    workers = [
+        ctx.Process(target=_store_many, args=(str(tmp_path), graphs, 200, go))
+        for _ in range(3)
+    ]
+    try:
+        for w in workers:
+            w.start()
+        go.set()
+        for w in workers:
+            w.join(timeout=60)
+        assert [w.exitcode for w in workers] == [0, 0, 0]
+    finally:
+        for w in workers:
+            if w.is_alive():
+                w.kill()
+    assert os.listdir(tmp_path) == ["race.g6"]
+    expected = "".join(graph_to_graph6(g) + "\n" for g in graphs)
+    assert (tmp_path / "race.g6").read_text() == expected
 
 
 def test_cap():

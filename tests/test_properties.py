@@ -185,7 +185,8 @@ def test_forbidden_colors_are_the_star_violations(g, k, data):
         colors[v] = c
         if not _star_valid(g, colors, [u for u in range(g.n) if colors[u] >= 0]):
             colors[v] = -1
-    search = _ColoringSearch(g, k, 2)
+    search = _ColoringSearch(g, 2)
+    search._reset(k)
     for v in order:
         if colors[v] >= 0:
             search._assign(v, colors[v])
