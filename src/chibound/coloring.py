@@ -2,9 +2,9 @@
 
 Every solver is the depth-p chromatic number chi_p for some p: proper coloring
 is p = 1 (chromatic_number) and star coloring is p = 2. One search object per
-connected graph and p, built once, decides for every k whether a depth-p
-k-coloring exists (by tree-depth at k <= p), and one driver runs it component by
-component with iterative deepening over k. The backtracking search uses
+graph, built once, decides for every component, p and k whether a depth-p
+k-coloring exists (by tree-depth at k <= p), and one driver climbs k component
+by component. The backtracking search uses
 saturation-first vertex selection, ascending colors, and first-use
 symmetry breaking, so witnesses are deterministic. At p >= 2 it also forward
 checks: once all k colors are in use it skips a subtree as soon as an uncolored
@@ -29,13 +29,14 @@ from itertools import combinations
 
 from .errors import ParameterError, SizeCapError, ValidationError
 from .graphs import (
-    connected_components,
+    bits,
+    component_masks,
     induced_subgraph,
     shrink_to_minimal,
     subdivide_exact,
     subdivision_internal_vertices,
 )
-from .invariants import InvariantResult, clique_number
+from .invariants import InvariantResult, _max_clique_mask, clique_number
 from .treedepth import TreedepthSolver, depth_coloring
 
 
@@ -133,51 +134,57 @@ def validate_coloring(g, coloring):
 
 
 class _ColoringSearch:
-    """Backtracking search for depth-p colorings of one graph, any k colors.
+    """Backtracking search for depth-p colorings of one graph, any mask, p and k.
 
-    Built once per graph and p: neighbour tuples, degree order, distance-3
-    balls (p >= 2) and one TreedepthSolver, whose memo every k shares. The
-    state of a run is bitmasks: one vertex mask per color class, the mask of
-    uncolored vertices, and per vertex the mask of colors on its colored
-    neighbours (its saturation). `_forbidden` turns them into the colors a
-    vertex cannot take: p = 1 forbids neighbour colors, p >= 2 also colors that
-    close a bicolored 4-vertex path, which is exactly the condition on pairs of
-    classes; p >= 3 adds tree-depth checks on every color subset of size 3..p
-    that includes the color just placed. Meant for one connected graph: on a
-    disconnected one a failing component makes it backtrack through the
-    colorings of the others.
+    Built once per graph: neighbour tuples, degree order, distance-3 balls and
+    one TreedepthSolver, whose memo every run shares. A run colors one vertex
+    mask, a component, and its state is bitmasks: one vertex mask per color
+    class, the mask of uncolored vertices, and per vertex the mask of colors
+    on its colored neighbours (its saturation). `_forbidden` turns them into
+    the colors a vertex cannot take: p = 1 forbids neighbour colors, p >= 2
+    also colors that close a bicolored 4-vertex path, which is exactly the
+    condition on pairs of classes; p >= 3 adds tree-depth checks on every
+    color subset of size 3..p that includes the color just placed.
     """
 
-    def __init__(self, g, p):
+    def __init__(self, g):
         self.g = g
         self.n = g.n
-        self.p = p
         self.nbrs = [g.neighbors(v) for v in range(g.n)]
         self.nbr_bits = g.adj_bits
         # DSATUR ties go to the larger degree, then (stable sort) the smaller vertex
         self.order = sorted(range(g.n), key=lambda v: -len(self.nbrs[v]))
         self.nodes = 0
-        if p >= 2:
-            self.near = self._distance_3_balls()
+        self.near = self._distance_3_balls()
         self.td = TreedepthSolver(g)
 
-    def _reset(self, k):
+    def _reset(self, comp, k, p):
         self.k = k
+        self.p = p
         self.assignment = [-1] * self.n
         self.color_masks = [0] * k
-        self.uncolored = (1 << self.n) - 1
+        self.uncolored = comp
         self.sat_mask = [0] * self.n
 
-    def run(self, k):
-        """A depth-p k-coloring as a tuple, or None. For k <= p one exists
-        exactly when td <= k, and an optimal elimination forest colored by
-        depth is one; above p the search colors by first use."""
-        full = (1 << self.n) - 1
-        if k <= self.p:
-            ok = self.td.td_at_most(full, k)
-            return depth_coloring(self.g, self.td.forest(full)) if ok else None
-        self._reset(k)
-        return tuple(self.assignment) if self._extend(0, 0) else None
+    def run(self, comp, k, p):
+        """A depth-p k-coloring of comp, its colors in vertex order, or None.
+        For k <= p one exists exactly when td <= k, and an optimal elimination
+        forest colored by depth is one; above p the search colors by first use."""
+        if k <= p:
+            ok = self.td.td_at_most(comp, k)
+            colors = depth_coloring(self.g, self.td.forest(comp)) if ok else None
+        else:
+            self._reset(comp, k, p)
+            colors = self.assignment if self._extend(0) else None
+        return None if colors is None else tuple(colors[v] for v in bits(comp))
+
+    def least(self, comp, k, p):
+        """A least depth-p coloring of comp, climbing from the lower bound k."""
+        for k in range(k, comp.bit_count() + 1):
+            found = self.run(comp, k, p)
+            if found is not None:
+                return found
+        raise AssertionError("upper bound for coloring search was not valid")
 
     def _select(self, max_used):
         """The uncolored vertex of most colored-neighbour colors, first in order."""
@@ -216,9 +223,9 @@ class _ColoringSearch:
                     forbidden |= 1 << cy
         return forbidden
 
-    def _extend(self, colored, max_used):
+    def _extend(self, max_used):
         self.nodes += 1
-        if colored == self.n:
+        if not self.uncolored:
             return True
         v = self._select(max_used)
         forbidden = self._forbidden(v)
@@ -230,7 +237,7 @@ class _ColoringSearch:
             used = max(max_used, c + 1)
             self._assign(v, c)
             if not (self.p >= 2 and used == self.k and self._wiped_out(v)):
-                if self._extend(colored + 1, used):
+                if self._extend(used):
                     return True
             self._unassign(v, c)
         return False
@@ -294,66 +301,54 @@ class _ColoringSearch:
                 self.sat_mask[u] &= ~(1 << c)
 
 
-def _by_component(g, color):
-    """Assignment of g gluing color(component) over its connected components,
-    or None as soon as color returns None for one of them."""
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return color(g)
-    assignment = [0] * g.n
-    for comp in comps:
-        sub, verts = induced_subgraph(g, comp)
-        found = color(sub)
-        if found is None:
-            return None
-        for v, c in zip(verts, found):
-            assignment[v] = c
-    return assignment
-
-
-def _least_coloring(g, p):
-    """A least depth-p coloring of connected g, colors numbered from 0.
-
-    Starts k at a lower bound: the clique number for p = 1, the chromatic
-    number for p >= 2. The climb ends at one color per vertex, which must
-    succeed. One search object serves every k.
-    """
-    lower = clique_number(g).value if p == 1 else chromatic_number_value(g)
-    search = _ColoringSearch(g, p)
-    for k in range(max(lower, 1), g.n + 1):
-        found = search.run(k)
-        if found is not None:
-            return found
-    raise AssertionError("upper bound for coloring search was not valid")
+# chi by graph, written only by _least_assignment and cleared when full
+CHI_MEMO_BOUND = 1 << 15
+_chi_value_memo = {}
 
 
 def _least_assignment(g, p, cap):
-    """A least depth-p coloring of g under the vertex cap (default chi_p_cap(p))."""
+    """A least depth-p coloring of g under the vertex cap (default chi_p_cap(p)),
+    by component: the p = 1 climb starts at omega, a p >= 2 climb at chi."""
     if cap is None:
         cap = chi_p_cap(p)
     if g.n > cap:
         raise SizeCapError(
             f"depth-{p} coloring solver capped at {cap} vertices, got {g.n}"
         )
-    return _by_component(g, lambda sub: _least_coloring(sub, p))
-
-
-_chi_value_memo = {}
+    search = _ColoringSearch(g)
+    comps = component_masks(g.adj_bits, (1 << g.n) - 1)
+    known = _chi_value_memo.get(g) if len(comps) == 1 else None
+    assignment = [0] * g.n
+    chi = 0
+    for comp in comps:
+        lower = known
+        if p == 1 or lower is None:
+            omega = _max_clique_mask(g.adj_bits, comp).bit_count()
+            found = search.least(comp, omega, 1)
+            lower = max(found) + 1
+        if p > 1:
+            found = search.least(comp, lower, p)
+        chi = max(chi, lower)
+        for v, c in zip(bits(comp), found):
+            assignment[v] = c
+    if len(_chi_value_memo) >= CHI_MEMO_BOUND:
+        _chi_value_memo.clear()
+    _chi_value_memo[g] = chi
+    return assignment
 
 
 def chromatic_number_value(g):
     """Exact chromatic number without certificates (memoized; hot-path helper)."""
-    cached = _chi_value_memo.get(g)
-    if cached is not None:
-        return cached
-    value = len(set(_by_component(g, lambda sub: _least_coloring(sub, 1))))
-    _chi_value_memo[g] = value
-    return value
+    if g not in _chi_value_memo:
+        _least_assignment(g, 1, g.n)
+    return _chi_value_memo[g]
 
 
 def _chromatic_at_least(g, chi):
     """Whether g has no proper coloring with chi - 1 colors."""
-    return _by_component(g, lambda sub: _ColoringSearch(sub, 1).run(chi - 1)) is None
+    search = _ColoringSearch(g)
+    comps = component_masks(g.adj_bits, (1 << g.n) - 1)
+    return any(search.run(comp, chi - 1, 1) is None for comp in comps)
 
 
 def chromatic_number(g, cap=None):
@@ -367,7 +362,6 @@ def chromatic_number(g, cap=None):
     else:
         critical = shrink_to_minimal(g, lambda sub: _chromatic_at_least(sub, value))
         witness = ("critical_subgraph", critical)
-    _chi_value_memo[g] = value
     return InvariantResult(
         "chromatic_number", value, certificate=coloring, lower_bound=witness
     )

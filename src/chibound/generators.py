@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .codec import parse_graph
 from .errors import ParameterError
 from .graphs import Graph, girth
 
@@ -246,8 +247,6 @@ def generate(family, params, seed=0):
         if base is None:
             base = complete(2)
         elif isinstance(base, str):
-            from .codec import parse_graph
-
             base = parse_graph(base)
         return mycielski_iterate(base, params["k"])
     if family == "random_gnp":

@@ -14,7 +14,14 @@ from fractions import Fraction
 
 from .corpus import all_graphs, connected_graphs
 from .errors import SizeCapError
-from .graphs import Graph, bits, induced_subgraph, subdivide_exact
+from .generators import cycle
+from .graphs import (
+    Graph,
+    bits,
+    induced_subgraph,
+    subdivide_exact,
+    subdivision_internal_vertices,
+)
 from .invariants import clique_number
 from .coloring import _chromatic_at_least, chromatic_number_value
 
@@ -333,8 +340,6 @@ def is_induced_exact_subdivision(h, r, g, host_cap=HOST_CAP):
 
 
 def _subdivision_chains(h, r):
-    from .graphs import subdivision_internal_vertices
-
     inner = subdivision_internal_vertices(h, r)
     return {
         (u, v): (u,) + inner[(u, v)] + (v,) for u, v in h.sorted_edges()
@@ -394,8 +399,6 @@ def critical_patterns(chi, max_size):
     elif chi == 2:
         out = [Graph(2, [(0, 1)])] if max_size >= 2 else []
     elif chi == 3:
-        from .generators import cycle
-
         out = [cycle(k) for k in range(3, max_size + 1, 2)]
     else:
         if max_size > CRITICAL_CATALOGUE_CAP:

@@ -10,6 +10,7 @@ byte-identical contract.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -658,13 +659,15 @@ def run_suite(spec):
     title, anchor, instance_fn, check_fn = SUITES[spec.claim]
     start = time.monotonic()
     payloads = instance_fn(spec)
-    if spec.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    # every worker forks at the first submit, so never more than the cores
+    workers = min(spec.jobs, os.cpu_count() or 1, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             instances = list(
                 pool.map(
                     _pool_run,
                     [(spec.claim, p) for p in payloads],
-                    chunksize=max(1, len(payloads) // (spec.jobs * 8)),
+                    chunksize=max(1, len(payloads) // (workers * 8)),
                 )
             )
     else:

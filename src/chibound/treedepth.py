@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import SizeCapError
 from .graphs import bits, component_masks
+from .invariants import InvariantResult
 
 TREEDEPTH_CAP = 16
 TREEDEPTH_HARD_CAP = 24
@@ -168,8 +169,6 @@ def tree_depth_at_most(g, k):
 
 def tree_depth(g, cap=TREEDEPTH_CAP):
     """Exact tree-depth with an elimination-forest certificate."""
-    from .invariants import InvariantResult
-
     cap = min(cap, TREEDEPTH_HARD_CAP)
     if g.n > cap:
         raise SizeCapError(

@@ -10,6 +10,7 @@ from chibound.coloring import (
     _ColoringSearch,
     chi_p,
     chromatic_number,
+    chromatic_number_value,
     make_coloring,
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
@@ -26,7 +27,7 @@ from chibound.generators import (
     path,
     random_gnp,
 )
-from chibound.graphs import Graph, induced_subgraph, subdivide_exact
+from chibound.graphs import Graph, disjoint_union, induced_subgraph, subdivide_exact
 from chibound.treedepth import tree_depth
 from oracles import naive_chromatic, naive_is_star_coloring, naive_star_chromatic
 
@@ -131,26 +132,44 @@ def test_chi_p_examples():
 def test_star_search_node_count():
     # forward checking prunes the doomed subtrees of this 4-coloring search;
     # plain backtracking walks about ten thousand nodes
-    search = _ColoringSearch(subdivide_exact(complete(7), 1), 2)
-    found = search.run(4)
+    g = subdivide_exact(complete(7), 1)
+    search = _ColoringSearch(g)
+    found = search.run((1 << g.n) - 1, 4, 2)
     assert found is not None and search.nodes <= 2000
 
 
 def test_one_search_per_climb(monkeypatch):
-    # the p = 2 climb runs k = 3 and 4 on one search object, and its chi lower
-    # bound runs the p = 1 climb on another
+    # the chi lower bound (the p = 1 climb) and the p >= 2 climb run on one
+    # search object, which colors every component
     built = []
     init = _ColoringSearch.__init__
 
-    def counting_init(self, g, p):
-        built.append((g.n, p))
-        init(self, g, p)
+    def counting_init(self, g):
+        built.append(g.n)
+        init(self, g)
 
     monkeypatch.setattr(_ColoringSearch, "__init__", counting_init)
-    monkeypatch.setattr(coloring, "_chi_value_memo", {})
-    g = subdivide_exact(complete(7), 1)
-    assert chi_p(g, 2, cap=28).value == 4
-    assert built == [(g.n, 1), (g.n, 2)]
+    cases = [
+        (subdivide_exact(complete(7), 1), 2, 28, 4),
+        (disjoint_union([cycle(5), complete(4)]), 2, None, 4),
+        (disjoint_union([cycle(5), complete(4)]), 3, None, 4),
+    ]
+    for g, p, cap, value in cases:
+        monkeypatch.setattr(coloring, "_chi_value_memo", {})
+        built.clear()
+        assert chi_p(g, p, cap=cap).value == value
+        assert built == [g.n]
+
+
+def test_chi_memo_stays_bounded(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(coloring, "_chi_value_memo", memo)
+    monkeypatch.setattr(coloring, "CHI_MEMO_BOUND", 4)
+    graphs = connected_graphs(5)[:10]
+    assert len(set(graphs)) == 10
+    for g in graphs:
+        assert chromatic_number_value(g) == naive_chromatic(g)
+        assert len(memo) <= 4
 
 
 def test_chi_p_caps():

@@ -9,12 +9,20 @@ from chibound.codec import (
     graph_to_graph6,
     graph_to_json,
 )
-from chibound.coloring import _ColoringSearch, chi_p, chromatic_number
+from chibound.coloring import (
+    _chromatic_at_least,
+    _ColoringSearch,
+    _normalize,
+    chi_p,
+    chromatic_number,
+)
 from chibound.graphs import (
     Digraph,
     Graph,
+    bits,
     blow_up,
     component_masks,
+    disjoint_union,
     induced_subgraph,
     orientations,
     subdivide_exact,
@@ -23,6 +31,7 @@ from chibound.invariants import biclique_number, clique_number
 from chibound.treedepth import tree_depth, tree_depth_at_most, validate_elimination_forest
 from oracles import (
     _components_of,
+    naive_chromatic,
     naive_is_star_coloring,
     naive_star_chromatic,
     naive_treedepth,
@@ -171,6 +180,24 @@ def _star_valid(g, colors, vertices):
     return naive_is_star_coloring(sub, [colors[v] for v in verts])
 
 
+@common
+@given(st.one_of(
+    graphs(max_n=8),
+    st.builds(lambda a, b: disjoint_union([a, b]), graphs(max_n=4), graphs(max_n=4)),
+))
+def test_components_color_as_their_own_graphs(g):
+    # one search object colors every component exactly as it colors a copy
+    chi = chromatic_number(g).value
+    assert chi == naive_chromatic(g)
+    assert _chromatic_at_least(g, chi) and not _chromatic_at_least(g, chi + 1)
+    for p in range(1, 4):
+        colors = chi_p(g, p).certificate.assignment
+        for comp in component_masks(g.adj_bits, (1 << g.n) - 1):
+            sub, verts = induced_subgraph(g, list(bits(comp)))
+            own = chi_p(sub, p).certificate.assignment
+            assert _normalize(colors[v] for v in verts) == _normalize(own)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=7), st.integers(min_value=1, max_value=5), st.data())
 def test_forbidden_colors_are_the_star_violations(g, k, data):
@@ -185,8 +212,8 @@ def test_forbidden_colors_are_the_star_violations(g, k, data):
         colors[v] = c
         if not _star_valid(g, colors, [u for u in range(g.n) if colors[u] >= 0]):
             colors[v] = -1
-    search = _ColoringSearch(g, 2)
-    search._reset(k)
+    search = _ColoringSearch(g)
+    search._reset((1 << g.n) - 1, k, 2)
     for v in order:
         if colors[v] >= 0:
             search._assign(v, colors[v])

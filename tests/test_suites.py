@@ -1,5 +1,7 @@
 import json
+import os
 
+from chibound import suites
 from chibound.suites import SUITES, SuiteSpec, run_suite
 from conftest import recorded_digests, report_digest
 
@@ -43,6 +45,30 @@ def test_seed0_reports_match_recorded_digests():
     for claim in ("S1", "S2", "S3", "S5", "S6", "S7", "S8", "S9", "S10"):
         report = run_suite(SuiteSpec(claim=claim))
         assert report_digest(report) == expected[claim], claim
+
+
+def test_worker_pool_is_capped_by_the_cores(monkeypatch):
+    # a fake pool records its size and maps serially, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", SerialPool)
+    report = run_suite(SuiteSpec(claim="S1", jobs=10_000))
+    assert all(size <= (os.cpu_count() or 1) for size in sizes)
+    assert report.config["jobs"] == 10_000
+    assert report_digest(report) == report_digest(run_suite(SuiteSpec(claim="S1", jobs=1)))
 
 
 def test_s1_passes_quickly():
