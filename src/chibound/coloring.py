@@ -31,9 +31,9 @@ from .errors import ParameterError, SizeCapError, ValidationError
 from .graphs import (
     bits,
     component_masks,
+    distance_balls,
     induced_subgraph,
     shrink_to_minimal,
-    subdivide_exact,
     subdivision_internal_vertices,
 )
 from .invariants import InvariantResult, _max_clique_mask, clique_number
@@ -155,7 +155,11 @@ class _ColoringSearch:
         # DSATUR ties go to the larger degree, then (stable sort) the smaller vertex
         self.order = sorted(range(g.n), key=lambda v: -len(self.nbrs[v]))
         self.nodes = 0
-        self.near = self._distance_3_balls()
+        # the vertices within distance 3 of v, whose forbidden colors can
+        # change when v is colored
+        self.near = [
+            ball & ~(1 << v) for v, ball in enumerate(distance_balls(g, 3)[-1])
+        ]
         self.td = TreedepthSolver(g)
 
     def _reset(self, comp, k, p):
@@ -270,19 +274,6 @@ class _ColoringSearch:
             rest ^= low
         return False
 
-    def _distance_3_balls(self):
-        """Per vertex v, the mask of the other vertices within distance 3: the
-        ones whose forbidden colors can change when v is colored."""
-        balls = [bits | 1 << v for v, bits in enumerate(self.nbr_bits)]
-        for _ in range(2):
-            grown = []
-            for v, ball in enumerate(balls):
-                for u in self.nbrs[v]:
-                    ball |= balls[u]
-                grown.append(ball)
-            balls = grown
-        return [ball & ~(1 << v) for v, ball in enumerate(balls)]
-
     def _assign(self, v, c):
         self.assignment[v] = c
         self.color_masks[c] |= 1 << v
@@ -301,7 +292,8 @@ class _ColoringSearch:
                 self.sat_mask[u] &= ~(1 << c)
 
 
-# chi by graph, written only by _least_assignment and cleared when full
+# chi of each component (in component_masks order) by graph, written only by
+# _least_assignment and cleared when full
 CHI_MEMO_BOUND = 1 << 15
 _chi_value_memo = {}
 
@@ -316,24 +308,23 @@ def _least_assignment(g, p, cap):
             f"depth-{p} coloring solver capped at {cap} vertices, got {g.n}"
         )
     search = _ColoringSearch(g)
-    comps = component_masks(g.adj_bits, (1 << g.n) - 1)
-    known = _chi_value_memo.get(g) if len(comps) == 1 else None
+    known = _chi_value_memo.get(g) if p > 1 else None
     assignment = [0] * g.n
-    chi = 0
-    for comp in comps:
-        lower = known
-        if p == 1 or lower is None:
+    chis = []
+    for i, comp in enumerate(component_masks(g.adj_bits, (1 << g.n) - 1)):
+        if known is None:
             omega = _max_clique_mask(g.adj_bits, comp).bit_count()
             found = search.least(comp, omega, 1)
-            lower = max(found) + 1
+            chis.append(max(found) + 1)
+        else:
+            chis.append(known[i])
         if p > 1:
-            found = search.least(comp, lower, p)
-        chi = max(chi, lower)
+            found = search.least(comp, chis[-1], p)
         for v, c in zip(bits(comp), found):
             assignment[v] = c
     if len(_chi_value_memo) >= CHI_MEMO_BOUND:
         _chi_value_memo.clear()
-    _chi_value_memo[g] = chi
+    _chi_value_memo[g] = tuple(chis)
     return assignment
 
 
@@ -341,7 +332,7 @@ def chromatic_number_value(g):
     """Exact chromatic number without certificates (memoized; hot-path helper)."""
     if g not in _chi_value_memo:
         _least_assignment(g, 1, g.n)
-    return _chi_value_memo[g]
+    return max(_chi_value_memo[g], default=0)
 
 
 def _chromatic_at_least(g, chi):
@@ -398,8 +389,7 @@ def uniform_subdivision_coloring(g, p):
     """
     if p < 1:
         raise ParameterError("uniform subdivision coloring needs p >= 1")
-    sub = subdivide_exact(g, p)
-    assignment = [0] * sub.n
+    assignment = [0] * (g.n + p * g.m)
     for chain in subdivision_internal_vertices(g, p).values():
         for i, v in enumerate(chain):
             assignment[v] = i + 1
@@ -422,9 +412,8 @@ def subdivision_chi_p_coloring(g, p, base):
         raise ValidationError(f"base coloring is not proper: {witness}")
     if p == 0:
         return Coloring(base.assignment, base.num_colors, "chi_p", 1)
-    sub = subdivide_exact(g, p)
     palette = max(base.num_colors, p + 2)
-    assignment = [0] * sub.n
+    assignment = [0] * (g.n + p * g.m)
     for v in range(g.n):
         assignment[v] = base.assignment[v]
     chains = subdivision_internal_vertices(g, p)

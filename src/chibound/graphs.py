@@ -274,17 +274,8 @@ def power(g, d):
     if d < 1:
         raise ParameterError("power exponent must be at least 1")
     edges = []
-    for s in range(g.n):
-        reach = frontier = 1 << s
-        for _ in range(d):
-            if not frontier:
-                break
-            grown = 0
-            for x in bits(frontier):
-                grown |= g.adj_bits[x]
-            frontier = grown & ~reach
-            reach |= frontier
-        edges.extend((s, t) for t in bits(reach >> s + 1 << s + 1))
+    for s, ball in enumerate(distance_balls(g, d)[-1]):
+        edges.extend((s, t) for t in bits(ball >> s + 1 << s + 1))
     return Graph(g.n, edges)
 
 
@@ -329,6 +320,33 @@ def component_masks(rows, mask):
         comps.append(comp)
         mask &= ~comp
     return comps
+
+
+def walk_masks(rows, length):
+    """Per step count i = 0..length, the mask of the vertices where a walk of
+    exactly i steps from v can end, for every v; rows[v] is the mask of the
+    vertices one step from v, so step 1 is rows itself."""
+    layers = [[1 << v for v in range(len(rows))], rows][: length + 1]
+    for _ in range(length - 1):
+        last = layers[-1]
+        grown = []
+        for row in rows:
+            reach = 0
+            while row:
+                low = row & -row
+                reach |= last[low.bit_length() - 1]
+                row ^= low
+            grown.append(reach)
+        layers.append(grown)
+    return layers
+
+
+def distance_balls(g, radius):
+    """Per radius i, the mask of the vertices within distance i of v, for every
+    v: walks on the closed rows. The radius is clamped at g.n, since a ball
+    stops growing after n - 1 steps."""
+    closed = [row | 1 << v for v, row in enumerate(g.adj_bits)]
+    return walk_masks(closed, min(radius, g.n))
 
 
 def connected_components(g):

@@ -67,6 +67,10 @@ def _iter_holes(g, max_len):
     interior vertex (or to the anchor before closing) would carry a chord.
     Direction duplicates are dropped by requiring second vertex < last vertex.
     """
+    if g.n > HOLE_HOST_CAP:
+        raise SizeCapError(
+            f"hole enumeration capped at {HOLE_HOST_CAP} vertices, got {g.n}"
+        )
     adj_bits = g.adj_bits
     nbrs = [g.neighbors(v) for v in range(g.n)]
     for a in range(g.n):
@@ -91,26 +95,20 @@ def _iter_holes(g, max_len):
                         stack.append((pathv + [w], mask | 1 << w))
 
 
-def enumerate_holes(g, max_len, cap=HOLE_HOST_CAP):
+def enumerate_holes(g, max_len):
     """All holes of length 4..max_len, canonical, sorted."""
-    if g.n > cap:
-        raise SizeCapError(f"hole enumeration capped at {cap} vertices, got {g.n}")
     return sorted(
         {h for h in _iter_holes(g, max_len)}, key=lambda h: (len(h), h.vertices)
     )
 
 
-def count_holes(g, length, cap=HOLE_HOST_CAP):
+def count_holes(g, length):
     """Exact number of holes of the given length."""
-    if g.n > cap:
-        raise SizeCapError(f"hole enumeration capped at {cap} vertices, got {g.n}")
     return sum(1 for h in _iter_holes(g, length) if len(h) == length)
 
 
-def is_even_hole_free(g, cap=HOLE_HOST_CAP):
+def is_even_hole_free(g):
     """(True, None) when no even hole exists, else (False, witness hole)."""
-    if g.n > cap:
-        raise SizeCapError(f"hole enumeration capped at {cap} vertices, got {g.n}")
     for h in _iter_holes(g, g.n):
         if len(h) % 2 == 0:
             return False, h

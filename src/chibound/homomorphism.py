@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .codec import digraph_to_digraph6
 from .errors import BudgetError, ParameterError, SizeCapError, WalkLoopError
-from .graphs import Digraph, bits, induced_subgraph, shrink_to_minimal
+from .graphs import Digraph, bits, induced_subgraph, shrink_to_minimal, walk_masks
 from .invariants import clique_number, degeneracy
 
 HOM_CAP = 12
@@ -121,8 +121,8 @@ def homomorphism(f, g, cap=HOM_CAP, budget=None):
     return None
 
 
-def hom_exists(f, g, cap=HOM_CAP, budget=None):
-    return homomorphism(f, g, cap=cap, budget=budget) is not None
+def hom_exists(f, g, budget=None):
+    return homomorphism(f, g, budget=budget) is not None
 
 
 def transitive_tournament(k):
@@ -177,16 +177,7 @@ def walk_power(d, length):
     offending vertex and one such walk."""
     if length < 1:
         raise ParameterError("walk length must be positive")
-    rows = list(d.out_bits)
-    reach = rows
-    for _ in range(length - 1):
-        nxt = [0] * d.n
-        for u in range(d.n):
-            acc = 0
-            for w in bits(reach[u]):
-                acc |= rows[w]
-            nxt[u] = acc
-        reach = nxt
+    reach = walk_masks(d.out_bits, length)[length]
     for v in range(d.n):
         if reach[v] >> v & 1:
             raise WalkLoopError(v, _reconstruct_walk(d, v, v, length))
@@ -195,19 +186,12 @@ def walk_power(d, length):
 
 
 def _reconstruct_walk(d, source, target, length):
-    # reachable[s] = vertices with a walk of s arcs into target
-    reachable = [0] * (length + 1)
-    reachable[0] = 1 << target
-    for s in range(1, length + 1):
-        mask = 0
-        for v in range(d.n):
-            if d.out_bits[v] & reachable[s - 1]:
-                mask |= 1 << v
-        reachable[s] = mask
+    # into[s][target] = the vertices with a walk of s arcs into target
+    into = walk_masks(d.in_bits, length)
     walk = [source]
     current = source
     for s in range(length, 0, -1):
-        options = d.out_bits[current] & reachable[s - 1]
+        options = d.out_bits[current] & into[s - 1][target]
         nxt = (options & -options).bit_length() - 1
         walk.append(nxt)
         current = nxt
@@ -232,19 +216,19 @@ class DualityReport:
         }
 
 
-def verify_restricted_dual(f, d, samples, cap=HOM_CAP):
+def verify_restricted_dual(f, d, samples):
     """Check that d is a restricted dual of f over the given sample digraphs.
 
     The premise f -/-> d is checked first; then each sample must satisfy
     exactly one side of the equivalence. The first violation short-circuits.
     """
-    if hom_exists(f, d, cap=cap):
+    if hom_exists(f, d):
         return DualityReport(premise_ok=False, verdict=False,
                              violation={"reason": "F maps to D"})
     records = []
     for idx, sample in enumerate(samples):
-        f_to_g = hom_exists(f, sample, cap=cap)
-        g_to_d = hom_exists(sample, d, cap=cap)
+        f_to_g = hom_exists(f, sample)
+        g_to_d = hom_exists(sample, d)
         ok = (not f_to_g) == g_to_d
         record = {
             "index": idx,
@@ -264,7 +248,7 @@ def verify_restricted_dual(f, d, samples, cap=HOM_CAP):
     return DualityReport(premise_ok=True, samples=tuple(records), verdict=True)
 
 
-def search_restricted_dual(f, samples, max_size=3, cap=HOM_CAP):
+def search_restricted_dual(f, samples, max_size=3):
     """Exhaustive search for a restricted dual of f over the sample class.
 
     Tries every loopless digraph on 1..max_size vertices in a fixed order and
@@ -279,7 +263,7 @@ def search_restricted_dual(f, samples, max_size=3, cap=HOM_CAP):
         slots = [(u, v) for u in range(n) for v in range(n) if u != v]
         for mask in range(1 << len(slots)):
             d = Digraph(n, [a for i, a in enumerate(slots) if mask >> i & 1])
-            report = verify_restricted_dual(f, d, samples, cap=cap)
+            report = verify_restricted_dual(f, d, samples)
             if report.verdict:
                 return d
     return None

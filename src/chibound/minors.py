@@ -18,6 +18,7 @@ from .generators import cycle
 from .graphs import (
     Graph,
     bits,
+    distance_balls,
     induced_subgraph,
     subdivide_exact,
     subdivision_internal_vertices,
@@ -116,25 +117,10 @@ def _paths_up_to(nbrs, source, target, max_edges, blocked):
     return results
 
 
-def _bfs_distances(nbrs, source):
-    dist = [-1] * len(nbrs)
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in nbrs[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
-    return dist
-
-
-def find_topo_embedding(pattern, g, r, host_cap=HOST_CAP):
+def find_topo_embedding(pattern, g, r):
     """An embedding witnessing pattern in TM_r(g), or None (complete search)."""
-    if g.n > host_cap:
-        raise SizeCapError(f"topological-minor host capped at {host_cap} vertices")
+    if g.n > HOST_CAP:
+        raise SizeCapError(f"topological-minor host capped at {HOST_CAP} vertices")
     h = pattern
     if h.n > g.n:
         return None
@@ -148,7 +134,7 @@ def find_topo_embedding(pattern, g, r, host_cap=HOST_CAP):
     edges = h.sorted_edges()
     nbrs = [g.neighbors(x) for x in range(g.n)]
     pattern_nbrs = [h.neighbors(v) for v in range(h.n)]
-    dist = [_bfs_distances(nbrs, s) for s in range(g.n)]
+    balls = distance_balls(g, r + 1)
     # a complete pattern is vertex-transitive: fix ascending branch images
     symmetric = all(d == h.n - 1 for d in hdeg)
 
@@ -171,8 +157,12 @@ def find_topo_embedding(pattern, g, r, host_cap=HOST_CAP):
             ok = True
             for w in pattern_nbrs[v]:
                 if w in branch:
-                    d = dist[x][branch[w]]
-                    if d < 0 or d > r + 1:
+                    # d is the host distance to branch[w], if at most r + 1
+                    y = 1 << branch[w]
+                    for d in range(1, len(balls)):
+                        if balls[d][x] & y:
+                            break
+                    else:
                         ok = False
                         break
                     demand += d - 1
@@ -252,33 +242,32 @@ def _route_depth1(g, h, branch):
     return paths
 
 
-def find_subdivided_clique(g, k, r, host_cap=HOST_CAP, k_cap=PATTERN_CAP):
+def find_subdivided_clique(g, k, r):
     """Embedding of some (<= r)-subdivision of K_k in g, or None."""
-    if k > k_cap:
-        raise SizeCapError(f"clique pattern capped at {k_cap} vertices, got {k}")
+    if k > PATTERN_CAP:
+        raise SizeCapError(f"clique pattern capped at {PATTERN_CAP} vertices, got {k}")
     pattern = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-    return find_topo_embedding(pattern, g, r, host_cap=host_cap)
+    return find_topo_embedding(pattern, g, r)
 
 
-def omega_TM(g, r, host_cap=HOST_CAP, k_cap=PATTERN_CAP):
-    """Largest k with a (<= r)-subdivided K_k subgraph embedding in g."""
-    best = 0
+def omega_TM(g, r):
+    """Largest k with a (<= r)-subdivided K_k subgraph embedding in g. A climb
+    past PATTERN_CAP raises SizeCapError rather than stopping short."""
     k = 1
-    while k <= min(g.n, k_cap):
-        if sum(1 for v in range(g.n) if g.degree(v) >= k - 1) < k:
-            break
-        if find_subdivided_clique(g, k, r, host_cap=host_cap, k_cap=k_cap) is None:
-            break
-        best = k
+    # K_k needs k branch vertices of degree >= k - 1
+    while (
+        sum(1 for v in range(g.n) if g.degree(v) >= k - 1) >= k
+        and find_subdivided_clique(g, k, r) is not None
+    ):
         k += 1
-    return best
+    return k - 1
 
 
-def is_induced_exact_subdivision(h, r, g, host_cap=HOST_CAP):
+def is_induced_exact_subdivision(h, r, g):
     """Embedding witnessing that the exact r-subdivision of h is an induced
     subgraph of g, or None (backtracking induced-subgraph isomorphism)."""
-    if g.n > host_cap:
-        raise SizeCapError(f"induced-subdivision host capped at {host_cap} vertices")
+    if g.n > HOST_CAP:
+        raise SizeCapError(f"induced-subdivision host capped at {HOST_CAP} vertices")
     sub = subdivide_exact(h, r)
     if sub.n > g.n:
         return None
@@ -354,11 +343,11 @@ class ITMEnumeration:
     max_chromatic: int
 
 
-def enumerate_ITM_exact(g, r, max_pattern_size, host_cap=ITM_HOST_CAP):
+def enumerate_ITM_exact(g, r, max_pattern_size):
     """All patterns (up to isomorphism, up to the size cap) whose exact
     r-subdivision is induced in g, with the density statistics over them."""
-    if g.n > host_cap:
-        raise SizeCapError(f"ITM enumeration host capped at {host_cap} vertices")
+    if g.n > ITM_HOST_CAP:
+        raise SizeCapError(f"ITM enumeration host capped at {ITM_HOST_CAP} vertices")
     if max_pattern_size > PATTERN_CAP:
         raise SizeCapError(f"pattern size capped at {PATTERN_CAP}")
     found = []
@@ -430,7 +419,7 @@ class ChiTMResult:
     cap: int
 
 
-def chi_TM(g, r, max_pattern_size, host_cap=HOST_CAP):
+def chi_TM(g, r, max_pattern_size):
     """max chi(H) over patterns H in TM_r(g) with |H| <= max_pattern_size.
 
     Climbs chromatic levels: level c+1 is reachable iff some edge-critical
@@ -460,7 +449,7 @@ def chi_TM(g, r, max_pattern_size, host_cap=HOST_CAP):
             )
         hit = False
         for h in critical_patterns(nxt, size_bound):
-            if find_topo_embedding(h, g, r, host_cap=host_cap) is not None:
+            if find_topo_embedding(h, g, r) is not None:
                 hit = True
                 break
         if not hit:

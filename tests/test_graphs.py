@@ -87,6 +87,8 @@ def test_power():
     assert power(g, 1) == g
     sq = power(cycle(6), 2)
     assert all(sq.degree(v) == 4 for v in range(6))
+    # the radius is clamped at n, so a huge exponent costs no more than n
+    assert power(path(5), 10**9) == complete(5)
 
 
 def test_orientations():

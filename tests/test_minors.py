@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
-from chibound.corpus import are_isomorphic
+from chibound.codec import graph_to_graph6
+from chibound.corpus import are_isomorphic, connected_graphs
 from chibound.errors import SizeCapError
 from chibound.generators import complete, complete_bipartite, cycle, path, star
 from chibound.graphs import Graph, subdivide_exact
@@ -45,6 +49,7 @@ def test_omega_tm_values():
     assert omega_TM(complete_bipartite(4, 4), 1) == 4
     k99 = omega_TM(complete_bipartite(9, 9), 1)
     assert k99 == 7 and k99 * k99 >= 9  # well above the sqrt(s) floor
+    assert omega_TM(complete(8), 0) == 8
 
 
 def test_omega_tm_depth_zero_is_clique_number(small_connected):
@@ -127,6 +132,32 @@ def test_downward_closure_of_embeddings(small_connected):
 
 def test_host_cap():
     with pytest.raises(SizeCapError):
-        find_topo_embedding(complete(3), complete(9), 1, host_cap=8)
+        find_topo_embedding(complete(3), cycle(41), 1)
     with pytest.raises(SizeCapError):
         find_subdivided_clique(cycle(5), 9, 1)
+    # the climb reaches K_9 on K_10 and must not report 8
+    with pytest.raises(SizeCapError):
+        omega_TM(complete(10), 0)
+
+
+# recorded before the distance lookup of find_topo_embedding moved from an
+# all-pairs BFS table to graphs.distance_balls; the embeddings must not change
+EMBEDDINGS_SHA256 = "d100e014b25bb7b4632dad6a88d7120275295b2c890b3e1e6a6315bacc316c2e"
+
+
+def test_embedding_bytes_are_pinned():
+    h = hashlib.sha256()
+    patterns = [("K3", complete(3)), ("C4", cycle(4)), ("C5", cycle(5)), ("K4", complete(4))]
+    count = found = 0
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for name, pattern in patterns:
+                for r in range(3):
+                    emb = find_topo_embedding(pattern, g, r)
+                    data = None if emb is None else emb.to_jsonable()
+                    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+                    h.update(f"{graph_to_graph6(g)} {name} {r} {text}\n".encode())
+                    count += 1
+                    found += emb is not None
+    assert (count, found) == (996 * 12, 9683)
+    assert h.hexdigest() == EMBEDDINGS_SHA256

@@ -1,6 +1,7 @@
 """Property-based checks with hypothesis: structural invariants that must hold
 on every graph, not just the worked examples."""
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from chibound.codec import (
@@ -23,9 +24,11 @@ from chibound.graphs import (
     blow_up,
     component_masks,
     disjoint_union,
+    distance_balls,
     induced_subgraph,
     orientations,
     subdivide_exact,
+    walk_masks,
 )
 from chibound.invariants import biclique_number, clique_number
 from chibound.treedepth import tree_depth, tree_depth_at_most, validate_elimination_forest
@@ -35,6 +38,7 @@ from oracles import (
     naive_is_star_coloring,
     naive_star_chromatic,
     naive_treedepth,
+    walk_count_matrix,
 )
 
 
@@ -108,6 +112,31 @@ def test_digraph_views_match_the_arc_set(case, data):
     assert same == d and hash(same) == hash(d)
     if listed:
         assert Digraph(n, listed[1:]) != d
+
+
+@common
+@given(arc_lists(), st.data())
+def test_walk_layers_match_the_oracles(case, data):
+    n, model, listed = case
+    d = Digraph(n, listed)
+    radius = data.draw(st.integers(min_value=0, max_value=n + 1))
+    g = d.underlying_graph()
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(g.edges)
+    lengths = dict(nx.all_pairs_shortest_path_length(nxg))
+    balls = distance_balls(g, radius)
+    assert len(balls) == min(radius, n) + 1
+    for i in range(radius + 1):
+        layer = balls[min(i, n)]
+        for v in range(n):
+            assert set(bits(layer[v])) == {u for u, k in lengths[v].items() if k <= i}
+    walks = walk_masks(d.out_bits, radius)
+    assert len(walks) == radius + 1
+    for i, layer in enumerate(walks):
+        counts = walk_count_matrix(d, i)
+        for v in range(n):
+            assert set(bits(layer[v])) == {u for u in range(n) if counts[v][u] > 0}
 
 
 @common
