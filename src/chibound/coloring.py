@@ -118,19 +118,40 @@ def validate_coloring(g, coloring):
     p = coloring.p
     if p is None or p < 1:
         raise ValidationError("chi_p coloring needs its parameter p")
-    solver = TreedepthSolver(g)
     masks = [0] * coloring.num_colors
     for v, c in enumerate(colors):
         masks[c] |= 1 << v
-    used = range(coloring.num_colors)
-    for size in range(2, min(p, coloring.num_colors) + 1):
-        for subset in combinations(used, size):
-            mask = 0
-            for c in subset:
-                mask |= masks[c]
-            if not solver.td_at_most(mask, size):
-                return False, ("subset_treedepth", subset)
+    if p >= 2:
+        pair = _first_bicolored_p4_pair(g, masks)
+        if pair is not None:
+            return False, ("subset_treedepth", pair)
+    if p >= 3:
+        solver = TreedepthSolver(g)
+        for size in range(3, min(p, coloring.num_colors) + 1):
+            for subset in combinations(range(coloring.num_colors), size):
+                mask = 0
+                for c in subset:
+                    mask |= masks[c]
+                if not solver.td_at_most(mask, size):
+                    return False, ("subset_treedepth", subset)
     return True, None
+
+
+def _first_bicolored_p4_pair(g, masks):
+    """The first color pair, in combinations order, whose union holds a
+    4-vertex path, or None. In a proper coloring that path alternates: an edge
+    xy with colors a and b, a second b-neighbour at x and a second
+    a-neighbour at y. A union of two classes has tree-depth at most 2 exactly
+    when it has no such path, so no tree-depth is computed."""
+    adj = g.adj_bits
+    for a, b in combinations(range(len(masks)), 2):
+        for x in bits(masks[a]):
+            ys = adj[x] & masks[b]
+            if ys & (ys - 1) and any(
+                (adj[y] & masks[a]).bit_count() >= 2 for y in bits(ys)
+            ):
+                return (a, b)
+    return None
 
 
 class _ColoringSearch:
@@ -144,7 +165,8 @@ class _ColoringSearch:
     the colors a vertex cannot take: p = 1 forbids neighbour colors, p >= 2
     also colors that close a bicolored 4-vertex path, which is exactly the
     condition on pairs of classes; p >= 3 adds tree-depth checks on every
-    color subset of size 3..p that includes the color just placed.
+    color subset of size 3..p that includes the color just placed, each on
+    the component of the subset's union that holds the vertex just placed.
     """
 
     def __init__(self, g):
@@ -248,7 +270,10 @@ class _ColoringSearch:
 
     def _depth_ok(self, v, c, max_used):
         """Tree-depth of every 3..p color subset with v in class c (colors in
-        use are exactly 0..max_used-1 by first-use symmetry breaking)."""
+        use are exactly 0..max_used-1 by first-use symmetry breaking). Before
+        v is placed every subset meets its bound, and the components of a
+        union that miss v are components of the union without v, so only the
+        component holding v is decided."""
         others = [i for i in range(max_used) if i != c]
         new_mask = self.color_masks[c] | 1 << v
         for size in range(3, min(self.p, len(others) + 1) + 1):
@@ -256,7 +281,7 @@ class _ColoringSearch:
                 mask = new_mask
                 for i in rest:
                     mask |= self.color_masks[i]
-                if not self.td.td_at_most(mask, size):
+                if not self.td.component_td_at_most(mask, v, size):
                     return False
         return True
 

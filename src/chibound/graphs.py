@@ -305,18 +305,27 @@ def acyclic_orientation(g, order):
     return Digraph(g.n, arcs)
 
 
+def component_of(rows, mask, seed):
+    """Vertex mask of the component of the subgraph induced on `mask` that
+    holds the vertex whose bit is `seed`; rows[v] is the neighbour mask of v."""
+    comp = frontier = seed
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & mask & ~comp
+        comp |= frontier
+    return comp
+
+
 def component_masks(rows, mask):
     """Vertex masks of the components of the subgraph induced on `mask`,
     ordered by lowest vertex; rows[v] is the neighbour mask of vertex v."""
     comps = []
     while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            grow = rows[v] & mask & ~comp
-            comp |= grow
-            frontier |= grow
+        comp = component_of(rows, mask, mask & -mask)
         comps.append(comp)
         mask &= ~comp
     return comps

@@ -2,11 +2,18 @@
 
 td(connected G) = 1 + min over v of td(G - v); disconnected graphs take the
 max over components, split by graphs.component_masks. A TreedepthSolver keeps
-one memo per connected mask: lower and upper bounds on its tree-depth and the
-root that met the upper bound, so bounded queries (td <= k?) from many callers
-share work and elimination forests are read from the memo without another
-search. The bounded decision is what the chi_p machinery calls, and it stays
-cheap even on graphs far above the exact-solve cap as long as k is small.
+one memo entry per connected mask: lower and upper bounds on its tree-depth,
+the root that met the upper bound, and the root scan plan. The lower bound
+starts at degeneracy + 1 (td >= tw + 1 >= degeneracy + 1), so a query below
+it is answered without a scan. The plan is built at the first scan: the roots
+in root order, each with the components its removal leaves, so later scans
+at other k neither sort nor split again; a first root adjacent to the whole
+component is the only one planned, since then td(G) = 1 + td(G - v). Bounded
+queries (td <= k?) from many callers share this work, including queries on
+just the component of a mask that holds a given vertex, and elimination
+forests are read from the memo without another search. The bounded decision
+is what the chi_p machinery calls, and it stays cheap even on graphs far
+above the exact-solve cap as long as k is small.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeCapError
-from .graphs import bits, component_masks
+from .graphs import bits, component_masks, component_of
 from .invariants import InvariantResult
 
 TREEDEPTH_CAP = 16
@@ -79,22 +86,65 @@ def validate_elimination_forest(g, forest, claimed_height=None):
     return True, None
 
 
+def _degeneracy(rows, mask):
+    """Degeneracy of the subgraph induced on `mask` by min-degree peeling;
+    rows[v] is the neighbour mask of v. A vertex of degree at most the value
+    found so far lies in no subgraph of larger minimum degree, so it is
+    peeled at once, and peeling stops when what is left is too small to
+    raise the value."""
+    value = 0
+    size = mask.bit_count()
+    while size - 1 > value:
+        least = size
+        rest = mask
+        while rest:
+            low = rest & -rest
+            d = (rows[low.bit_length() - 1] & mask).bit_count()
+            if d < least:
+                least, v = d, low
+                if d <= value:
+                    break
+            rest ^= low
+        value = max(value, least)
+        mask ^= v
+        size -= 1
+    return value
+
+
 class TreedepthSolver:
     """Tree-depth engine for one graph with one memo shared by all queries."""
 
     def __init__(self, g):
         self.n = g.n
         self.adj_bits = g.adj_bits
-        # connected mask -> [lower, upper, root]: bounds on the tree-depth of
-        # the induced subgraph, and the first vertex in root order whose
-        # removal was shown to meet upper (None before any root met it)
+        # connected mask -> [lower, upper, root, plan]: bounds on the
+        # tree-depth of the induced subgraph (lower starts at degeneracy + 1),
+        # the first vertex in root order whose removal was shown to meet upper
+        # (None before any root met it), and the root scan plan, built at the
+        # first scan (None before): per root in root order, the root and the
+        # components left when it is removed
         self.memo = {}
+        # root scans run, each a pass over one plan at one k
+        self.scans = 0
 
     def _entry(self, comp):
         e = self.memo.get(comp)
         if e is None:
-            e = self.memo[comp] = [1, comp.bit_count(), None]
+            lower = _degeneracy(self.adj_bits, comp) + 1
+            e = self.memo[comp] = [lower, comp.bit_count(), None, None]
         return e
+
+    def _plan(self, comp):
+        """(v, component masks of comp - v) per root v in root order: higher
+        degree in comp first, which gives good separators early, then lower
+        vertex. A first root adjacent to all of comp is the only one kept,
+        since then td(comp) = 1 + td(comp - v) and no other root can succeed
+        where it fails."""
+        adj = self.adj_bits
+        order = sorted(bits(comp), key=lambda v: (-(adj[v] & comp).bit_count(), v))
+        if comp & ~adj[order[0]] == 1 << order[0]:
+            del order[1:]
+        return [(v, component_masks(adj, comp & ~(1 << v))) for v in order]
 
     def td_at_most(self, mask, k):
         """Decide td(G[mask]) <= k. Sound and complete; memoized."""
@@ -107,24 +157,31 @@ class TreedepthSolver:
                 return False
         return True
 
+    def component_td_at_most(self, mask, v, k):
+        """Decide td <= k for the component of G[mask] that holds v (v in mask)."""
+        return self._td_conn_at_most(component_of(self.adj_bits, mask, 1 << v), k)
+
     def _td_conn_at_most(self, comp, k):
-        size = comp.bit_count()
-        if size <= 1:
-            return k >= size
-        if size <= k:
+        if comp.bit_count() <= k:
             return True
+        if k <= 1:
+            # a connected graph on two or more vertices has an edge
+            return False
         e = self._entry(comp)
         if e[1] <= k:
             return True
         if e[0] > k:
             return False
-        if k == 1:
-            e[0] = 2
-            return False
-        # root choice: high-degree vertices first gives good separators early
-        adj = self.adj_bits
-        for v in sorted(bits(comp), key=lambda v: (-(adj[v] & comp).bit_count(), v)):
-            if self.td_at_most(comp & ~(1 << v), k - 1):
+        plan = e[3]
+        if plan is None:
+            plan = e[3] = self._plan(comp)
+        self.scans += 1
+        below = k - 1
+        for v, parts in plan:
+            for part in parts:
+                if not self._td_conn_at_most(part, below):
+                    break
+            else:
                 e[1], e[2] = k, v
                 return True
         e[0] = k + 1

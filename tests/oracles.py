@@ -74,19 +74,24 @@ def naive_star_chromatic(g):
     return k
 
 
-def naive_treedepth(g, vertices=None):
-    """Direct recursion, no memoization."""
+def naive_treedepth(g, vertices=None, memo=None):
+    """Direct recursion over vertex sets, memoized by set."""
     if vertices is None:
         vertices = frozenset(range(g.n))
+    if memo is None:
+        memo = {}
     if not vertices:
         return 0
-    comps = _components_of(g, vertices)
-    if len(comps) > 1:
-        return max(naive_treedepth(g, comp) for comp in comps)
-    comp = comps[0]
-    if len(comp) == 1:
-        return 1
-    return 1 + min(naive_treedepth(g, comp - {v}) for v in sorted(comp))
+    if vertices not in memo:
+        comps = _components_of(g, vertices)
+        if len(comps) > 1:
+            value = max(naive_treedepth(g, comp, memo) for comp in comps)
+        elif len(vertices) == 1:
+            value = 1
+        else:
+            value = 1 + min(naive_treedepth(g, vertices - {v}, memo) for v in vertices)
+        memo[vertices] = value
+    return memo[vertices]
 
 
 def _components_of(g, vertices):

@@ -28,7 +28,7 @@ from chibound.generators import (
     random_gnp,
 )
 from chibound.graphs import Graph, disjoint_union, induced_subgraph, subdivide_exact
-from chibound.treedepth import tree_depth
+from chibound.treedepth import TreedepthSolver, tree_depth
 from oracles import naive_chromatic, naive_is_star_coloring, naive_star_chromatic
 
 PETERSEN = Graph(
@@ -136,6 +136,25 @@ def test_star_search_node_count():
     search = _ColoringSearch(g)
     found = search.run((1 << g.n) - 1, 4, 2)
     assert found is not None and search.nodes <= 2000
+
+
+def test_depth_search_query_count(monkeypatch):
+    # the p = 3 subset checks decide only the component of the union that
+    # holds the vertex just placed: 22,375 connected tree-depth queries here,
+    # against 30,878 when every component of every union is decided
+    queries = 0
+    decide = TreedepthSolver._td_conn_at_most
+
+    def counting(self, comp, k):
+        nonlocal queries
+        queries += 1
+        return decide(self, comp, k)
+
+    monkeypatch.setattr(TreedepthSolver, "_td_conn_at_most", counting)
+    g = subdivide_exact(complete(5), 1)
+    search = _ColoringSearch(g)
+    found = search.least((1 << g.n) - 1, 3, 3)
+    assert max(found) + 1 == 5 and queries <= 23000
 
 
 def test_one_search_per_climb(monkeypatch):

@@ -1,7 +1,8 @@
 """Every chibound module imports on its own, each in a fresh interpreter, so no
-module leans on another having been imported first."""
+module leans on another having been imported first. The package's __init__,
+which imports every module, is replaced by an empty package object with the
+same path, so a module loads only what it imports itself."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,16 +14,25 @@ import chibound
 PACKAGE = Path(chibound.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
+# Imports chibound.<module> under a bare package and prints the chibound
+# modules that ended up loaded.
+ALONE = """
+import importlib, sys, types
+package = types.ModuleType("chibound")
+package.__path__ = [{path!r}]
+sys.modules["chibound"] = package
+importlib.import_module("chibound.{module}")
+print(" ".join(sorted(m for m in sys.modules if m.startswith("chibound."))))
+"""
+
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_alone(module):
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     done = subprocess.run(
-        [sys.executable, "-c", f"import chibound.{module}"],
-        env=env,
+        [sys.executable, "-c", ALONE.format(path=str(PACKAGE), module=module)],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    assert f"chibound.{module}" in done.stdout.split()

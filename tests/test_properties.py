@@ -16,6 +16,8 @@ from chibound.coloring import (
     _normalize,
     chi_p,
     chromatic_number,
+    make_coloring,
+    validate_coloring,
 )
 from chibound.graphs import (
     Digraph,
@@ -30,8 +32,14 @@ from chibound.graphs import (
     subdivide_exact,
     walk_masks,
 )
-from chibound.invariants import biclique_number, clique_number
-from chibound.treedepth import tree_depth, tree_depth_at_most, validate_elimination_forest
+from chibound.invariants import biclique_number, clique_number, degeneracy
+from chibound.treedepth import (
+    TreedepthSolver,
+    _degeneracy,
+    tree_depth,
+    tree_depth_at_most,
+    validate_elimination_forest,
+)
 from oracles import (
     _components_of,
     naive_chromatic,
@@ -258,7 +266,7 @@ def test_forbidden_colors_are_the_star_violations(g, k, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(graphs(max_n=8), st.data())
+@given(graphs(max_n=9), st.data())
 def test_tree_depth_matches_the_naive_oracle(g, data):
     res = tree_depth(g)
     assert res.value == naive_treedepth(g)
@@ -272,3 +280,78 @@ def test_tree_depth_matches_the_naive_oracle(g, data):
         comps = [frozenset(v for v in range(g.n) if c >> v & 1)
                  for c in component_masks(g.adj_bits, mask)]
         assert comps == _components_of(g, vertices)
+
+
+# graphs up to 9 vertices, disconnected ones drawn on purpose as well
+small_graphs = st.one_of(
+    graphs(max_n=9),
+    st.builds(lambda a, b: disjoint_union([a, b]), graphs(max_n=5), graphs(max_n=4)),
+)
+
+
+def _nonzero_masks(g):
+    return st.integers(min_value=1, max_value=(1 << g.n) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs, st.data())
+def test_bounded_decision_on_induced_masks(g, data):
+    # one solver, and so one memo, answers every mask and k
+    solver = TreedepthSolver(g)
+    for _ in range(4):
+        mask = data.draw(_nonzero_masks(g))
+        sub, _ = induced_subgraph(g, list(bits(mask)))
+        td = naive_treedepth(sub)
+        ks = list(range(mask.bit_count() + 2))
+        for k in data.draw(st.permutations(ks)):
+            assert solver.td_at_most(mask, k) == (k >= td)
+        assert solver.treedepth(mask) == td
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs, st.data())
+def test_component_check_decides_the_component_of_v(g, data):
+    solver = TreedepthSolver(g)
+    for _ in range(4):
+        mask = data.draw(_nonzero_masks(g))
+        v = data.draw(st.sampled_from(list(bits(mask))))
+        k = data.draw(st.integers(min_value=0, max_value=mask.bit_count()))
+        (comp,) = [c for c in _components_of(g, list(bits(mask))) if v in c]
+        decided = solver.component_td_at_most(mask, v, k)
+        assert decided == (k >= naive_treedepth(induced_subgraph(g, comp)[0]))
+        assert decided == solver.td_at_most(sum(1 << u for u in comp), k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs, st.data())
+def test_degeneracy_bounds_tree_depth(g, data):
+    # td >= tw + 1 >= degeneracy + 1, and the engine's peeling shortcut gives
+    # the degeneracy of the full min-degree peeling
+    assert degeneracy(g)[0] + 1 <= naive_treedepth(g)
+    for _ in range(4):
+        mask = data.draw(_nonzero_masks(g))
+        sub, _ = induced_subgraph(g, list(bits(mask)))
+        assert _degeneracy(g.adj_bits, mask) == degeneracy(sub)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_star_validator_matches_the_naive_check(g, data):
+    # colorings drawn mostly proper, so the bicolored-path check has work
+    k = data.draw(st.integers(min_value=1, max_value=g.n))
+    colors = [-1] * g.n
+    for v in data.draw(st.permutations(range(g.n))):
+        free = [c for c in range(k) if all(colors[u] != c for u in g.neighbors(v))]
+        colors[v] = data.draw(st.sampled_from(free or list(range(k))))
+    coloring = make_coloring(colors, "chi_p", 2)
+    ok, witness = validate_coloring(g, coloring)
+    assert ok == naive_is_star_coloring(g, coloring.assignment)
+    if witness is not None and witness[0] == "subset_treedepth":
+        classes = coloring.color_classes()
+        bad = [
+            (a, b)
+            for a in range(coloring.num_colors)
+            for b in range(a + 1, coloring.num_colors)
+            if naive_treedepth(induced_subgraph(g, classes[a] + classes[b])[0]) > 2
+        ]
+        assert witness[1] == bad[0]

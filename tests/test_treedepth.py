@@ -115,6 +115,24 @@ def test_forest_reads_roots_from_the_memo():
                 assert calls == 0
 
 
+def test_forest_scans_nothing_after_treedepth():
+    # root scans recurse inside the engine, so the td_at_most counter above no
+    # longer sees them; the solver's own scan counter does. Up to 6 vertices
+    # forest(full) runs no scan once treedepth(full) has run; at 7 vertices
+    # 12 of the 1,044 graphs still scan
+    rescans = 0
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            solver = TreedepthSolver(g)
+            full = (1 << g.n) - 1
+            solver.treedepth(full)
+            scans = solver.scans
+            solver.forest(full)
+            assert n == 7 or solver.scans == scans
+            rescans += solver.scans > scans
+    assert rescans <= 12
+
+
 def test_depth_coloring_counts():
     g = path(7)
     res = tree_depth(g)
@@ -150,3 +168,23 @@ def test_forest_bytes_are_pinned():
                 count += 1
     assert count == 1252 + 120
     assert h.hexdigest() == FORESTS_SHA256
+
+
+def test_root_scan_counts():
+    # the degeneracy lower bound skips root scans that would fail: 9,162
+    # scans on these graphs without it, 10,221 without it and without the
+    # universal-vertex stop. Each memo entry builds its scan plan once, and
+    # a first root adjacent to its whole component is the only one planned
+    # (10,796 planned roots without that stop).
+    rng = SplitMix64(20200)
+    scans = plans = roots = 0
+    for density in (0.2, 0.35, 0.5, 0.7):
+        g = random_gnp(12, density, rng)
+        solver = TreedepthSolver(g)
+        full = (1 << g.n) - 1
+        solver.forest(full)
+        built = [e[3] for e in solver.memo.values() if e[3] is not None]
+        scans += solver.scans
+        plans += len(built)
+        roots += sum(map(len, built))
+    assert scans <= 1600 and plans <= 1350 and roots <= 8400
