@@ -154,7 +154,7 @@ def _cmd_transform(args):
 
 def _cmd_holes(args):
     g = parse_graph(_read_input(args.input))
-    max_len = args.max_len or g.n
+    max_len = g.n if args.max_len is None else args.max_len
     holes = enumerate_holes(g, max_len)
     counts = {}
     for h in holes:

@@ -68,6 +68,10 @@ class Graph:
     def m(self):
         return sum(row.bit_count() for row in self.adj_bits) // 2
 
+    def has_vertex(self, v):
+        """Whether v is a vertex: an int (not a bool) in 0..n-1."""
+        return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.n
+
     def has_edge(self, u, v):
         """Whether uv is an edge; False when u or v lies outside 0..n-1."""
         return 0 <= u < self.n and 0 <= v < self.n and self.adj_bits[u] >> v & 1 == 1

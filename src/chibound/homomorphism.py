@@ -285,21 +285,18 @@ class HColoringOutcome:
         }
 
 
-def _core_above(g, threshold):
-    """Vertices surviving repeated deletion of degree <= threshold."""
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in alive}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if deg[v] <= threshold:
-                alive.remove(v)
-                for u in g.neighbors(v):
-                    if u in alive:
-                        deg[u] -= 1
-                changed = True
-    return sorted(alive)
+def _core_above(g, order, threshold):
+    """Sorted vertices of the (threshold + 1)-core, given a min-degree
+    elimination order: the suffix from the first vertex with more than
+    threshold later neighbours. Each earlier vertex had degree <= threshold
+    when it was peeled, and what is left from there has minimum degree above
+    threshold."""
+    later = (1 << g.n) - 1
+    for i, v in enumerate(order):
+        later &= ~(1 << v)
+        if (g.adj_bits[v] & later).bit_count() > threshold:
+            return sorted(order[i:])
+    return []
 
 
 def h_coloring_with_witness(
@@ -314,9 +311,9 @@ def h_coloring_with_witness(
     its witness raises ParameterError instead of returning a wrong answer.
     """
     template = _as_digraph(h)
-    value, _order = degeneracy(g)
+    value, order = degeneracy(g)
     if value > degeneracy_threshold:
-        core = _core_above(g, degeneracy_threshold)
+        core = _core_above(g, order, degeneracy_threshold)
         sub, verts = induced_subgraph(g, core)
         cq = clique_number(sub)
         if cq.value < clique_threshold:

@@ -108,6 +108,9 @@ def clique_number(g, cap=CLIQUE_CAP):
 
 def validate_clique(g, vertices):
     verts = list(vertices)
+    for v in verts:
+        if not g.has_vertex(v):
+            return False, f"{v!r} is not a vertex"
     if len(set(verts)) != len(verts):
         return False, "repeated vertex"
     for i, u in enumerate(verts):

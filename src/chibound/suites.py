@@ -158,7 +158,7 @@ def _instances_s1(spec):
 
 
 def _check_s2(payload):
-    g = corpus_graph(payload)
+    g = graph_from_graph6(payload["graph6"])
     chi = chromatic_number_value(g)
     gs = subdivide_exact(g, 1)
     s = chi_p(gs, 2, cap=44).value
@@ -187,16 +187,12 @@ def _instances_s2(spec):
     return tasks
 
 
-def corpus_graph(payload):
-    return graph_from_graph6(payload["graph6"])
-
-
 # ---------------------------------------------------------------------------
 # S3: the subdivision sandwich, with the constructive coloring
 
 
 def _check_s3(payload):
-    g = corpus_graph(payload)
+    g = graph_from_graph6(payload["graph6"])
     p = payload["p"]
     base = chromatic_number(g).certificate
     chi = base.num_colors
@@ -238,7 +234,7 @@ def _instances_s3(spec):
 
 
 def _check_s4(payload):
-    g = corpus_graph(payload)
+    g = graph_from_graph6(payload["graph6"])
     p = payload["p"]
     value = chi_p(g, p).value
     tm = chi_TM(g, p - 1, g.n)
@@ -295,7 +291,7 @@ def _sample_k1t_free(t, count, rng):
 
 
 def _check_s5(payload):
-    g = corpus_graph(payload)
+    g = graph_from_graph6(payload["graph6"])
     t = payload["t"]
     delta = max_degree(g)
     omega = clique_number(g).value
@@ -411,7 +407,7 @@ def build_sub_colorings(g, base, p):
 
 
 def _check_s8(payload):
-    g = corpus_graph(payload)
+    g = graph_from_graph6(payload["graph6"])
     p = payload["p"]
     base = chromatic_number(g).certificate
     chi = base.num_colors
@@ -476,7 +472,7 @@ def _instances_s9(spec):
 
 
 def _check_s10(payload):
-    g = corpus_graph(payload)
+    g = graph_from_graph6(payload["graph6"])
     chi = chromatic_number_value(g)
     s = chi_p(subdivide_exact(g, 1), 2, cap=52).value
     measured = {"chi": chi, "star_of_subdivision": s, "girth_target": payload["girth"]}
@@ -514,7 +510,7 @@ def _instances_s10(spec):
 
 
 def _check_s11(payload):
-    g = corpus_graph(payload)
+    g = graph_from_graph6(payload["graph6"])
     chi_res = chromatic_number(g)
     star_res = chi_p(g, 2)
     chi3_res = chi_p(g, 3)

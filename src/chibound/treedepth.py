@@ -2,18 +2,17 @@
 
 td(connected G) = 1 + min over v of td(G - v); disconnected graphs take the
 max over components, split by graphs.component_masks. A TreedepthSolver keeps
-one memo entry per connected mask: lower and upper bounds on its tree-depth,
-the root that met the upper bound, and the root scan plan. The lower bound
-starts at degeneracy + 1 (td >= tw + 1 >= degeneracy + 1), so a query below
-it is answered without a scan. The plan is built at the first scan: the roots
-in root order, each with the components its removal leaves, so later scans
-at other k neither sort nor split again; a first root adjacent to the whole
-component is the only one planned, since then td(G) = 1 + td(G - v). Bounded
-queries (td <= k?) from many callers share this work, including queries on
-just the component of a mask that holds a given vertex, and elimination
-forests are read from the memo without another search. The bounded decision
-is what the chi_p machinery calls, and it stays cheap even on graphs far
-above the exact-solve cap as long as k is small.
+one memo entry per connected mask: lower and upper bounds on its tree-depth
+and the root that met the upper bound. The lower bound starts at
+degeneracy + 1 (td >= tw + 1 >= degeneracy + 1), so a query below it is
+answered without a scan. A root scan sorts the roots of the component and
+splits the component at each root only when the scan reaches it; a first
+root adjacent to the whole component is the only one tried, since then
+td(G) = 1 + td(G - v). Bounded queries (td <= k?) from many callers share
+the memo, including queries on just the component of a mask that holds a
+given vertex, and elimination forests are read from the memo without another
+search. The bounded decision is what the chi_p machinery calls, and it stays
+cheap even on graphs far above the exact-solve cap as long as k is small.
 """
 
 from __future__ import annotations
@@ -57,10 +56,14 @@ class EliminationForest:
 
 
 def validate_elimination_forest(g, forest, claimed_height=None):
-    """Structural check: acyclic parents, edges ancestor-descendant, height match."""
+    """Structural check: parents are vertices or -1, acyclic parents, edges
+    ancestor-descendant, height match."""
     parent = forest.parent
     if len(parent) != g.n:
         return False, "parent array size mismatch"
+    for v, p in enumerate(parent):
+        if p != -1 and not g.has_vertex(p):
+            return False, f"parent {p!r} of vertex {v} is not a vertex"
     for v in range(g.n):
         seen = {v}
         x = parent[v]
@@ -117,34 +120,20 @@ class TreedepthSolver:
     def __init__(self, g):
         self.n = g.n
         self.adj_bits = g.adj_bits
-        # connected mask -> [lower, upper, root, plan]: bounds on the
-        # tree-depth of the induced subgraph (lower starts at degeneracy + 1),
-        # the first vertex in root order whose removal was shown to meet upper
-        # (None before any root met it), and the root scan plan, built at the
-        # first scan (None before): per root in root order, the root and the
-        # components left when it is removed
+        # connected mask -> [lower, upper, root]: bounds on the tree-depth of
+        # the induced subgraph (lower starts at degeneracy + 1) and the first
+        # vertex in root order whose removal was shown to meet upper (None
+        # before any root met it)
         self.memo = {}
-        # root scans run, each a pass over one plan at one k
+        # root scans run, each a pass over the roots of one entry at one k
         self.scans = 0
 
     def _entry(self, comp):
         e = self.memo.get(comp)
         if e is None:
             lower = _degeneracy(self.adj_bits, comp) + 1
-            e = self.memo[comp] = [lower, comp.bit_count(), None, None]
+            e = self.memo[comp] = [lower, comp.bit_count(), None]
         return e
-
-    def _plan(self, comp):
-        """(v, component masks of comp - v) per root v in root order: higher
-        degree in comp first, which gives good separators early, then lower
-        vertex. A first root adjacent to all of comp is the only one kept,
-        since then td(comp) = 1 + td(comp - v) and no other root can succeed
-        where it fails."""
-        adj = self.adj_bits
-        order = sorted(bits(comp), key=lambda v: (-(adj[v] & comp).bit_count(), v))
-        if comp & ~adj[order[0]] == 1 << order[0]:
-            del order[1:]
-        return [(v, component_masks(adj, comp & ~(1 << v))) for v in order]
 
     def td_at_most(self, mask, k):
         """Decide td(G[mask]) <= k. Sound and complete; memoized."""
@@ -172,13 +161,18 @@ class TreedepthSolver:
             return True
         if e[0] > k:
             return False
-        plan = e[3]
-        if plan is None:
-            plan = e[3] = self._plan(comp)
         self.scans += 1
+        adj = self.adj_bits
+        # higher degree in comp first, which gives good separators early,
+        # then lower vertex
+        order = sorted(bits(comp), key=lambda v: (-(adj[v] & comp).bit_count(), v))
+        if comp & ~adj[order[0]] == 1 << order[0]:
+            # td(comp) = 1 + td(comp - v) for a v adjacent to all of comp, so
+            # no other root can succeed where it fails
+            del order[1:]
         below = k - 1
-        for v, parts in plan:
-            for part in parts:
+        for v in order:
+            for part in component_masks(adj, comp & ~(1 << v)):
                 if not self._td_conn_at_most(part, below):
                     break
             else:

@@ -86,6 +86,10 @@ def test_holes_command(tmp_path, capsys):
     assert payload["counts_by_length"] == {"6": 1}
     assert payload["count_at_length"] == 1
     assert payload["even_hole_free"] is False
+    code, out, _ = run_cli(capsys, "holes", str(path), "--max-len", "0")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["max_len"] == 0 and payload["holes"] == []
 
 
 def test_hom_command(tmp_path, capsys):

@@ -39,6 +39,8 @@ def test_clique_witness_validates():
     ok, _ = validate_clique(g, res.certificate)
     assert ok and len(res.certificate) == res.value
     assert not validate_clique(g, (0, 1, 2, 3, 4))[0]
+    assert not validate_clique(path(3), [99])[0]
+    assert not validate_clique(path(3), [-1])[0]
 
 
 def test_clique_against_oracle():

@@ -32,6 +32,7 @@ from chibound.graphs import (
     subdivide_exact,
     walk_masks,
 )
+from chibound.homomorphism import _core_above
 from chibound.invariants import biclique_number, clique_number, degeneracy
 from chibound.treedepth import (
     TreedepthSolver,
@@ -332,6 +333,19 @@ def test_degeneracy_bounds_tree_depth(g, data):
         mask = data.draw(_nonzero_masks(g))
         sub, _ = induced_subgraph(g, list(bits(mask)))
         assert _degeneracy(g.adj_bits, mask) == degeneracy(sub)[0]
+
+
+@common
+@given(graphs(max_n=11))
+def test_core_above_is_the_networkx_k_core(g):
+    # the suffix of the min-degree order is the (threshold + 1)-core, at
+    # every threshold from "all of G" to "nothing left"
+    _value, order = degeneracy(g)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.sorted_edges())
+    for threshold in range(-1, g.n):
+        assert _core_above(g, order, threshold) == sorted(nx.k_core(nxg, threshold + 1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from chibound.codec import graph_to_graph6
 from chibound.corpus import all_graphs
 from chibound.errors import SizeCapError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp, star
-from chibound.graphs import disjoint_union
+from chibound.graphs import Graph, component_masks, disjoint_union
 from chibound.treedepth import (
     EliminationForest,
     TreedepthSolver,
@@ -42,6 +42,11 @@ def test_validator_rejects_bad_forests():
     res = tree_depth(g)
     ok, _ = validate_elimination_forest(g, res.certificate, res.value + 1)
     assert not ok
+    assert not validate_elimination_forest(path(3), EliminationForest((-1, 0, 7)))[0]
+    assert not validate_elimination_forest(path(3), EliminationForest((-1, 0, 1.5)))[0]
+    # -2 must not be read as an index from the end (vertex 1 here)
+    g = Graph(3, [(0, 1)])
+    assert not validate_elimination_forest(g, EliminationForest((-1, 0, -2)))[0]
 
 
 def test_against_naive_oracle():
@@ -170,21 +175,26 @@ def test_forest_bytes_are_pinned():
     assert h.hexdigest() == FORESTS_SHA256
 
 
-def test_root_scan_counts():
+def test_root_scan_counts(monkeypatch):
     # the degeneracy lower bound skips root scans that would fail: 9,162
     # scans on these graphs without it, 10,221 without it and without the
-    # universal-vertex stop. Each memo entry builds its scan plan once, and
-    # a first root adjacent to its whole component is the only one planned
-    # (10,796 planned roots without that stop).
+    # universal-vertex stop. A scan splits its component at a root only when
+    # it reaches that root, and a first root adjacent to its whole component
+    # is the only one tried; every split is one component_masks call (10,566
+    # here, and a scan at a higher k splits its roots again).
+    splits = 0
+
+    def counted(rows, mask):
+        nonlocal splits
+        splits += 1
+        return component_masks(rows, mask)
+
+    monkeypatch.setattr("chibound.treedepth.component_masks", counted)
     rng = SplitMix64(20200)
-    scans = plans = roots = 0
+    scans = 0
     for density in (0.2, 0.35, 0.5, 0.7):
         g = random_gnp(12, density, rng)
         solver = TreedepthSolver(g)
-        full = (1 << g.n) - 1
-        solver.forest(full)
-        built = [e[3] for e in solver.memo.values() if e[3] is not None]
+        solver.forest((1 << g.n) - 1)
         scans += solver.scans
-        plans += len(built)
-        roots += sum(map(len, built))
-    assert scans <= 1600 and plans <= 1350 and roots <= 8400
+    assert scans <= 1600 and splits <= 10600
