@@ -169,7 +169,7 @@ def _cmd_holes(args):
     }
     if witness is not None:
         payload["even_hole_witness"] = witness.to_jsonable()
-    if args.length:
+    if args.length is not None:
         payload["count_at_length"] = count_holes(g, args.length)
     _emit_json(payload, args.out)
     return EXIT_OK

@@ -187,6 +187,19 @@ def _canon_cycle(seq):
     return best
 
 
+def naive_canonical_form(g):
+    """(n, col_1, ..., col_{n-1}) least over every vertex order, where col_j
+    has bit i set when the vertices at positions i < j and j are adjacent."""
+    best = min(
+        tuple(
+            sum(1 << i for i in range(j) if g.has_edge(order[i], order[j]))
+            for j in range(1, g.n)
+        )
+        for order in permutations(range(g.n))
+    )
+    return (g.n, *best)
+
+
 def walk_count_matrix(d, length):
     """Number of directed walks of the given length, via numpy matrix power."""
     import numpy as np

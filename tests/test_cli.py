@@ -92,6 +92,14 @@ def test_holes_command(tmp_path, capsys):
     assert payload["max_len"] == 0 and payload["holes"] == []
 
 
+def test_holes_command_reports_length_zero(tmp_path, capsys):
+    path = tmp_path / "p4.g6"
+    run_cli(capsys, "generate", "path", "--param", "n=4", "--out", str(path))
+    code, out, _ = run_cli(capsys, "holes", str(path), "--length", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["count_at_length"] == 0
+
+
 def test_hom_command(tmp_path, capsys):
     c5 = tmp_path / "c5.g6"
     k3 = tmp_path / "k3.g6"

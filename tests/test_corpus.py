@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 
@@ -5,9 +6,10 @@ import pytest
 
 from chibound import corpus
 from chibound.codec import graph_to_graph6
-from chibound.errors import SizeCapError
+from chibound.errors import SizeCapError, ValidationError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp
-from chibound.graphs import Graph
+from chibound.graphs import Graph, is_connected
+from oracles import naive_canonical_form
 
 
 # classical enumeration values: all graphs / connected graphs up to isomorphism
@@ -24,6 +26,102 @@ def test_counts_match_the_classical_values(n):
 def test_counts_n7():
     assert len(corpus.all_graphs(7)) == ALL_COUNTS[7]
     assert len(corpus.connected_graphs(7)) == CONNECTED_COUNTS[7]
+
+
+# SHA-256 over FRESH_FILES (each name, a NUL byte, then the file's bytes) as
+# written into an empty cache, taken before the corpus moved to orderly
+# generation.
+CORPUS_SHA256 = "04d989f68cc2fc4d28697c9b3f69b858c8c375c3ec8ea0c19cc80439c4c14dda"
+FRESH_FILES = [f"all_{n}.g6" for n in range(1, 8)] + ["connected_7.g6"]
+
+
+@pytest.fixture(scope="module")
+def fresh_cache(tmp_path_factory):
+    """An empty cache filled by all_graphs(1..7) and connected_graphs(7)."""
+    directory = tmp_path_factory.mktemp("fresh-corpus")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CHIBOUND_CACHE_DIR", str(directory))
+        corpus._memory_cache.clear()
+        try:
+            graphs = {n: corpus.all_graphs(n) for n in range(1, 8)}
+            connected = corpus.connected_graphs(7)
+        finally:
+            corpus._memory_cache.clear()
+    return directory, graphs, connected
+
+
+def test_fresh_corpus_bytes_are_pinned(fresh_cache):
+    directory, _, _ = fresh_cache
+    assert sorted(f.name for f in directory.iterdir()) == sorted(FRESH_FILES)
+    h = hashlib.sha256()
+    for name in FRESH_FILES:
+        h.update(name.encode() + b"\0" + (directory / name).read_bytes())
+    assert h.hexdigest() == CORPUS_SHA256
+
+
+def test_fresh_corpus_counts(fresh_cache):
+    _, graphs, connected = fresh_cache
+    for n in range(1, 8):
+        assert corpus.CLASS_COUNTS["all"][n] == ALL_COUNTS[n] == len(graphs[n])
+        assert corpus.CLASS_COUNTS["connected"][n] == CONNECTED_COUNTS[n]
+        assert sum(1 for g in graphs[n] if is_connected(g)) == CONNECTED_COUNTS[n]
+    assert len(connected) == CONNECTED_COUNTS[7]
+
+
+def test_fresh_corpus_is_canonically_labeled(fresh_cache):
+    _, graphs, _ = fresh_cache
+    for n in range(1, 8):
+        for g in graphs[n]:
+            assert corpus.canonical_graph(g) == g
+
+
+def _graph_of_columns(form):
+    n = form[0]
+    return Graph(n, [(i, j) for j in range(1, n) for i in range(j) if form[j] >> i & 1])
+
+
+def test_orderly_generation_matches_extend_and_dedupe(fresh_cache):
+    # every neighborhood of a new vertex on every class, deduplicated by the
+    # brute-force canonical form
+    _, graphs, _ = fresh_cache
+    forms = {naive_canonical_form(Graph(1))}
+    for n in range(2, 6):
+        extended = set()
+        for form in forms:
+            edges = _graph_of_columns(form).sorted_edges()
+            for mask in range(1 << (n - 1)):
+                new = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
+                extended.add(naive_canonical_form(Graph(n, edges + new)))
+        forms = extended
+        lines = sorted(graph_to_graph6(_graph_of_columns(f)) for f in forms)
+        assert lines == [graph_to_graph6(g) for g in graphs[n]]
+
+
+def test_truncated_cache_file_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHIBOUND_CACHE_DIR", str(tmp_path))
+    corpus._memory_cache.clear()
+    try:
+        corpus.all_graphs(4)
+        path = tmp_path / "all_4.g6"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
+        corpus._memory_cache.clear()
+        with pytest.raises(ValidationError, match=r"all_4\.g6: read 10 classes .* expected 11"):
+            corpus.all_graphs(4)
+    finally:
+        corpus._memory_cache.clear()
+
+
+def test_miscounted_build_is_refused_and_not_stored(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHIBOUND_CACHE_DIR", str(tmp_path))
+    built = corpus._orderly_extensions
+    monkeypatch.setattr(corpus, "_orderly_extensions", lambda n: built(n)[1:])
+    corpus._memory_cache.clear()
+    try:
+        with pytest.raises(ValidationError, match=r"all_1\.g6: built 0 classes .* expected 1"):
+            corpus.all_graphs(1)
+    finally:
+        corpus._memory_cache.clear()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_canonical_form_is_isomorphism_invariant():

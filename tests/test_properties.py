@@ -19,6 +19,7 @@ from chibound.coloring import (
     make_coloring,
     validate_coloring,
 )
+from chibound.corpus import canonical_form
 from chibound.graphs import (
     Digraph,
     Graph,
@@ -43,6 +44,7 @@ from chibound.treedepth import (
 )
 from oracles import (
     _components_of,
+    naive_canonical_form,
     naive_chromatic,
     naive_is_star_coloring,
     naive_star_chromatic,
@@ -61,6 +63,12 @@ def graphs(draw, max_n=7):
 
 
 common = settings(max_examples=60, deadline=None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=7))
+def test_canonical_form_is_the_least_column_tuple(g):
+    assert canonical_form(g) == naive_canonical_form(g)
 
 
 @st.composite
