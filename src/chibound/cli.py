@@ -61,19 +61,15 @@ def _emit_json(payload, out):
     _write_output(json.dumps(payload, sort_keys=True, indent=1), out)
 
 
-def _cap(args):
-    """The cap keyword for a solver: given only with --cap-n, else its default."""
-    return {} if args.cap_n is None else {"cap": args.cap_n}
-
-
+# each takes the --cap-n value as its cap; None means the CAPS table value
 _INVARIANTS = {
     "chromatic": chromatic_number,
-    "star": lambda g, **cap: chi_p(g, 2, **cap),
-    "chi3": lambda g, **cap: chi_p(g, 3, **cap),
+    "star": lambda g, cap: chi_p(g, 2, cap),
+    "chi3": lambda g, cap: chi_p(g, 3, cap),
     "treedepth": tree_depth,
     "clique": clique_number,
     "biclique": biclique_number,
-    "degeneracy": lambda g, **cap: degeneracy_result(g),
+    "degeneracy": lambda g, cap: degeneracy_result(g),
 }
 
 
@@ -98,7 +94,7 @@ def _cmd_invariant(args):
             raise ChiboundError(
                 f"unknown invariant {name!r}; known: {sorted(_INVARIANTS) + ['maxdegree', 'avgdegree']}"
             )
-        results[name] = _INVARIANTS[name](g, **_cap(args)).to_jsonable()
+        results[name] = _INVARIANTS[name](g, args.cap_n).to_jsonable()
     payload = {
         "input": serialize_graph(g),
         "results": results,
@@ -190,7 +186,7 @@ def _read_digraph_or_graph(path):
 def _cmd_hom(args):
     f = _read_digraph_or_graph(args.source)
     g = _read_digraph_or_graph(args.target)
-    mapping = homomorphism(f, g, **_cap(args))
+    mapping = homomorphism(f, g, args.cap_n)
     payload = {
         "source": serialize_digraph(f),
         "target": serialize_digraph(g),

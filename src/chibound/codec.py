@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError, SizeCapError, ValidationError
+from .errors import ParseError, ValidationError, check_cap
 from .graphs import Digraph, Graph
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -21,9 +21,8 @@ _MAX_LONG_N = (1 << 18) - 1
 def _encode_n(n):
     if n <= 62:
         return chr(n + 63)
-    if n <= _MAX_LONG_N:
-        return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    raise SizeCapError(f"graph6 encoding capped at {_MAX_LONG_N} vertices, got {n}")
+    check_cap("graph6", n, _MAX_LONG_N)
+    return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
 
 
 def _decode_n(text, pos):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .errors import ParameterError, SizeCapError, ValidationError
+from .errors import ParameterError, ValidationError, check_cap
 from .graphs import (
     bits,
     component_masks,
@@ -38,11 +38,6 @@ from .graphs import (
 )
 from .invariants import InvariantResult, _max_clique_mask, clique_number
 from .treedepth import TreedepthSolver, depth_coloring
-
-
-def chi_p_cap(p):
-    """Default vertex cap of the exact depth-p solver: 32, 14, then 12 for p >= 3."""
-    return {1: 32, 2: 14}.get(p, 12)
 
 
 @dataclass(frozen=True)
@@ -324,14 +319,9 @@ _chi_value_memo = {}
 
 
 def _least_assignment(g, p, cap):
-    """A least depth-p coloring of g under the vertex cap (default chi_p_cap(p)),
-    by component: the p = 1 climb starts at omega, a p >= 2 climb at chi."""
-    if cap is None:
-        cap = chi_p_cap(p)
-    if g.n > cap:
-        raise SizeCapError(
-            f"depth-{p} coloring solver capped at {cap} vertices, got {g.n}"
-        )
+    """A least depth-p coloring of g under the vertex cap (default: its CAPS
+    row), by component: the p = 1 climb starts at omega, a p >= 2 climb at chi."""
+    check_cap(f"chi_{min(p, 3)}", g.n, cap)
     search = _ColoringSearch(g)
     known = _chi_value_memo.get(g) if p > 1 else None
     assignment = [0] * g.n
@@ -387,7 +377,8 @@ def chi_p(g, p, cap=None):
     """Exact depth-p chromatic number chi_p with a certified coloring.
 
     chi_1 is the chromatic number, with its lower-bound witness; chi_2 the star
-    chromatic number. The default vertex cap is chi_p_cap(p).
+    chromatic number. The default vertex cap is the CAPS row chi_1, chi_2 or,
+    at every p >= 3, chi_3.
     """
     if p < 1:
         raise ParameterError("chi_p needs p >= 1")

@@ -20,13 +20,11 @@ import tempfile
 from pathlib import Path
 
 from .codec import graph_from_graph6, graph_to_graph6
-from .errors import SizeCapError, ValidationError
+from .errors import ParameterError, ValidationError, check_cap
 from .graphs import Graph, is_connected
 
-CORPUS_MAX_N = 9
-
-# Isomorphism classes on n = 0..CORPUS_MAX_N vertices: all graphs (OEIS A000088)
-# and connected graphs (OEIS A001349).
+# Isomorphism classes on n = 0..9 vertices: all graphs (OEIS A000088) and
+# connected graphs (OEIS A001349). The corpus stops where the counts stop.
 CLASS_COUNTS = {
     "all": (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668),
     "connected": (1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080),
@@ -131,8 +129,9 @@ def _corpus(kind, n, build):
     A list read or built with other than CLASS_COUNTS[kind][n] classes raises
     ValidationError, and a built one is stored only after that check.
     """
-    if n < 1 or n > CORPUS_MAX_N:
-        raise SizeCapError(f"corpus enumeration supports 1 <= n <= {CORPUS_MAX_N}")
+    if n < 1:
+        raise ParameterError(f"corpus graphs have at least 1 vertex, got {n}")
+    check_cap("corpus", n, len(CLASS_COUNTS[kind]) - 1)
     key = (kind, n)
     if key not in _memory_cache:
         name = f"{kind}_{n}.g6"

@@ -1,7 +1,8 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the table of size caps.
 
 Every cap is an explicit knob: exceeding one raises SizeCapError rather than
-silently degrading an exact answer to an approximation.
+silently degrading an exact answer to an approximation. CAPS is the one table
+of solver limits, and check_cap is the one place that raises SizeCapError.
 """
 
 
@@ -29,6 +30,36 @@ class ParameterError(ChiboundError):
 
 class SizeCapError(ChiboundError):
     """Input exceeds the configured exact-computation cap."""
+
+
+# Every solver limit: name -> (default cap, unit). Solvers with a cap keyword
+# take None to mean the row's value.
+CAPS = {
+    "chi_1": (32, "vertices"),  # chi_p at p = 1, the chromatic number
+    "chi_2": (14, "vertices"),  # chi_p at p = 2, the star chromatic number
+    "chi_3": (12, "vertices"),  # chi_p at every p >= 3
+    "tree_depth": (16, "vertices"),  # exact tree-depth
+    "tree_depth_hard": (24, "vertices"),  # clamps any tree-depth cap keyword
+    "clique": (64, "vertices"),
+    "biclique": (24, "vertices"),
+    "homomorphism": (12, "vertices per side"),
+    "dual_synthesis": (5, "target vertices"),  # search_restricted_dual
+    "hole_host": (60, "vertices"),
+    "orientation": (20, "edges"),  # all 2^m orientations
+    "tm_host": (40, "vertices"),  # topological-minor and induced-subdivision hosts
+    "pattern": (8, "vertices"),  # subdivided-clique and ITM patterns
+    "itm_host": (24, "vertices"),  # ITM enumeration host
+    "critical_catalogue": (8, "vertices"),  # critical patterns at chi >= 4
+}
+
+
+def check_cap(name, size, cap=None):
+    """Raise SizeCapError when size exceeds the named limit: cap when given,
+    else the CAPS row. A limit outside the table counts vertices."""
+    default, unit = CAPS.get(name, (None, "vertices"))
+    limit = default if cap is None else cap
+    if size > limit:
+        raise SizeCapError(f"{name} is capped at {limit} {unit}, got {size}")
 
 
 class BudgetError(ChiboundError):

@@ -13,9 +13,7 @@ serializations are stable across runs.
 
 from __future__ import annotations
 
-from .errors import ParameterError, SizeCapError, ValidationError
-
-ORIENTATION_EDGE_CAP = 20
+from .errors import ParameterError, ValidationError, check_cap
 
 
 def _normalize_edge(u, v):
@@ -128,6 +126,8 @@ class Digraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
+
+    has_vertex = Graph.has_vertex
 
     def __reduce__(self):
         return (Digraph, (self.n, self.sorted_arcs()))
@@ -284,12 +284,8 @@ def power(g, d):
 
 
 def orientations(g):
-    """Yield all 2^m orientations of g; refuses above ORIENTATION_EDGE_CAP edges."""
-    if g.m > ORIENTATION_EDGE_CAP:
-        raise SizeCapError(
-            f"orientation enumeration is capped at {ORIENTATION_EDGE_CAP} edges, "
-            f"got {g.m}"
-        )
+    """Yield all 2^m orientations of g; refuses above the orientation cap."""
+    check_cap("orientation", g.m)
     edges = g.sorted_edges()
     for mask in range(1 << len(edges)):
         arcs = [

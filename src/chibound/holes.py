@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, SizeCapError
+from .errors import ParameterError, check_cap
 from .generators import cycle
 from .graphs import blow_up, disjoint_union
 from .invariants import clique_number
-
-HOLE_HOST_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -46,6 +44,9 @@ def canonical_cycle(seq):
 
 def validate_hole(g, hole):
     vs = hole.vertices
+    for v in vs:
+        if not g.has_vertex(v):
+            return False, f"{v!r} is not a vertex"
     if len(vs) < 4 or len(set(vs)) != len(vs):
         return False, "not a simple cycle of length >= 4"
     k = len(vs)
@@ -67,10 +68,7 @@ def _iter_holes(g, max_len):
     interior vertex (or to the anchor before closing) would carry a chord.
     Direction duplicates are dropped by requiring second vertex < last vertex.
     """
-    if g.n > HOLE_HOST_CAP:
-        raise SizeCapError(
-            f"hole enumeration capped at {HOLE_HOST_CAP} vertices, got {g.n}"
-        )
+    check_cap("hole_host", g.n)
     adj_bits = g.adj_bits
     nbrs = [g.neighbors(v) for v in range(g.n)]
     for a in range(g.n):
@@ -97,9 +95,7 @@ def _iter_holes(g, max_len):
 
 def enumerate_holes(g, max_len):
     """All holes of length 4..max_len, canonical, sorted."""
-    return sorted(
-        {h for h in _iter_holes(g, max_len)}, key=lambda h: (len(h), h.vertices)
-    )
+    return sorted(_iter_holes(g, max_len), key=lambda h: (len(h), h.vertices))
 
 
 def count_holes(g, length):

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codec import digraph_to_digraph6
-from .errors import BudgetError, ParameterError, SizeCapError, WalkLoopError
+from .errors import BudgetError, ParameterError, WalkLoopError, check_cap
 from .graphs import Digraph, bits, induced_subgraph, shrink_to_minimal, walk_masks
 from .invariants import clique_number, degeneracy
-
-HOM_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ def _as_digraph(obj):
 
 def validate_homomorphism(f, g, hom):
     m = hom.mapping
-    if len(m) != f.n or any(not 0 <= x < g.n for x in m):
+    if len(m) != f.n or not all(g.has_vertex(x) for x in m):
         return False, "mapping is not a function into the target"
     for u, v in f.sorted_arcs():
         if not g.has_arc(m[u], m[v]):
@@ -52,14 +50,13 @@ def validate_homomorphism(f, g, hom):
     return True, None
 
 
-def homomorphism(f, g, cap=HOM_CAP, budget=None):
+def homomorphism(f, g, cap=None, budget=None):
     """A homomorphism f -> g, or None after a complete search.
 
     `budget` caps the number of search nodes; exhausting it raises BudgetError
     rather than ever returning a wrong answer.
     """
-    if f.n > cap or g.n > cap:
-        raise SizeCapError(f"homomorphism search capped at {cap} vertices per side")
+    check_cap("homomorphism", max(f.n, g.n), cap)
     if f.n == 0:
         return HomMapping(())
     if g.n == 0:
@@ -257,8 +254,7 @@ def search_restricted_dual(f, samples, max_size=3):
     The primary contract of this module is verification of supplied candidates,
     not synthesis.
     """
-    if max_size > 5:
-        raise SizeCapError("dual synthesis is capped at 5 target vertices")
+    check_cap("dual_synthesis", max_size)
     for n in range(1, max_size + 1):
         slots = [(u, v) for u in range(n) for v in range(n) if u != v]
         for mask in range(1 << len(slots)):

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .errors import SizeCapError
-CLIQUE_CAP = 64
-BICLIQUE_CAP = 24
+from .errors import check_cap
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,9 @@ def _max_clique_mask(adj, candidates):
     return best
 
 
-def clique_number(g, cap=CLIQUE_CAP):
+def clique_number(g, cap=None):
     """Exact clique number with a witness vertex set."""
-    if g.n > cap:
-        raise SizeCapError(f"clique solver capped at {cap} vertices, got {g.n}")
+    check_cap("clique", g.n, cap)
     if g.n == 0:
         return InvariantResult("clique_number", 0, certificate=())
     mask = _max_clique_mask(g.adj_bits, (1 << g.n) - 1)
@@ -120,10 +117,9 @@ def validate_clique(g, vertices):
     return True, None
 
 
-def biclique_number(g, cap=BICLIQUE_CAP):
+def biclique_number(g, cap=None):
     """Largest r with K_{r,r} as a (not necessarily induced) subgraph, with witness."""
-    if g.n > cap:
-        raise SizeCapError(f"biclique solver capped at {cap} vertices, got {g.n}")
+    check_cap("biclique", g.n, cap)
     adj = g.adj_bits
     best_pair = None
 
@@ -174,6 +170,9 @@ def biclique_number(g, cap=BICLIQUE_CAP):
 
 def validate_biclique(g, pair):
     a, b = pair
+    for v in (*a, *b):
+        if not g.has_vertex(v):
+            return False, f"{v!r} is not a vertex"
     if set(a) & set(b):
         return False, "sides are not disjoint"
     if len(set(a)) != len(a) or len(set(b)) != len(b):
@@ -205,7 +204,7 @@ def degeneracy(g):
 
 
 def validate_degeneracy_order(g, value, order):
-    if sorted(order) != list(range(g.n)):
+    if not all(g.has_vertex(v) for v in order) or sorted(order) != list(range(g.n)):
         return False, "order is not a vertex permutation"
     seen = 0
     worst = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import all_graphs, connected_graphs
-from .errors import SizeCapError
+from .errors import check_cap
 from .generators import cycle
 from .graphs import (
     Graph,
@@ -25,10 +25,6 @@ from .graphs import (
 )
 from .invariants import clique_number
 from .coloring import _chromatic_at_least, chromatic_number_value
-
-HOST_CAP = 40
-PATTERN_CAP = 8
-ITM_HOST_CAP = 24
 
 
 @dataclass(eq=False)
@@ -53,12 +49,14 @@ def validate_topo_embedding(g, emb, r, exact=False, induced=False):
     branch = emb.branch_map
     if len(branch) != h.n or len(set(branch)) != h.n:
         return False, "branch map is not injective"
-    if any(not 0 <= b < g.n for b in branch):
+    if not all(g.has_vertex(b) for b in branch):
         return False, "branch vertex outside host"
     if set(emb.paths) != h.edges:
         return False, "paths do not cover the pattern edge set"
     interiors = []
     for (u, v), p in sorted(emb.paths.items()):
+        if not all(g.has_vertex(x) for x in p):
+            return False, f"path for ({u}, {v}) leaves the host"
         if p[0] != branch[u] or p[-1] != branch[v]:
             return False, f"path for ({u}, {v}) joins the wrong branch vertices"
         inner = list(p[1:-1])
@@ -119,8 +117,7 @@ def _paths_up_to(nbrs, source, target, max_edges, blocked):
 
 def find_topo_embedding(pattern, g, r):
     """An embedding witnessing pattern in TM_r(g), or None (complete search)."""
-    if g.n > HOST_CAP:
-        raise SizeCapError(f"topological-minor host capped at {HOST_CAP} vertices")
+    check_cap("tm_host", g.n)
     h = pattern
     if h.n > g.n:
         return None
@@ -244,15 +241,14 @@ def _route_depth1(g, h, branch):
 
 def find_subdivided_clique(g, k, r):
     """Embedding of some (<= r)-subdivision of K_k in g, or None."""
-    if k > PATTERN_CAP:
-        raise SizeCapError(f"clique pattern capped at {PATTERN_CAP} vertices, got {k}")
+    check_cap("pattern", k)
     pattern = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
     return find_topo_embedding(pattern, g, r)
 
 
 def omega_TM(g, r):
     """Largest k with a (<= r)-subdivided K_k subgraph embedding in g. A climb
-    past PATTERN_CAP raises SizeCapError rather than stopping short."""
+    past the pattern cap raises SizeCapError rather than stopping short."""
     k = 1
     # K_k needs k branch vertices of degree >= k - 1
     while (
@@ -266,8 +262,7 @@ def omega_TM(g, r):
 def is_induced_exact_subdivision(h, r, g):
     """Embedding witnessing that the exact r-subdivision of h is an induced
     subgraph of g, or None (backtracking induced-subgraph isomorphism)."""
-    if g.n > HOST_CAP:
-        raise SizeCapError(f"induced-subdivision host capped at {HOST_CAP} vertices")
+    check_cap("tm_host", g.n)
     sub = subdivide_exact(h, r)
     if sub.n > g.n:
         return None
@@ -346,10 +341,8 @@ class ITMEnumeration:
 def enumerate_ITM_exact(g, r, max_pattern_size):
     """All patterns (up to isomorphism, up to the size cap) whose exact
     r-subdivision is induced in g, with the density statistics over them."""
-    if g.n > ITM_HOST_CAP:
-        raise SizeCapError(f"ITM enumeration host capped at {ITM_HOST_CAP} vertices")
-    if max_pattern_size > PATTERN_CAP:
-        raise SizeCapError(f"pattern size capped at {PATTERN_CAP}")
+    check_cap("itm_host", g.n)
+    check_cap("pattern", max_pattern_size)
     found = []
     for size in range(1, max_pattern_size + 1):
         for h in all_graphs(size):
@@ -367,9 +360,6 @@ def enumerate_ITM_exact(g, r, max_pattern_size):
 
 
 _critical_cache = {}
-
-
-CRITICAL_CATALOGUE_CAP = 8
 
 
 def critical_patterns(chi, max_size):
@@ -390,11 +380,7 @@ def critical_patterns(chi, max_size):
     elif chi == 3:
         out = [cycle(k) for k in range(3, max_size + 1, 2)]
     else:
-        if max_size > CRITICAL_CATALOGUE_CAP:
-            raise SizeCapError(
-                f"critical-pattern catalogue capped at {CRITICAL_CATALOGUE_CAP} "
-                f"vertices for chromatic number {chi}"
-            )
+        check_cap("critical_catalogue", max_size)
         out = []
         for size in range(chi, max_size + 1):
             for h in connected_graphs(size):
@@ -442,11 +428,6 @@ def chi_TM(g, r, max_pattern_size):
         # reaching chromatic level nxt needs at least nxt - host_chi subdivided
         # edges, each eating a distinct interior vertex, which bounds |H|
         size_bound = min(cap, g.n - max(0, nxt - host_chi))
-        if nxt > 3 and size_bound > CRITICAL_CATALOGUE_CAP:
-            raise SizeCapError(
-                f"chi_TM at level {nxt} would need patterns up to {size_bound} "
-                f"vertices; the catalogue stops at {CRITICAL_CATALOGUE_CAP}"
-            )
         hit = False
         for h in critical_patterns(nxt, size_bound):
             if find_topo_embedding(h, g, r) is not None:

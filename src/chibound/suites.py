@@ -22,7 +22,6 @@ from .codec import graph_from_graph6, graph_to_graph6
 from .coloring import (
     _chromatic_at_least,
     chi_p,
-    chi_p_cap,
     chromatic_number,
     chromatic_number_value,
     product_chi_p_coloring,
@@ -30,7 +29,7 @@ from .coloring import (
     uniform_subdivision_coloring,
     validate_coloring,
 )
-from .errors import ParameterError
+from .errors import CAPS, ParameterError
 from .generators import SplitMix64, complete, random_gnp, generate
 from .graphs import induced_subgraph, orientations, subdivide_exact
 from .holes import verify_hole_density
@@ -129,7 +128,7 @@ def _check_s1(payload):
         "omega_tm_at_p": w_at_p,
         "omega_tm_below_p": w_below,
     }
-    if gs.n <= chi_p_cap(p):
+    if gs.n <= CAPS[f"chi_{min(p, 3)}"][0]:
         measured["solver_chi_p"] = chi_p(gs, p).value
     expected = {
         "chi_p": p + 1,

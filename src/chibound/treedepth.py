@@ -19,12 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeCapError
+from .errors import check_cap
 from .graphs import bits, component_masks, component_of
 from .invariants import InvariantResult
-
-TREEDEPTH_CAP = 16
-TREEDEPTH_HARD_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -218,13 +215,10 @@ def tree_depth_at_most(g, k):
     return TreedepthSolver(g).td_at_most((1 << g.n) - 1, k)
 
 
-def tree_depth(g, cap=TREEDEPTH_CAP):
+def tree_depth(g, cap=None):
     """Exact tree-depth with an elimination-forest certificate."""
-    cap = min(cap, TREEDEPTH_HARD_CAP)
-    if g.n > cap:
-        raise SizeCapError(
-            f"exact tree-depth capped at {cap} vertices, got {g.n}"
-        )
+    check_cap("tree_depth", g.n, cap)
+    check_cap("tree_depth_hard", g.n)
     solver = TreedepthSolver(g)
     full = (1 << g.n) - 1
     value = solver.treedepth(full)

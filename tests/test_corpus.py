@@ -213,4 +213,4 @@ def test_concurrent_cache_writers_do_not_collide(tmp_path):
 
 def test_cap():
     with pytest.raises(SizeCapError):
-        corpus.all_graphs(corpus.CORPUS_MAX_N + 1)
+        corpus.all_graphs(len(corpus.CLASS_COUNTS["all"]))

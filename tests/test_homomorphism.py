@@ -5,6 +5,7 @@ from chibound.errors import BudgetError, ParameterError, SizeCapError, WalkLoopE
 from chibound.generators import SplitMix64, complete, cycle, path
 from chibound.graphs import Digraph, orientations
 from chibound.homomorphism import (
+    HomMapping,
     directed_cycle,
     directed_path,
     h_coloring_with_witness,
@@ -35,6 +36,14 @@ def test_directed_path_levels():
     hom = homomorphism(directed_path(3), transitive_tournament(3))
     assert hom is not None
     assert validate_homomorphism(directed_path(3), transitive_tournament(3), hom)[0]
+    # (0, 1, 2) is a homomorphism; entries that are not vertices are rejected
+    assert validate_homomorphism(
+        directed_path(3), transitive_tournament(3), HomMapping((0, 1, 2))
+    )[0]
+    for bad in ((0, 2.0, 2), (0, "a", 2), (0, True, 2)):
+        assert not validate_homomorphism(
+            directed_path(3), transitive_tournament(3), HomMapping(bad)
+        )[0]
 
 
 def test_identity_and_cycles():

@@ -64,6 +64,7 @@ def test_biclique_witness_validates():
     assert res.value == 4
     ok, _ = validate_biclique(g, res.certificate)
     assert ok
+    assert not validate_biclique(g, ((0, 0.5), (4, 5)))[0]
 
 
 def test_biclique_against_oracle():
@@ -89,6 +90,7 @@ def test_degeneracy():
     assert value == 2
     assert validate_degeneracy_order(cycle(7), value, order)[0]
     assert not validate_degeneracy_order(cycle(7), 1, order)[0]
+    assert not validate_degeneracy_order(cycle(7), 2, [0, 1.0, 2, 3, 4, 5, 6])[0]
 
 
 def test_degree_stats():

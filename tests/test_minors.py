@@ -11,6 +11,7 @@ from chibound.graphs import Graph, subdivide_exact
 from chibound.invariants import clique_number
 from chibound.coloring import chromatic_number_value
 from chibound.minors import (
+    TopoMinorEmbedding,
     chi_TM,
     critical_patterns,
     enumerate_ITM_exact,
@@ -27,6 +28,9 @@ def test_subdivided_triangle_in_c5():
     assert emb is not None
     ok, why = validate_topo_embedding(cycle(5), emb, 1)
     assert ok, why
+    edge = Graph(2, [(0, 1)])
+    bad = TopoMinorEmbedding(edge, (0, 2.5), {(0, 1): (0, 2.5)})
+    assert not validate_topo_embedding(cycle(5), bad, 1)[0]
 
 
 def test_identity_instances():
