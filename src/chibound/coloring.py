@@ -2,9 +2,11 @@
 
 Every solver is the depth-p chromatic number chi_p for some p: proper coloring
 is p = 1 (chromatic_number) and star coloring is p = 2. One search object per
-graph, built once, decides for every component, p and k whether a depth-p
-k-coloring exists (by tree-depth at k <= p), and one driver climbs k component
-by component. The backtracking search uses
+graph decides for every component, p and k whether a depth-p k-coloring
+exists (by tree-depth at k <= p), and `_least_assignment` climbs k component
+by component. Only the last graph colored keeps its search, so the questions
+asked of one graph in a row (chi, then chi_p at several p) share it and find
+each component's chi once. The backtracking search uses
 saturation-first vertex selection, ascending colors, and first-use
 symmetry breaking, so witnesses are deterministic. At p >= 2 it also forward
 checks: once all k colors are in use it skips a subtree as soon as an uncolored
@@ -25,6 +27,7 @@ Definitions in force:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import ParameterError, ValidationError, check_cap
@@ -80,9 +83,17 @@ def make_coloring(assignment, kind, p=None):
     return Coloring(norm, k, kind, p)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_structure(g, coloring):
     if len(coloring.assignment) != g.n:
         raise ValidationError("assignment must cover every vertex")
+    if not all(map(_is_int, coloring.assignment)):
+        raise ValidationError("colors must be ints")
+    if coloring.p is not None and not _is_int(coloring.p):
+        raise ValidationError(f"p must be an int, got {coloring.p!r}")
     used = set(coloring.assignment)
     if g.n and used != set(range(coloring.num_colors)):
         raise ValidationError("colors must be 0..num_colors-1 with every color used")
@@ -153,7 +164,8 @@ class _ColoringSearch:
     """Backtracking search for depth-p colorings of one graph, any mask, p and k.
 
     Built once per graph: neighbour tuples, degree order, distance-3 balls and
-    one TreedepthSolver, whose memo every run shares. A run colors one vertex
+    one TreedepthSolver, whose memo every run shares, and `proper`: each
+    component mask's least proper coloring, found once. A run colors one vertex
     mask, a component, and its state is bitmasks: one vertex mask per color
     class, the mask of uncolored vertices, and per vertex the mask of colors
     on its colored neighbours (its saturation). `_forbidden` turns them into
@@ -178,6 +190,7 @@ class _ColoringSearch:
             ball & ~(1 << v) for v, ball in enumerate(distance_balls(g, 3)[-1])
         ]
         self.td = TreedepthSolver(g)
+        self.proper = {}
 
     def _reset(self, comp, k, p):
         self.k = k
@@ -312,46 +325,39 @@ class _ColoringSearch:
                 self.sat_mask[u] &= ~(1 << c)
 
 
-# chi of each component (in component_masks order) by graph, written only by
-# _least_assignment and cleared when full
-CHI_MEMO_BOUND = 1 << 15
-_chi_value_memo = {}
+@lru_cache(maxsize=1)
+def _search(g):
+    """The search of g, kept for the last graph colored only."""
+    return _ColoringSearch(g)
 
 
 def _least_assignment(g, p, cap):
     """A least depth-p coloring of g under the vertex cap (default: its CAPS
-    row), by component: the p = 1 climb starts at omega, a p >= 2 climb at chi."""
+    row), by component: the least proper coloring, climbed from omega on its
+    first request, then at p >= 2 a climb from its chi."""
     check_cap(f"chi_{min(p, 3)}", g.n, cap)
-    search = _ColoringSearch(g)
-    known = _chi_value_memo.get(g) if p > 1 else None
+    search = _search(g)
     assignment = [0] * g.n
-    chis = []
-    for i, comp in enumerate(component_masks(g.adj_bits, (1 << g.n) - 1)):
-        if known is None:
+    for comp in component_masks(g.adj_bits, (1 << g.n) - 1):
+        found = search.proper.get(comp)
+        if found is None:
             omega = _max_clique_mask(g.adj_bits, comp).bit_count()
-            found = search.least(comp, omega, 1)
-            chis.append(max(found) + 1)
-        else:
-            chis.append(known[i])
+            found = search.proper[comp] = search.least(comp, omega, 1)
         if p > 1:
-            found = search.least(comp, chis[-1], p)
+            found = search.least(comp, max(found) + 1, p)
         for v, c in zip(bits(comp), found):
             assignment[v] = c
-    if len(_chi_value_memo) >= CHI_MEMO_BOUND:
-        _chi_value_memo.clear()
-    _chi_value_memo[g] = tuple(chis)
     return assignment
 
 
 def chromatic_number_value(g):
-    """Exact chromatic number without certificates (memoized; hot-path helper)."""
-    if g not in _chi_value_memo:
-        _least_assignment(g, 1, g.n)
-    return max(_chi_value_memo[g], default=0)
+    """Exact chromatic number without certificates (hot-path helper)."""
+    return max(_least_assignment(g, 1, g.n), default=-1) + 1
 
 
 def _chromatic_at_least(g, chi):
-    """Whether g has no proper coloring with chi - 1 colors."""
+    """Whether g has no proper coloring with chi - 1 colors. A search of its
+    own: the subgraphs a shrink tries must not evict the graph being colored."""
     search = _ColoringSearch(g)
     comps = component_masks(g.adj_bits, (1 << g.n) - 1)
     return any(search.run(comp, chi - 1, 1) is None for comp in comps)

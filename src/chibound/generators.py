@@ -231,6 +231,13 @@ def generate(family, params, seed=0):
     missing = [k for k in required if k not in params]
     if missing:
         raise ParameterError(f"family {family!r} needs parameters {missing}")
+    for key in required:
+        value = params[key]
+        # p is an edge probability; every other required parameter is a count
+        kinds = (int, float) if key == "p" else int
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            kind = "a number in [0, 1]" if key == "p" else "an integer"
+            raise ParameterError(f"parameter {key!r} must be {kind}, got {value!r}")
     rng = SplitMix64(seed).split(family)
     if family == "complete":
         return complete(params["n"])

@@ -20,6 +20,19 @@ def test_generate_deterministic_bytes(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("complete", "--param", "n=abc"),
+        ("complete", "--param", "n=true"),
+        ("random_gnp", "--param", "n=5", "--param", "p=x"),
+    ],
+)
+def test_generate_rejects_malformed_params(capsys, argv):
+    code, out, err = run_cli(capsys, "generate", *argv)
+    assert code == EXIT_USAGE and not out and "must be" in err
+
+
 def test_generate_and_transform(tmp_path, capsys):
     k4 = tmp_path / "k4.g6"
     code, out, _ = run_cli(capsys, "generate", "complete", "--param", "n=4",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -28,6 +29,7 @@ from chibound.generators import (
     random_gnp,
 )
 from chibound.graphs import Graph, disjoint_union, induced_subgraph, subdivide_exact
+from chibound.minors import chi_TM
 from chibound.treedepth import TreedepthSolver, tree_depth
 from oracles import naive_chromatic, naive_is_star_coloring, naive_star_chromatic
 
@@ -103,6 +105,19 @@ def test_validate_coloring_structure_errors():
         validate_coloring(complete(3), Coloring((0, 1, 3), 4, "proper"))
 
 
+@pytest.mark.parametrize(
+    "g, coloring",
+    [
+        (path(5), Coloring((0, 1, 0, 1, 2.0), 3, "proper")),
+        (path(4), Coloring((0, True, 0, 1), 2, "proper")),
+        (path(4), Coloring((0, 1, 0, 1), 2, "chi_p", p=True)),
+    ],
+)
+def test_validate_coloring_rejects_non_int_colors_and_p(g, coloring):
+    with pytest.raises(ValidationError):
+        validate_coloring(g, coloring)
+
+
 def test_solver_outputs_revalidate(small_connected):
     for g in small_connected[::5]:
         for res in (
@@ -157,38 +172,59 @@ def test_depth_search_query_count(monkeypatch):
     assert max(found) + 1 == 5 and queries <= 23000
 
 
-def test_one_search_per_climb(monkeypatch):
-    # the chi lower bound (the p = 1 climb) and the p >= 2 climb run on one
-    # search object, which colors every component
+def test_one_search_per_graph(monkeypatch):
+    # every coloring question asked of one graph in a row runs on one search;
+    # the chromatic_number shrink on C5 + K2 (omega 2 < chi 3) colors its
+    # subgraphs with searches of their own and leaves the graph's search alone
     built = []
     init = _ColoringSearch.__init__
 
     def counting_init(self, g):
-        built.append(g.n)
+        built.append(g)
         init(self, g)
 
     monkeypatch.setattr(_ColoringSearch, "__init__", counting_init)
-    cases = [
-        (subdivide_exact(complete(7), 1), 2, 28, 4),
-        (disjoint_union([cycle(5), complete(4)]), 2, None, 4),
-        (disjoint_union([cycle(5), complete(4)]), 3, None, 4),
-    ]
-    for g, p, cap, value in cases:
-        monkeypatch.setattr(coloring, "_chi_value_memo", {})
+    for g in (
+        disjoint_union([cycle(5), complete(4)]),
+        disjoint_union([cycle(5), complete(2)]),
+        complete_bipartite(2, 3),
+    ):
+        coloring._search.cache_clear()
         built.clear()
-        assert chi_p(g, p, cap=cap).value == value
-        assert built == [g.n]
+        chi = chromatic_number(g).value
+        assert chi_p(g, 1).value == chi
+        assert chi <= chi_p(g, 2).value <= chi_p(g, 3).value
+        assert chromatic_number_value(g) == chi
+        assert chi_TM(g, 0, g.n).value == chi
+        assert built.count(g) == 1
 
 
-def test_chi_memo_stays_bounded(monkeypatch):
-    memo = {}
-    monkeypatch.setattr(coloring, "_chi_value_memo", memo)
-    monkeypatch.setattr(coloring, "CHI_MEMO_BOUND", 4)
-    graphs = connected_graphs(5)[:10]
-    assert len(set(graphs)) == 10
+def test_search_is_freed_by_the_next_graph():
+    g = disjoint_union([cycle(5), complete(4)])
+    assert chi_p(g, 2).value == 4
+    for h in connected_graphs(5)[:10]:
+        ref = weakref.ref(coloring._search(g))
+        assert chromatic_number_value(h) == naive_chromatic(h)
+        assert ref() is None
+        g = h
+
+
+def test_certificates_do_not_depend_on_call_order():
+    # a cold search, and warm ones whose memos hold earlier climbs at other p
+    rng = SplitMix64(13)
+    graphs = [random_gnp(5 + i % 6, 0.3 + 0.1 * (i % 4), rng) for i in range(30)]
+    for i in range(10):
+        parts = [random_gnp(3 + (i + j) % 4, 0.5, rng) for j in range(2)]
+        graphs.append(disjoint_union(parts))
+    ps = (1, 2, 3, 4)
     for g in graphs:
-        assert chromatic_number_value(g) == naive_chromatic(g)
-        assert len(memo) <= 4
+        cold = {}
+        for p in ps:
+            coloring._search.cache_clear()
+            cold[p] = chi_p(g, p)
+        for order in ((4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2), (1, 2, 3, 4)):
+            for p in order:
+                assert chi_p(g, p) == cold[p]
 
 
 def test_chi_p_caps():
