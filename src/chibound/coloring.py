@@ -32,6 +32,7 @@ from itertools import combinations
 
 from .errors import ParameterError, ValidationError, check_cap
 from .graphs import (
+    _is_int,
     bits,
     component_masks,
     distance_balls,
@@ -81,10 +82,6 @@ def _normalize(assignment):
 def make_coloring(assignment, kind, p=None):
     norm, k = _normalize(tuple(assignment))
     return Coloring(norm, k, kind, p)
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_structure(g, coloring):
@@ -386,8 +383,8 @@ def chi_p(g, p, cap=None):
     chromatic number. The default vertex cap is the CAPS row chi_1, chi_2 or,
     at every p >= 3, chi_3.
     """
-    if p < 1:
-        raise ParameterError("chi_p needs p >= 1")
+    if not _is_int(p) or p < 1:
+        raise ParameterError(f"chi_p needs an int p >= 1, got {p!r}")
     if p == 1:
         res = chromatic_number(g, cap)
         return InvariantResult(

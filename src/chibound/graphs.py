@@ -28,14 +28,18 @@ def bits(mask):
         mask ^= low
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """Finite simple undirected graph. Immutable after construction."""
 
     __slots__ = ("n", "adj_bits")
 
     def __init__(self, n, edges=()):
-        if n < 0:
-            raise ValidationError(f"vertex count must be non-negative, got {n}")
+        if not _is_int(n) or n < 0:
+            raise ValidationError(f"vertex count must be a non-negative int, got {n!r}")
         rows = [0] * n
         for e in edges:
             u, v = e
@@ -68,7 +72,7 @@ class Graph:
 
     def has_vertex(self, v):
         """Whether v is a vertex: an int (not a bool) in 0..n-1."""
-        return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.n
+        return _is_int(v) and 0 <= v < self.n
 
     def has_edge(self, u, v):
         """Whether uv is an edge; False when u or v lies outside 0..n-1."""
@@ -106,8 +110,8 @@ class Digraph:
     __slots__ = ("n", "out_bits", "in_bits")
 
     def __init__(self, n, arcs=()):
-        if n < 0:
-            raise ValidationError(f"vertex count must be non-negative, got {n}")
+        if not _is_int(n) or n < 0:
+            raise ValidationError(f"vertex count must be a non-negative int, got {n!r}")
         out_rows = [0] * n
         in_rows = [0] * n
         for a in arcs:

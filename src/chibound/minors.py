@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .corpus import all_graphs, connected_graphs
 from .errors import check_cap
-from .generators import cycle
+from .generators import complete, cycle
 from .graphs import (
     Graph,
     bits,
@@ -362,39 +362,43 @@ def enumerate_ITM_exact(g, r, max_pattern_size):
 _critical_cache = {}
 
 
+def _critical_of_size(chi, size):
+    if chi <= 2:
+        return [complete(chi)] if size == chi else []
+    if chi == 3:
+        return [cycle(size)] if size % 2 else []
+    out = []
+    for h in connected_graphs(size):
+        if min(h.degree(v) for v in range(h.n)) < chi - 1:
+            continue
+        if chromatic_number_value(h) != chi:
+            continue
+        edges = h.sorted_edges()
+        if not any(
+            _chromatic_at_least(Graph(h.n, [f for f in edges if f != e]), chi)
+            for e in edges
+        ):
+            out.append(h)
+    return out
+
+
 def critical_patterns(chi, max_size):
     """Connected edge-critical graphs with chromatic number chi, up to max_size
-    vertices. Any graph of chromatic number chi contains one as a subgraph, so
-    these are the only patterns a chi-level TM query must try.
+    vertices, in ascending size. Any graph of chromatic number chi contains one
+    as a subgraph, so these are the only patterns a chi-level TM query must try.
 
     Levels 1..3 have closed forms (a vertex, an edge, the odd cycles); level 4
-    and up filters the corpus, which caps their size at 8 vertices.
+    and up filters the corpus, which caps their size at 8 vertices. Each
+    (chi, size) list is built once and shared by every max_size.
     """
-    key = (chi, max_size)
-    if key in _critical_cache:
-        return _critical_cache[key]
-    if chi == 1:
-        out = [Graph(1)] if max_size >= 1 else []
-    elif chi == 2:
-        out = [Graph(2, [(0, 1)])] if max_size >= 2 else []
-    elif chi == 3:
-        out = [cycle(k) for k in range(3, max_size + 1, 2)]
-    else:
+    if chi >= 4:
         check_cap("critical_catalogue", max_size)
-        out = []
-        for size in range(chi, max_size + 1):
-            for h in connected_graphs(size):
-                if min(h.degree(v) for v in range(h.n)) < chi - 1:
-                    continue
-                if chromatic_number_value(h) != chi:
-                    continue
-                edges = h.sorted_edges()
-                if not any(
-                    _chromatic_at_least(Graph(h.n, [f for f in edges if f != e]), chi)
-                    for e in edges
-                ):
-                    out.append(h)
-    _critical_cache[key] = out
+    out = []
+    for size in range(chi, max_size + 1):
+        key = (chi, size)
+        if key not in _critical_cache:
+            _critical_cache[key] = _critical_of_size(chi, size)
+        out += _critical_cache[key]
     return out
 
 

@@ -5,22 +5,25 @@ max over components, split by graphs.component_masks. A TreedepthSolver keeps
 one memo entry per connected mask: lower and upper bounds on its tree-depth
 and the root that met the upper bound. The lower bound starts at
 degeneracy + 1 (td >= tw + 1 >= degeneracy + 1), so a query below it is
-answered without a scan. A root scan sorts the roots of the component and
-splits the component at each root only when the scan reaches it; a first
-root adjacent to the whole component is the only one tried, since then
-td(G) = 1 + td(G - v). Bounded queries (td <= k?) from many callers share
-the memo, including queries on just the component of a mask that holds a
-given vertex, and elimination forests are read from the memo without another
-search. The bounded decision is what the chi_p machinery calls, and it stays
-cheap even on graphs far above the exact-solve cap as long as k is small.
+answered without a scan. A connected graph has td <= 2 exactly when it is a
+star, so td <= 2 is one pass over the bit rows, with no scan. A root scan
+sorts the roots of the component; at k = 3 it asks of each root whether its
+removal leaves a star forest, and above that it splits the component at each
+root only when the scan reaches it. A first root adjacent to the whole
+component is the only one tried, since then td(G) = 1 + td(G - v). Bounded
+queries (td <= k?) from many callers share the memo, including queries on
+just the component of a mask that holds a given vertex, and elimination
+forests are read from the memo without another search. The bounded decision
+is what the chi_p machinery calls, and it stays cheap even on graphs far
+above the exact-solve cap as long as k is small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import check_cap
-from .graphs import bits, component_masks, component_of
+from .errors import ParameterError, check_cap
+from .graphs import _is_int, bits, component_masks, component_of
 from .invariants import InvariantResult
 
 
@@ -111,8 +114,33 @@ def _degeneracy(rows, mask):
     return value
 
 
+def _star_hubs(rows, mask):
+    """Mask of the vertices with two or more neighbours in G[mask] (its hubs),
+    or None when two hubs are adjacent. G[mask] is a star forest, so every
+    component has tree-depth at most 2, exactly when the answer is not None:
+    a component on three or more vertices with no two adjacent hubs is a
+    star whose one hub is its centre."""
+    hubs = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        row = rows[low.bit_length() - 1] & mask
+        if row & (row - 1):
+            if row & hubs:
+                return None
+            hubs |= low
+        rest ^= low
+    return hubs
+
+
 class TreedepthSolver:
-    """Tree-depth engine for one graph with one memo shared by all queries."""
+    """Tree-depth engine for one graph with one memo shared by all queries.
+
+    A depth-2 decision is a star test that creates no memo entry (an entry
+    that exists learns the centre or lower = 3), and a depth-3 root scan tests
+    star forests instead of recursing; roots, forests and answers are those
+    of the plain root-removal recursion.
+    """
 
     def __init__(self, g):
         self.n = g.n
@@ -153,13 +181,25 @@ class TreedepthSolver:
         if k <= 1:
             # a connected graph on two or more vertices has an edge
             return False
+        adj = self.adj_bits
+        if k == 2:
+            # a connected graph has td <= 2 exactly when it is a star, whose
+            # one hub is its centre; an entry that does not know the answer
+            # yet learns the centre as its root, or lower = 3
+            hubs = _star_hubs(adj, comp)
+            e = self.memo.get(comp)
+            if e is not None and e[0] <= 2 < e[1]:
+                if hubs is None:
+                    e[0] = 3
+                else:
+                    e[1], e[2] = 2, hubs.bit_length() - 1
+            return hubs is not None
         e = self._entry(comp)
         if e[1] <= k:
             return True
         if e[0] > k:
             return False
         self.scans += 1
-        adj = self.adj_bits
         # higher degree in comp first, which gives good separators early,
         # then lower vertex
         order = sorted(bits(comp), key=lambda v: (-(adj[v] & comp).bit_count(), v))
@@ -169,10 +209,13 @@ class TreedepthSolver:
             del order[1:]
         below = k - 1
         for v in order:
-            for part in component_masks(adj, comp & ~(1 << v)):
-                if not self._td_conn_at_most(part, below):
-                    break
+            rest = comp & ~(1 << v)
+            if k == 3:
+                # every part of comp - v has td <= 2: comp - v is a star forest
+                ok = _star_hubs(adj, rest) is not None
             else:
+                ok = all(self._td_conn_at_most(part, below) for part in component_masks(adj, rest))
+            if ok:
                 e[1], e[2] = k, v
                 return True
         e[0] = k + 1
@@ -212,6 +255,8 @@ class TreedepthSolver:
 
 def tree_depth_at_most(g, k):
     """Bounded decision without the exact-solve size cap (cheap for small k)."""
+    if not _is_int(k):
+        raise ParameterError(f"tree-depth bound must be an int, got {k!r}")
     return TreedepthSolver(g).td_at_most((1 << g.n) - 1, k)
 
 

@@ -65,6 +65,7 @@ CASES = {
 # the entry points above and the functions they pass through to the check
 BEFORE_SEARCH = {
     "check_cap",
+    "_is_int",
     "chi_p",
     "chromatic_number",
     "_least_assignment",

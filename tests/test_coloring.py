@@ -19,7 +19,7 @@ from chibound.coloring import (
     validate_coloring,
 )
 from chibound.corpus import all_graphs, connected_graphs
-from chibound.errors import SizeCapError, ValidationError
+from chibound.errors import ParameterError, SizeCapError, ValidationError
 from chibound.generators import (
     SplitMix64,
     complete,
@@ -237,6 +237,13 @@ def test_chi_p_caps():
         chi_p(complete(10), 1, cap=5)
     with pytest.raises(SizeCapError):
         chromatic_number(complete(33))
+
+
+def test_chi_p_rejects_a_p_that_is_not_an_int():
+    with pytest.raises(ParameterError):
+        chi_p(cycle(5), 1.5)
+    with pytest.raises(ParameterError):
+        chi_p(cycle(5), True)
 
 
 def test_uniform_subdivision_coloring():

@@ -29,6 +29,12 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(ValidationError):
         Graph(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValidationError):
+        Graph(True)
+    with pytest.raises(ValidationError):
+        Graph(2.0)
+    with pytest.raises(ValidationError):
+        Digraph(True)
     assert Digraph(2, [(0, 1), (1, 0)]).m == 2
     for arcs in ([(0, 1), (0, 1)], [(1, 1)], [(0, 2)]):
         with pytest.raises(ValidationError):

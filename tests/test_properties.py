@@ -38,6 +38,7 @@ from chibound.invariants import biclique_number, clique_number, degeneracy
 from chibound.treedepth import (
     TreedepthSolver,
     _degeneracy,
+    _star_hubs,
     tree_depth,
     tree_depth_at_most,
     validate_elimination_forest,
@@ -329,6 +330,60 @@ def test_component_check_decides_the_component_of_v(g, data):
         decided = solver.component_td_at_most(mask, v, k)
         assert decided == (k >= naive_treedepth(induced_subgraph(g, comp)[0]))
         assert decided == solver.td_at_most(sum(1 << u for u in comp), k)
+
+
+def _naive_star_forest(g, vertices):
+    # every component is a star or has at most 2 vertices
+    for comp in _components_of(g, vertices):
+        sub, _ = induced_subgraph(g, sorted(comp))
+        degrees = sorted(sub.degree(v) for v in range(sub.n))
+        if sub.n > 2 and degrees != [1] * (sub.n - 1) + [sub.n - 1]:
+            return False
+    return True
+
+
+def test_star_hubs_explicit_cases():
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    two_stars = Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)])
+    assert _star_hubs(triangle.adj_bits, 0b111) is None
+    assert _star_hubs(p4.adj_bits, 0b1111) is None
+    assert _star_hubs(p4.adj_bits, 0b0111) == 0b0010
+    assert _star_hubs(p4.adj_bits, 0b1011) == 0
+    assert _star_hubs(two_stars.adj_bits, 0b1111111) == 0b0100001
+    for g in (triangle, p4, two_stars):
+        full = (1 << g.n) - 1
+        assert (_star_hubs(g.adj_bits, full) is not None) == _naive_star_forest(g, range(g.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs, st.data())
+def test_star_tests_decide_depth_two_and_three(g, data):
+    # td <= 2 is a star test and a root scan at k = 3 tests star forests. A
+    # fresh solver asks them with no memo entry for the mask's components; a
+    # solver primed at k = 4 already has entries left open at 2 and 3
+    for _ in range(4):
+        mask = data.draw(_nonzero_masks(g))
+        vertices = list(bits(mask))
+        hubs = _star_hubs(g.adj_bits, mask)
+        assert (hubs is not None) == _naive_star_forest(g, vertices)
+        if hubs is not None:
+            degrees = {v: (g.adj_bits[v] & mask).bit_count() for v in vertices}
+            assert hubs == sum(1 << v for v in vertices if degrees[v] >= 2)
+        td = naive_treedepth(induced_subgraph(g, vertices)[0])
+        v = data.draw(st.sampled_from(vertices))
+        (comp,) = [c for c in _components_of(g, vertices) if v in c]
+        comp_td = naive_treedepth(induced_subgraph(g, sorted(comp))[0])
+        primed = TreedepthSolver(g)
+        primed.td_at_most(mask, 4)
+        for solver in (TreedepthSolver(g), primed):
+            for k in data.draw(st.permutations([2, 3])):
+                assert solver.td_at_most(mask, k) == (k >= td)
+                assert solver.component_td_at_most(mask, v, k) == (k >= comp_td)
+            assert solver.treedepth(mask) == td
+        full = (1 << g.n) - 1
+        ok, why = validate_elimination_forest(g, primed.forest(full), naive_treedepth(g))
+        assert ok, why
 
 
 @settings(max_examples=40, deadline=None)
