@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError, ValidationError, check_cap
+from .errors import ParseError, ValidationError, check_cap, is_int
 from .graphs import Digraph, Graph
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -152,7 +152,7 @@ def _check_pairs(pairs, key):
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
+            or not all(map(is_int, item))
         ):
             raise ParseError(f"{key!r} entries must be integer pairs, got {item!r}")
         out.append(tuple(item))
@@ -164,7 +164,7 @@ def graph_from_json(text):
     if "n" not in data or "edges" not in data:
         raise ParseError('JSON graph requires "n" and "edges" fields')
     n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_int(n):
         raise ParseError('"n" must be an integer')
     return Graph(n, _check_pairs(data["edges"], "edges"))
 
@@ -179,7 +179,7 @@ def digraph_from_json(text):
     if "n" not in data or "arcs" not in data:
         raise ParseError('JSON digraph requires "n" and "arcs" fields')
     n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_int(n):
         raise ParseError('"n" must be an integer')
     return Digraph(n, _check_pairs(data["arcs"], "arcs"))
 

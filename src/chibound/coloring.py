@@ -30,9 +30,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import ParameterError, ValidationError, check_cap
+from .errors import ValidationError, check_cap, check_int, is_int
 from .graphs import (
-    _is_int,
     bits,
     component_masks,
     distance_balls,
@@ -87,9 +86,9 @@ def make_coloring(assignment, kind, p=None):
 def _check_structure(g, coloring):
     if len(coloring.assignment) != g.n:
         raise ValidationError("assignment must cover every vertex")
-    if not all(map(_is_int, coloring.assignment)):
+    if not all(map(is_int, coloring.assignment)):
         raise ValidationError("colors must be ints")
-    if coloring.p is not None and not _is_int(coloring.p):
+    if coloring.p is not None and not is_int(coloring.p):
         raise ValidationError(f"p must be an int, got {coloring.p!r}")
     used = set(coloring.assignment)
     if g.n and used != set(range(coloring.num_colors)):
@@ -383,8 +382,7 @@ def chi_p(g, p, cap=None):
     chromatic number. The default vertex cap is the CAPS row chi_1, chi_2 or,
     at every p >= 3, chi_3.
     """
-    if not _is_int(p) or p < 1:
-        raise ParameterError(f"chi_p needs an int p >= 1, got {p!r}")
+    check_int("p", p, 1)
     if p == 1:
         res = chromatic_number(g, cap)
         return InvariantResult(
@@ -406,8 +404,7 @@ def uniform_subdivision_coloring(g, p):
     vertices, so its tree-depth stays at most j. Joining two branch vertices
     would need all p internal colors plus color 0, which exceeds p classes.
     """
-    if p < 1:
-        raise ParameterError("uniform subdivision coloring needs p >= 1")
+    check_int("p", p, 1)
     assignment = [0] * (g.n + p * g.m)
     for chain in subdivision_internal_vertices(g, p).values():
         for i, v in enumerate(chain):
@@ -422,8 +419,7 @@ def subdivision_chi_p_coloring(g, p, base):
     of each subdivided edge p distinct colors different from both endpoint
     colors, drawing from a palette of max(base colors, p+2).
     """
-    if p < 0:
-        raise ParameterError("subdivision depth must be non-negative")
+    check_int("p", p, 0)
     ok, witness = validate_coloring(
         g, Coloring(base.assignment, base.num_colors, "proper")
     )
@@ -454,8 +450,7 @@ def product_chi_p_coloring(g, p, base, sub_colorings):
     using at most chi * a^binom(chi-1, p-1) colors, a being the largest subset
     palette.
     """
-    if p < 1:
-        raise ParameterError("product coloring needs p >= 1")
+    check_int("p", p, 1)
     ok, witness = validate_coloring(
         g, Coloring(base.assignment, base.num_colors, "proper")
     )

@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 from .codec import graph_from_graph6, graph_to_graph6
-from .errors import ParameterError, ValidationError, check_cap
+from .errors import ValidationError, check_cap, check_int
 from .graphs import Graph, is_connected
 
 # Isomorphism classes on n = 0..9 vertices: all graphs (OEIS A000088) and
@@ -129,8 +129,7 @@ def _corpus(kind, n, build):
     A list read or built with other than CLASS_COUNTS[kind][n] classes raises
     ValidationError, and a built one is stored only after that check.
     """
-    if n < 1:
-        raise ParameterError(f"corpus graphs have at least 1 vertex, got {n}")
+    check_int("n", n, 1)
     check_cap("corpus", n, len(CLASS_COUNTS[kind]) - 1)
     key = (kind, n)
     if key not in _memory_cache:

@@ -1,8 +1,14 @@
-"""Exception types shared across the toolkit, and the table of size caps.
+"""Exception types shared across the toolkit, the table of size caps, and the
+integer-parameter rule.
 
 Every cap is an explicit knob: exceeding one raises SizeCapError rather than
 silently degrading an exact answer to an approximation. CAPS is the one table
 of solver limits, and check_cap is the one place that raises SizeCapError.
+
+Integer parameters (a depth p, a subdivision depth r, a hole length g, a
+vertex count, a cap override) follow one rule: an int, not a bool, at least a
+stated bound. is_int is the one test and check_int the one guard; a value
+that breaks the rule raises ParameterError before any search starts.
 """
 
 
@@ -53,11 +59,25 @@ CAPS = {
 }
 
 
+def is_int(x):
+    """Whether x is an int and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_int(name, value, least):
+    """Return value when it is an int (not a bool) of at least `least`, else
+    raise ParameterError naming the parameter."""
+    if not is_int(value) or value < least:
+        raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
+
+
 def check_cap(name, size, cap=None):
     """Raise SizeCapError when size exceeds the named limit: cap when given,
-    else the CAPS row. A limit outside the table counts vertices."""
+    else the CAPS row. A limit outside the table counts vertices. A cap
+    override must be an int >= 0."""
     default, unit = CAPS.get(name, (None, "vertices"))
-    limit = default if cap is None else cap
+    limit = default if cap is None else check_int("cap", cap, 0)
     if size > limit:
         raise SizeCapError(f"{name} is capped at {limit} {unit}, got {size}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codec import parse_graph
-from .errors import ParameterError
+from .errors import ParameterError, check_int, is_int
 from .graphs import Graph, girth
 
 _MASK64 = (1 << 64) - 1
@@ -41,8 +41,7 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (2.0**-53)
 
     def randrange(self, n):
-        if n <= 0:
-            raise ParameterError("randrange needs a positive bound")
+        check_int("n", n, 1)
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             r = self.next_u64()
@@ -71,30 +70,28 @@ class GeneratorSeed:
 
 
 def complete(n):
+    check_int("n", n, 0)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(s, t):
-    if s < 0 or t < 0:
-        raise ParameterError("part sizes must be non-negative")
+    check_int("s", s, 0)
+    check_int("t", t, 0)
     return Graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])
 
 
 def cycle(n):
-    if n < 3:
-        raise ParameterError("a cycle needs at least 3 vertices")
+    check_int("n", n, 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n):
-    if n < 1:
-        raise ParameterError("a path needs at least 1 vertex")
+    check_int("n", n, 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star(t):
-    if t < 0:
-        raise ParameterError("leaf count must be non-negative")
+    check_int("t", t, 0)
     return Graph(t + 1, [(0, i + 1) for i in range(t)])
 
 
@@ -111,8 +108,7 @@ def mycielskian(g):
 
 
 def mycielski_iterate(base, k):
-    if k < 0:
-        raise ParameterError("iteration count must be non-negative")
+    check_int("k", k, 0)
     g = base
     for _ in range(k):
         g = mycielskian(g)
@@ -120,10 +116,9 @@ def mycielski_iterate(base, k):
 
 
 def random_gnp(n, p, rng):
-    if n < 0:
-        raise ParameterError("vertex count must be non-negative")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError("edge probability must lie in [0, 1]")
+    check_int("n", n, 0)
+    if not (is_int(p) or isinstance(p, float)) or not 0 <= p <= 1:
+        raise ParameterError(f"p must be a number in [0, 1], got {p!r}")
     edges = [
         (i, j)
         for i in range(n)
@@ -176,8 +171,9 @@ def high_girth(n, d, g, rng):
     one edge (the lexicographically largest), repeatedly, until the girth
     check passes. The output is verified internally to have girth >= g.
     """
-    if n <= 0 or d < 0 or g < 3:
-        raise ParameterError("need n > 0, d >= 0, girth bound >= 3")
+    check_int("n", n, 1)
+    check_int("d", d, 0)
+    check_int("g", g, 3)
     if d >= n:
         raise ParameterError("degree must be below the vertex count")
     if (n * d) % 2 == 1:
@@ -208,54 +204,38 @@ def high_girth(n, d, g, rng):
     return graph
 
 
+def _mycielski_family(params, rng):
+    base = params.get("base")
+    if base is None:
+        base = complete(2)
+    elif isinstance(base, str):
+        base = parse_graph(base)
+    return mycielski_iterate(base, params["k"])
+
+
+# family -> (builder taking the params dict and the family's rng, required keys)
 _FAMILIES = {
-    "complete": ("n",),
-    "complete_bipartite": ("s", "t"),
-    "cycle": ("n",),
-    "path": ("n",),
-    "star": ("t",),
-    "mycielski_iterate": ("k",),
-    "random_gnp": ("n", "p"),
-    "high_girth": ("n", "d", "g"),
+    "complete": (lambda q, rng: complete(q["n"]), ("n",)),
+    "complete_bipartite": (lambda q, rng: complete_bipartite(q["s"], q["t"]), ("s", "t")),
+    "cycle": (lambda q, rng: cycle(q["n"]), ("n",)),
+    "path": (lambda q, rng: path(q["n"]), ("n",)),
+    "star": (lambda q, rng: star(q["t"]), ("t",)),
+    "mycielski_iterate": (_mycielski_family, ("k",)),
+    "random_gnp": (lambda q, rng: random_gnp(q["n"], q["p"], rng), ("n", "p")),
+    "high_girth": (lambda q, rng: high_girth(q["n"], q["d"], q["g"], rng), ("n", "d", "g")),
 }
 
 
 def generate(family, params, seed=0):
-    """Build a graph from a named family; deterministic under (family, params, seed)."""
+    """Build a graph from a named family; deterministic under (family, params, seed).
+    Each family function checks its own parameters."""
     family = family.replace("-", "_")
     if family not in _FAMILIES:
         raise ParameterError(
             f"unknown family {family!r}; known: {sorted(_FAMILIES)}"
         )
-    required = _FAMILIES[family]
+    build, required = _FAMILIES[family]
     missing = [k for k in required if k not in params]
     if missing:
         raise ParameterError(f"family {family!r} needs parameters {missing}")
-    for key in required:
-        value = params[key]
-        # p is an edge probability; every other required parameter is a count
-        kinds = (int, float) if key == "p" else int
-        if not isinstance(value, kinds) or isinstance(value, bool):
-            kind = "a number in [0, 1]" if key == "p" else "an integer"
-            raise ParameterError(f"parameter {key!r} must be {kind}, got {value!r}")
-    rng = SplitMix64(seed).split(family)
-    if family == "complete":
-        return complete(params["n"])
-    if family == "complete_bipartite":
-        return complete_bipartite(params["s"], params["t"])
-    if family == "cycle":
-        return cycle(params["n"])
-    if family == "path":
-        return path(params["n"])
-    if family == "star":
-        return star(params["t"])
-    if family == "mycielski_iterate":
-        base = params.get("base")
-        if base is None:
-            base = complete(2)
-        elif isinstance(base, str):
-            base = parse_graph(base)
-        return mycielski_iterate(base, params["k"])
-    if family == "random_gnp":
-        return random_gnp(params["n"], params["p"], rng)
-    return high_girth(params["n"], params["d"], params["g"], rng)
+    return build(params, SplitMix64(seed).split(family))

@@ -13,7 +13,7 @@ serializations are stable across runs.
 
 from __future__ import annotations
 
-from .errors import ParameterError, ValidationError, check_cap
+from .errors import ParameterError, ValidationError, check_cap, check_int, is_int
 
 
 def _normalize_edge(u, v):
@@ -28,17 +28,13 @@ def bits(mask):
         mask ^= low
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 class Graph:
     """Finite simple undirected graph. Immutable after construction."""
 
     __slots__ = ("n", "adj_bits")
 
     def __init__(self, n, edges=()):
-        if not _is_int(n) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValidationError(f"vertex count must be a non-negative int, got {n!r}")
         rows = [0] * n
         for e in edges:
@@ -72,7 +68,7 @@ class Graph:
 
     def has_vertex(self, v):
         """Whether v is a vertex: an int (not a bool) in 0..n-1."""
-        return _is_int(v) and 0 <= v < self.n
+        return is_int(v) and 0 <= v < self.n
 
     def has_edge(self, u, v):
         """Whether uv is an edge; False when u or v lies outside 0..n-1."""
@@ -110,7 +106,7 @@ class Digraph:
     __slots__ = ("n", "out_bits", "in_bits")
 
     def __init__(self, n, arcs=()):
-        if not _is_int(n) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValidationError(f"vertex count must be a non-negative int, got {n!r}")
         out_rows = [0] * n
         in_rows = [0] * n
@@ -228,8 +224,8 @@ def subdivide(g, profile):
             f"profile must cover the edge set exactly: missing {sorted(missing)}, "
             f"extraneous {sorted(extra)}"
         )
-    if any(k < 0 for k in prof.values()):
-        raise ParameterError("subdivision counts must be non-negative")
+    for k in prof.values():
+        check_int("subdivision count", k, 0)
     edges = []
     next_id = g.n
     for u, v in g.sorted_edges():
@@ -242,8 +238,7 @@ def subdivide(g, profile):
 
 def subdivide_exact(g, p):
     """The p-subdivision: every edge replaced by a path with p internal vertices."""
-    if p < 0:
-        raise ParameterError("subdivision depth must be non-negative")
+    check_int("p", p, 0)
     return subdivide(g, {e: p for e in g.sorted_edges()})
 
 
@@ -263,8 +258,7 @@ def subdivision_internal_vertices(g, p):
 
 def blow_up(g, k):
     """Lexicographic product g[K_k]: vertex v becomes a clique of k copies."""
-    if k < 1:
-        raise ParameterError("blow-up factor must be at least 1")
+    check_int("k", k, 1)
     edges = []
     for v in range(g.n):
         for i in range(k):
@@ -279,8 +273,7 @@ def blow_up(g, k):
 
 def power(g, d):
     """Graph power: join vertices at graph distance at most d."""
-    if d < 1:
-        raise ParameterError("power exponent must be at least 1")
+    check_int("d", d, 1)
     edges = []
     for s, ball in enumerate(distance_balls(g, d)[-1]):
         edges.extend((s, t) for t in bits(ball >> s + 1 << s + 1))

@@ -2,8 +2,9 @@
 per-length counts, and the extremal blown-up-cycle family check.
 
 Holes are induced cycles of length at least 4, enumerated by extending
-chordless paths from their minimum vertex and stored in a canonical
-rotation/reflection, so each hole appears exactly once.
+chordless paths from their minimum vertex toward the smaller of its two hole
+neighbours, so each hole appears exactly once, already in its least
+rotation/reflection.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, check_cap
+from .errors import ParameterError, check_cap, check_int
 from .generators import cycle
 from .graphs import blow_up, disjoint_union
 from .invariants import clique_number
@@ -28,18 +29,6 @@ class Hole:
 
     def to_jsonable(self):
         return list(self.vertices)
-
-
-def canonical_cycle(seq):
-    """Least rotation over both directions, anchored at the smallest vertex."""
-    best = None
-    n = len(seq)
-    for orient in (tuple(seq), tuple(reversed(seq))):
-        for shift in range(n):
-            rot = orient[shift:] + orient[:shift]
-            if best is None or rot < best:
-                best = rot
-    return best
 
 
 def validate_hole(g, hole):
@@ -66,7 +55,8 @@ def _iter_holes(g, max_len):
 
     A path can only close back to the anchor; any extension adjacent to an
     interior vertex (or to the anchor before closing) would carry a chord.
-    Direction duplicates are dropped by requiring second vertex < last vertex.
+    Direction duplicates are dropped by requiring second vertex < last vertex,
+    so the path as found is the hole's least rotation over both directions.
     """
     check_cap("hole_host", g.n)
     adj_bits = g.adj_bits
@@ -86,7 +76,7 @@ def _iter_holes(g, max_len):
                         continue  # chord to an interior vertex
                     if adj_bits[w] >> a & 1:
                         if len(pathv) + 1 >= 4 and pathv[1] < w:
-                            yield Hole(canonical_cycle(pathv + [w]))
+                            yield Hole(tuple(pathv + [w]))
                         # extending past w would leave the chord (w, anchor)
                         continue
                     if len(pathv) + 1 < max_len:
@@ -95,11 +85,13 @@ def _iter_holes(g, max_len):
 
 def enumerate_holes(g, max_len):
     """All holes of length 4..max_len, canonical, sorted."""
+    check_int("max_len", max_len, 0)
     return sorted(_iter_holes(g, max_len), key=lambda h: (len(h), h.vertices))
 
 
 def count_holes(g, length):
     """Exact number of holes of the given length."""
+    check_int("length", length, 0)
     return sum(1 for h in _iter_holes(g, length) if len(h) == length)
 
 
@@ -113,9 +105,11 @@ def is_even_hole_free(g):
 
 def blown_up_cycle(g_len, omega):
     """C_g[K_{omega/2}]: the extremal even-hole-free family member."""
-    if g_len % 2 == 0 or g_len <= 3:
+    check_int("g", g_len, 5)
+    check_int("omega", omega, 2)
+    if g_len % 2 == 0:
         raise ParameterError("hole length must be odd and greater than 3")
-    if omega % 2 == 1 or omega < 2:
+    if omega % 2 == 1:
         raise ParameterError("clique number must be even and at least 2")
     return blow_up(cycle(g_len), omega // 2)
 
@@ -127,8 +121,7 @@ def verify_hole_density(g_len, omega, copies):
     only when the count matches exactly, the clique number equals omega, and
     the construction is even-hole-free.
     """
-    if copies < 1:
-        raise ParameterError("need at least one copy")
+    check_int("copies", copies, 1)
     block = blown_up_cycle(g_len, omega)
     g = disjoint_union([block] * copies)
     measured = count_holes(g, g_len)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codec import digraph_to_digraph6
-from .errors import BudgetError, ParameterError, WalkLoopError, check_cap
+from .errors import BudgetError, ParameterError, WalkLoopError, check_cap, check_int
 from .graphs import Digraph, bits, induced_subgraph, shrink_to_minimal, walk_masks
 from .invariants import clique_number, degeneracy
 
@@ -124,21 +124,18 @@ def hom_exists(f, g, budget=None):
 
 def transitive_tournament(k):
     """T_k: vertices 0..k-1 with an arc (i, j) whenever i < j."""
-    if k < 1:
-        raise ParameterError("tournament order must be at least 1")
+    check_int("k", k, 1)
     return Digraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 def directed_path(k):
     """Directed path on k vertices (k-1 arcs)."""
-    if k < 1:
-        raise ParameterError("path order must be at least 1")
+    check_int("k", k, 1)
     return Digraph(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def directed_cycle(k):
-    if k < 2:
-        raise ParameterError("directed cycle needs at least 2 vertices")
+    check_int("k", k, 2)
     return Digraph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
@@ -172,8 +169,7 @@ def walk_power(d, length):
     """Digraph joining u -> v when a directed walk of exactly `length` arcs runs
     from u to v. A closed walk of that length raises WalkLoopError carrying the
     offending vertex and one such walk."""
-    if length < 1:
-        raise ParameterError("walk length must be positive")
+    check_int("length", length, 1)
     reach = walk_masks(d.out_bits, length)[length]
     for v in range(d.n):
         if reach[v] >> v & 1:
@@ -254,6 +250,7 @@ def search_restricted_dual(f, samples, max_size=3):
     The primary contract of this module is verification of supplied candidates,
     not synthesis.
     """
+    check_int("max_size", max_size, 0)
     check_cap("dual_synthesis", max_size)
     for n in range(1, max_size + 1):
         slots = [(u, v) for u in range(n) for v in range(n) if u != v]

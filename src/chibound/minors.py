@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import all_graphs, connected_graphs
-from .errors import check_cap
+from .errors import check_cap, check_int
 from .generators import complete, cycle
 from .graphs import (
     Graph,
@@ -117,6 +117,7 @@ def _paths_up_to(nbrs, source, target, max_edges, blocked):
 
 def find_topo_embedding(pattern, g, r):
     """An embedding witnessing pattern in TM_r(g), or None (complete search)."""
+    check_int("r", r, 0)
     check_cap("tm_host", g.n)
     h = pattern
     if h.n > g.n:
@@ -241,6 +242,7 @@ def _route_depth1(g, h, branch):
 
 def find_subdivided_clique(g, k, r):
     """Embedding of some (<= r)-subdivision of K_k in g, or None."""
+    check_int("k", k, 0)
     check_cap("pattern", k)
     pattern = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
     return find_topo_embedding(pattern, g, r)
@@ -249,6 +251,7 @@ def find_subdivided_clique(g, k, r):
 def omega_TM(g, r):
     """Largest k with a (<= r)-subdivided K_k subgraph embedding in g. A climb
     past the pattern cap raises SizeCapError rather than stopping short."""
+    check_int("r", r, 0)
     k = 1
     # K_k needs k branch vertices of degree >= k - 1
     while (
@@ -341,6 +344,8 @@ class ITMEnumeration:
 def enumerate_ITM_exact(g, r, max_pattern_size):
     """All patterns (up to isomorphism, up to the size cap) whose exact
     r-subdivision is induced in g, with the density statistics over them."""
+    check_int("r", r, 0)
+    check_int("max_pattern_size", max_pattern_size, 0)
     check_cap("itm_host", g.n)
     check_cap("pattern", max_pattern_size)
     found = []
@@ -391,6 +396,8 @@ def critical_patterns(chi, max_size):
     and up filters the corpus, which caps their size at 8 vertices. Each
     (chi, size) list is built once and shared by every max_size.
     """
+    check_int("chi", chi, 1)
+    check_int("max_size", max_size, 0)
     if chi >= 4:
         check_cap("critical_catalogue", max_size)
     out = []
@@ -417,6 +424,8 @@ def chi_TM(g, r, max_pattern_size):
     pattern subgraphs. Exact when the size cap covers the host; otherwise an
     honest lower bound, flagged in the result.
     """
+    check_int("r", r, 0)
+    check_int("max_pattern_size", max_pattern_size, 0)
     cap = min(max_pattern_size, g.n)
     if g.n == 0:
         return ChiTMResult(0, True, cap)

@@ -29,7 +29,7 @@ from .coloring import (
     uniform_subdivision_coloring,
     validate_coloring,
 )
-from .errors import CAPS, ParameterError
+from .errors import CAPS, ParameterError, check_int
 from .generators import SplitMix64, complete, random_gnp, generate
 from .graphs import induced_subgraph, orientations, subdivide_exact
 from .holes import verify_hole_density
@@ -171,12 +171,13 @@ def _check_s2(payload):
 
 
 def _instances_s2(spec):
-    max_n = spec.params.get("max_n", 7)
+    max_n = check_int("max_n", spec.params.get("max_n", 7), 0)
+    random_count = check_int("random_count", spec.params.get("random_count", 20), 0)
     tasks = [
         {"graph6": graph_to_graph6(g)} for g in corpus.connected_corpus(max_n)
     ]
     rng = SplitMix64(spec.seed).split("s2-random")
-    for i in range(spec.params.get("random_count", 20)):
+    for i in range(random_count):
         n = 5 + int(rng.uniform() * 4)
         p = 0.3 + 0.5 * rng.uniform()
         g = random_gnp(n, p, rng)
@@ -219,7 +220,7 @@ def _check_s3(payload):
 
 
 def _instances_s3(spec):
-    max_n = spec.params.get("max_n", 5)
+    max_n = check_int("max_n", spec.params.get("max_n", 5), 0)
     ps = spec.params.get("ps", (1, 2))
     return [
         {"graph6": graph_to_graph6(g), "p": p}
@@ -309,7 +310,7 @@ def _check_s5(payload):
 
 
 def _instances_s5(spec):
-    per_t = spec.params.get("per_t", 100)
+    per_t = check_int("per_t", spec.params.get("per_t", 100), 0)
     tasks = []
     for t in spec.params.get("ts", (3, 4)):
         rng = SplitMix64(spec.seed).split(f"s5-t{t}")
@@ -344,8 +345,8 @@ def _check_s6(payload):
 
 
 def _instances_s6(spec):
-    smax = spec.params.get("max_s", 4)
-    tmax = spec.params.get("max_t", 5)
+    smax = check_int("max_s", spec.params.get("max_s", 4), 0)
+    tmax = check_int("max_t", spec.params.get("max_t", 5), 0)
     return [
         {"s": s, "t": t} for s in range(1, smax + 1) for t in range(s, tmax + 1)
     ]
@@ -430,8 +431,8 @@ def _check_s8(payload):
 
 
 def _instances_s8(spec):
-    max_n = spec.params.get("max_n", 6)
-    p = spec.params.get("p", 2)
+    max_n = check_int("max_n", spec.params.get("max_n", 6), 0)
+    p = check_int("p", spec.params.get("p", 2), 1)
     return [
         {"graph6": graph_to_graph6(g), "p": p}
         for g in corpus.connected_corpus(max_n)
@@ -463,7 +464,8 @@ def _check_s9(payload):
 
 
 def _instances_s9(spec):
-    return [{"k": k, "max_n": spec.params.get("max_n", 4)} for k in spec.params.get("ks", (1, 2, 3))]
+    max_n = check_int("max_n", spec.params.get("max_n", 4), 0)
+    return [{"k": k, "max_n": max_n} for k in spec.params.get("ks", (1, 2, 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +558,13 @@ def _check_s11(payload):
 
 
 def _instances_s11(spec):
-    max_n = spec.params.get("max_n", 7)
+    max_n = check_int("max_n", spec.params.get("max_n", 7), 0)
+    random_count = check_int("random_count", spec.params.get("random_count", 500), 0)
     tasks = [
         {"graph6": graph_to_graph6(g)} for g in corpus.connected_corpus(max_n)
     ]
     rng = SplitMix64(spec.seed).split("s11-random")
-    for i in range(spec.params.get("random_count", 500)):
+    for i in range(random_count):
         n = 4 + int(rng.uniform() * 7)
         p = 0.15 + 0.7 * rng.uniform()
         g = random_gnp(n, p, rng)

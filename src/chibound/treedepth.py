@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError, check_cap
-from .graphs import _is_int, bits, component_masks, component_of
+from .errors import check_cap, check_int
+from .graphs import bits, component_masks, component_of
 from .invariants import InvariantResult
 
 
@@ -255,8 +255,7 @@ class TreedepthSolver:
 
 def tree_depth_at_most(g, k):
     """Bounded decision without the exact-solve size cap (cheap for small k)."""
-    if not _is_int(k):
-        raise ParameterError(f"tree-depth bound must be an int, got {k!r}")
+    check_int("k", k, 0)
     return TreedepthSolver(g).td_at_most((1 << g.n) - 1, k)
 
 

@@ -172,11 +172,12 @@ def naive_holes(g):
                 prev = last
                 order.append(nxts[0])
             if len(order) == size:
-                found.add(_canon_cycle(order))
+                found.add(canonical_cycle(order))
     return found
 
 
-def _canon_cycle(seq):
+def canonical_cycle(seq):
+    """Least rotation over both directions, anchored at the smallest vertex."""
     best = None
     n = len(seq)
     for orient in (tuple(seq), tuple(reversed(seq))):

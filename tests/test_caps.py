@@ -65,7 +65,8 @@ CASES = {
 # the entry points above and the functions they pass through to the check
 BEFORE_SEARCH = {
     "check_cap",
-    "_is_int",
+    "check_int",
+    "is_int",
     "chi_p",
     "chromatic_number",
     "_least_assignment",

@@ -178,6 +178,20 @@ def test_verify_all_rejects_params(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "param, shown",
+    [("max_n=7.5", "max_n must be an int >= 0, got 7.5"),
+     ("max_n=true", "max_n must be an int >= 0, got True"),
+     ("random_count=2.5", "random_count must be an int >= 0, got 2.5")],
+)
+def test_verify_rejects_malformed_suite_params(tmp_path, capsys, param, shown):
+    code, out, err = run_cli(capsys, "verify", "S2", "--param", param,
+                             "--out", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert shown in err and out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--unknown-flag"])

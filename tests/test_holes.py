@@ -6,7 +6,6 @@ from chibound.graphs import blow_up, disjoint_union
 from chibound.holes import (
     Hole,
     blown_up_cycle,
-    canonical_cycle,
     count_holes,
     enumerate_holes,
     is_even_hole_free,
@@ -14,7 +13,7 @@ from chibound.holes import (
     verify_hole_density,
 )
 from chibound.invariants import clique_number
-from oracles import naive_holes
+from oracles import canonical_cycle, naive_holes
 
 
 def test_single_cycle():
@@ -94,6 +93,19 @@ def test_canonical_cycle_normalizes_rotation_and_reflection():
     assert canonical_cycle((2, 0, 1, 3)) == canonical_cycle((3, 1, 0, 2))
     h = Hole(canonical_cycle((4, 0, 1, 2, 3)))
     assert h.vertices[0] == 0
+
+
+def test_enumerated_holes_are_already_least_rotations():
+    from chibound import corpus
+
+    rng = SplitMix64(12)
+    graphs = corpus.connected_corpus(7) + [random_gnp(12, 0.3, rng) for _ in range(40)]
+    seen = 0
+    for g in graphs:
+        for hole in enumerate_holes(g, g.n):
+            assert hole.vertices == canonical_cycle(hole.vertices), hole
+            seen += 1
+    assert seen > 1000
 
 
 def test_cap():
