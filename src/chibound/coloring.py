@@ -180,11 +180,12 @@ class _ColoringSearch:
         # DSATUR ties go to the larger degree, then (stable sort) the smaller vertex
         self.order = sorted(range(g.n), key=lambda v: -len(self.nbrs[v]))
         self.nodes = 0
+        # per radius 0..3 and vertex v, the vertices within that distance of
+        # v; chi_TM's host view shares them
+        self.balls = distance_balls(g, 3)
         # the vertices within distance 3 of v, whose forbidden colors can
         # change when v is colored
-        self.near = [
-            ball & ~(1 << v) for v, ball in enumerate(distance_balls(g, 3)[-1])
-        ]
+        self.near = [ball & ~(1 << v) for v, ball in enumerate(self.balls[-1])]
         self.td = TreedepthSolver(g)
         self.proper = {}
 

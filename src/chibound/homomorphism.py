@@ -57,6 +57,8 @@ def homomorphism(f, g, cap=None, budget=None):
     rather than ever returning a wrong answer.
     """
     check_cap("homomorphism", max(f.n, g.n), cap)
+    if budget is not None:
+        check_int("budget", budget, 0)
     if f.n == 0:
         return HomMapping(())
     if g.n == 0:
@@ -303,6 +305,8 @@ def h_coloring_with_witness(
     before being returned, so a threshold configuration that cannot justify
     its witness raises ParameterError instead of returning a wrong answer.
     """
+    check_int("clique_threshold", clique_threshold, 1)
+    check_int("degeneracy_threshold", degeneracy_threshold, 0)
     template = _as_digraph(h)
     value, order = degeneracy(g)
     if value > degeneracy_threshold:

@@ -5,12 +5,21 @@ A TM_r embedding maps pattern vertices to distinct branch vertices and pattern
 edges to internally disjoint paths with at most r internal vertices. The
 induced variant demands exactly r internal vertices per path and that the
 embedded subdivision appear with no extra edges.
+
+find_topo_embedding places branch vertices on bitmasks. The candidates for a
+pattern vertex are the unused host vertices of large enough degree inside the
+distance-(r + 1) balls around its placed neighbours' images, tried in
+ascending order, and the smaller balls count the interior vertices the paths
+must use at least. The omega_TM and chi_TM climbs build one host view (degree
+masks, balls, neighbour tuples) per host and pass it with every pattern they
+try; chi_TM takes its balls from the host's coloring search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .corpus import all_graphs, connected_graphs
 from .errors import check_cap, check_int
@@ -24,7 +33,7 @@ from .graphs import (
     subdivision_internal_vertices,
 )
 from .invariants import clique_number
-from .coloring import _chromatic_at_least, chromatic_number_value
+from .coloring import _chromatic_at_least, _search, chromatic_number_value
 
 
 @dataclass(eq=False)
@@ -115,59 +124,86 @@ def _paths_up_to(nbrs, source, target, max_edges, blocked):
     return results
 
 
+class _HostView:
+    """What the branch placement reads of one host at one depth r, built once
+    per climb and shared by every pattern the climb tries: at_least[d], the
+    mask of the vertices of degree at least d, for d = 0..n; balls[i][x], the
+    vertices within distance i of x, for i = 0..r + 1 (graphs.distance_balls);
+    and the neighbour tuples the path router walks, built on first use."""
+
+    def __init__(self, g, balls):
+        self.g = g
+        self.balls = balls
+        self.at_least = [0] * (g.n + 1)
+        for x, row in enumerate(g.adj_bits):
+            for d in range(row.bit_count() + 1):
+                self.at_least[d] |= 1 << x
+
+    @cached_property
+    def nbrs(self):
+        return [self.g.neighbors(x) for x in range(self.g.n)]
+
+
 def find_topo_embedding(pattern, g, r):
-    """An embedding witnessing pattern in TM_r(g), or None (complete search)."""
+    """An embedding witnessing pattern in TM_r(g), or None (complete search).
+
+    g may also be the _HostView of a host at depth r: the climbs below build
+    one per host and pass it here for every pattern they try.
+    """
     check_int("r", r, 0)
-    check_cap("tm_host", g.n)
+    if isinstance(g, _HostView):
+        view, g = g, g.g
+    else:
+        check_cap("tm_host", g.n)
+        view = _HostView(g, distance_balls(g, r + 1))
     h = pattern
     if h.n > g.n:
         return None
     hdeg = [h.degree(v) for v in range(h.n)]
-    order = sorted(range(h.n), key=lambda v: (-hdeg[v], v))
-    candidates = {
-        v: [x for x in range(g.n) if g.degree(x) >= hdeg[v]] for v in order
-    }
-    if any(not candidates[v] for v in order):
+    at_least = view.at_least
+    if not all(at_least[d] for d in hdeg):
         return None
+    order = sorted(range(h.n), key=lambda v: (-hdeg[v], v))
     edges = h.sorted_edges()
-    nbrs = [g.neighbors(x) for x in range(g.n)]
     pattern_nbrs = [h.neighbors(v) for v in range(h.n)]
-    balls = distance_balls(g, r + 1)
+    far = view.balls[-1]
+    # the balls of radius 1..r: a placed neighbour's image at host distance
+    # d <= r + 1 from x lies outside exactly d - 1 of them
+    inner_balls = view.balls[1:-1]
     # a complete pattern is vertex-transitive: fix ascending branch images
     symmetric = all(d == h.n - 1 for d in hdeg)
 
     branch = {}
     interior_budget = g.n - h.n
 
-    def place(idx, interior_demand):
-        # interior_demand: sum over placed pattern edges of (host distance - 1),
-        # a lower bound on the interior vertices the disjoint paths must use
+    def place(idx, used, interior_demand):
+        # used: the mask of the branch images; interior_demand: sum over placed
+        # pattern edges of (host distance - 1), a lower bound on the interior
+        # vertices the disjoint paths must use
         if idx == len(order):
             if r == 1:
                 return _route_depth1(g, h, branch)
             return route(0, frozenset(branch.values()), {})
         v = order[idx]
-        floor = max(branch.values(), default=-1) if symmetric else -1
-        for x in candidates[v]:
-            if x <= floor or x in branch.values():
-                continue
+        cands = at_least[hdeg[v]] & ~used
+        if symmetric:
+            cands &= -1 << used.bit_length()
+        targets = 0
+        for w in pattern_nbrs[v]:
+            if w in branch:
+                cands &= far[branch[w]]
+                targets |= 1 << branch[w]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            x = low.bit_length() - 1
             demand = interior_demand
-            ok = True
-            for w in pattern_nbrs[v]:
-                if w in branch:
-                    # d is the host distance to branch[w], if at most r + 1
-                    y = 1 << branch[w]
-                    for d in range(1, len(balls)):
-                        if balls[d][x] & y:
-                            break
-                    else:
-                        ok = False
-                        break
-                    demand += d - 1
-            if not ok or demand > interior_budget:
+            for ball in inner_balls:
+                demand += (targets & ~ball[x]).bit_count()
+            if demand > interior_budget:
                 continue
             branch[v] = x
-            result = place(idx + 1, demand)
+            result = place(idx + 1, used | low, demand)
             if result is not None:
                 return result
             del branch[v]
@@ -179,7 +215,7 @@ def find_topo_embedding(pattern, g, r):
         u, v = edges[eidx]
         su, sv = branch[u], branch[v]
         blocked = (set(branch.values()) | set(used)) - {su, sv}
-        for p in _paths_up_to(nbrs, su, sv, r + 1, blocked):
+        for p in _paths_up_to(view.nbrs, su, sv, r + 1, blocked):
             inner = set(p[1:-1])
             if inner & used:
                 continue
@@ -190,7 +226,7 @@ def find_topo_embedding(pattern, g, r):
             del paths[(u, v)]
         return None
 
-    found = place(0, 0)
+    found = place(0, 0, 0)
     if found is None:
         return None
     return TopoMinorEmbedding(
@@ -241,7 +277,8 @@ def _route_depth1(g, h, branch):
 
 
 def find_subdivided_clique(g, k, r):
-    """Embedding of some (<= r)-subdivision of K_k in g, or None."""
+    """Embedding of some (<= r)-subdivision of K_k in g, or None. g may be a
+    host view, as in find_topo_embedding."""
     check_int("k", k, 0)
     check_cap("pattern", k)
     pattern = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
@@ -252,11 +289,13 @@ def omega_TM(g, r):
     """Largest k with a (<= r)-subdivided K_k subgraph embedding in g. A climb
     past the pattern cap raises SizeCapError rather than stopping short."""
     check_int("r", r, 0)
+    check_cap("tm_host", g.n)
+    view = _HostView(g, distance_balls(g, r + 1))
     k = 1
     # K_k needs k branch vertices of degree >= k - 1
     while (
-        sum(1 for v in range(g.n) if g.degree(v) >= k - 1) >= k
-        and find_subdivided_clique(g, k, r) is not None
+        view.at_least[k - 1].bit_count() >= k
+        and find_subdivided_clique(view, k, r) is not None
     ):
         k += 1
     return k - 1
@@ -430,20 +469,25 @@ def chi_TM(g, r, max_pattern_size):
     if g.n == 0:
         return ChiTMResult(0, True, cap)
     host_chi = chromatic_number_value(g)
+    check_cap("tm_host", g.n)
+    # chromatic_number_value has made g's coloring search current, and its
+    # balls reach radius 3
+    balls = _search(g).balls[: r + 2] if r <= 2 else distance_balls(g, r + 1)
+    view = _HostView(g, balls)
     value = 1
     if cap >= g.n:
         value = max(value, host_chi)
     while True:
         nxt = value + 1
         # a pattern of chromatic number nxt needs nxt branch vertices of degree >= nxt-1
-        if sum(1 for v in range(g.n) if g.degree(v) >= nxt - 1) < nxt:
+        if view.at_least[nxt - 1].bit_count() < nxt:
             break
         # reaching chromatic level nxt needs at least nxt - host_chi subdivided
         # edges, each eating a distinct interior vertex, which bounds |H|
         size_bound = min(cap, g.n - max(0, nxt - host_chi))
         hit = False
         for h in critical_patterns(nxt, size_bound):
-            if find_topo_embedding(h, g, r) is not None:
+            if find_topo_embedding(h, view, r) is not None:
                 hit = True
                 break
         if not hit:

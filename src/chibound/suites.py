@@ -147,8 +147,8 @@ def _check_s1(payload):
 
 
 def _instances_s1(spec):
-    ps = spec.params.get("ps", (1, 2, 3))
-    ns = spec.params.get("ns", (3, 4, 5))
+    ps = [check_int("p", p, 1) for p in spec.params.get("ps", (1, 2, 3))]
+    ns = [check_int("n", n, 2) for n in spec.params.get("ns", (3, 4, 5))]
     return [{"n": n, "p": p} for p in ps for n in ns]
 
 
@@ -221,7 +221,7 @@ def _check_s3(payload):
 
 def _instances_s3(spec):
     max_n = check_int("max_n", spec.params.get("max_n", 5), 0)
-    ps = spec.params.get("ps", (1, 2))
+    ps = [check_int("p", p, 0) for p in spec.params.get("ps", (1, 2))]
     return [
         {"graph6": graph_to_graph6(g), "p": p}
         for p in ps
@@ -249,10 +249,16 @@ def _check_s4(payload):
 
 def _instances_s4(spec):
     limits = spec.params.get("limits", {2: 8, 3: 7})
+    # JSON object keys arrive as strings
+    limits = {
+        check_int("p", int(p) if isinstance(p, str) and p.isdecimal() else p, 1):
+        check_int("max_n", n, 0)
+        for p, n in limits.items()
+    }
     tasks = []
     for p, max_n in sorted(limits.items()):
         for g in corpus.connected_corpus(max_n):
-            tasks.append({"graph6": graph_to_graph6(g), "p": int(p)})
+            tasks.append({"graph6": graph_to_graph6(g), "p": p})
     return tasks
 
 
@@ -312,7 +318,8 @@ def _check_s5(payload):
 def _instances_s5(spec):
     per_t = check_int("per_t", spec.params.get("per_t", 100), 0)
     tasks = []
-    for t in spec.params.get("ts", (3, 4)):
+    ts = [check_int("t", t, 1) for t in spec.params.get("ts", (3, 4))]
+    for t in ts:
         rng = SplitMix64(spec.seed).split(f"s5-t{t}")
         for g in _sample_k1t_free(t, per_t, rng):
             tasks.append({"graph6": graph_to_graph6(g), "t": t})
@@ -384,6 +391,9 @@ def _instances_s7(spec):
             for c in (1, 2, 3)
         ],
     )
+    for cell in grid:
+        for key, least in (("g", 5), ("omega", 2), ("copies", 1)):
+            check_int(key, cell[key], least)
     return list(grid)
 
 
@@ -465,7 +475,8 @@ def _check_s9(payload):
 
 def _instances_s9(spec):
     max_n = check_int("max_n", spec.params.get("max_n", 4), 0)
-    return [{"k": k, "max_n": max_n} for k in spec.params.get("ks", (1, 2, 3))]
+    ks = [check_int("k", k, 1) for k in spec.params.get("ks", (1, 2, 3))]
+    return [{"k": k, "max_n": max_n} for k in ks]
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,50 @@ def canonical_cycle(seq):
     return best
 
 
+def naive_topo_embedding(h, g, r):
+    """Some (branch map, paths) realizing h in TM_r(g), or None: every
+    injective branch map, and for it every choice of a simple path per pattern
+    edge in turn, each with at most r interior vertices that avoid the branch
+    vertices and the interiors already chosen."""
+    edges = sorted(h.edges)
+    paths_between = {}
+
+    def simple_paths(a, b):
+        if (a, b) not in paths_between:
+            found = []
+
+            def walk(path):
+                for y in g.neighbors(path[-1]):
+                    if y == b:
+                        found.append(tuple(path) + (b,))
+                    elif y not in path and len(path) <= r:
+                        walk(path + [y])
+
+            walk([a])
+            paths_between[(a, b)] = found
+        return paths_between[(a, b)]
+
+    for branch in permutations(range(g.n), h.n):
+        paths = {}
+
+        def route(i, used):
+            if i == len(edges):
+                return True
+            u, v = edges[i]
+            for p in simple_paths(branch[u], branch[v]):
+                inner = set(p[1:-1])
+                if inner & used or inner & set(branch):
+                    continue
+                paths[(u, v)] = p
+                if route(i + 1, used | inner):
+                    return True
+            return False
+
+        if route(0, set()):
+            return branch, paths
+    return None
+
+
 def naive_canonical_form(g):
     """(n, col_1, ..., col_{n-1}) least over every vertex order, where col_j
     has bit i set when the vertices at positions i < j and j are adjacent."""

@@ -192,6 +192,27 @@ def test_verify_rejects_malformed_suite_params(tmp_path, capsys, param, shown):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "claim, param, shown",
+    [("S1", "ps=[1.5]", "p must be an int >= 1, got 1.5"),
+     ("S1", "ns=[true]", "n must be an int >= 2, got True"),
+     ("S3", "ps=[2.5]", "p must be an int >= 0, got 2.5"),
+     ("S4", 'limits={"2": 5.5}', "max_n must be an int >= 0, got 5.5"),
+     ("S4", 'limits={"2.5": 5}', "p must be an int >= 1, got '2.5'"),
+     ("S5", "ts=[3.5]", "t must be an int >= 1, got 3.5"),
+     ("S7", 'grid=[{"g": 5, "omega": 2.5, "copies": 1}]',
+      "omega must be an int >= 2, got 2.5"),
+     ("S9", "ks=[1.5]", "k must be an int >= 1, got 1.5"),
+     ("S10", "grid=[[8, 3, 5.5]]", "g must be an int >= 3, got 5.5")],
+)
+def test_verify_rejects_malformed_suite_list_params(tmp_path, capsys, claim, param, shown):
+    code, out, err = run_cli(capsys, "verify", claim, "--param", param,
+                             "--out", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert shown in err and out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--unknown-flag"])

@@ -3,13 +3,14 @@ import json
 
 import pytest
 
+from chibound import graphs
 from chibound.codec import graph_to_graph6
 from chibound.corpus import are_isomorphic, connected_graphs
 from chibound.errors import SizeCapError
 from chibound.generators import complete, complete_bipartite, cycle, path, star
 from chibound.graphs import Graph, subdivide_exact
 from chibound.invariants import clique_number
-from chibound.coloring import chromatic_number_value
+from chibound.coloring import chi_p, chromatic_number_value
 from chibound.minors import (
     TopoMinorEmbedding,
     chi_TM,
@@ -120,6 +121,26 @@ def test_critical_patterns():
         for h in fours
         for e in h.edges
     )
+
+
+def test_one_ball_build_per_host(monkeypatch):
+    # the chi_TM climb places branch vertices in the balls of the host's
+    # coloring search, which chi_p has just built
+    hosts = connected_graphs(7)
+    for chi in range(4, 8):
+        critical_patterns(chi, 7)  # the catalogue colors graphs of its own
+    built = []
+    walk = graphs.walk_masks
+
+    def counting_walk(rows, length):
+        built.append(length)
+        return walk(rows, length)
+
+    monkeypatch.setattr(graphs, "walk_masks", counting_walk)
+    for g in hosts:
+        chi_p(g, 2)
+        chi_TM(g, 1, g.n)
+    assert len(built) == len(hosts)
 
 
 def test_downward_closure_of_embeddings(small_connected):

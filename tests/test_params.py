@@ -33,6 +33,7 @@ from chibound.holes import count_holes, enumerate_holes, verify_hole_density
 from chibound.homomorphism import (
     directed_cycle,
     directed_path,
+    h_coloring_with_witness,
     homomorphism,
     search_restricted_dual,
     transitive_tournament,
@@ -86,6 +87,13 @@ ENTRIES = {
     "directed_cycle.k": (directed_cycle, 2),
     "walk_power.length": (lambda v: walk_power(D2, v), 1),
     "homomorphism.cap": (lambda v: homomorphism(D1, D1, cap=v), 0),
+    "homomorphism.budget": (lambda v: homomorphism(D1, D1, budget=v), 0),
+    "h_coloring_with_witness.clique_threshold": (
+        lambda v: h_coloring_with_witness(C5, K3, v, 2), 1
+    ),
+    "h_coloring_with_witness.degeneracy_threshold": (
+        lambda v: h_coloring_with_witness(C5, K3, 4, v), 0
+    ),
     "search_restricted_dual.max_size": (
         lambda v: search_restricted_dual(D1, [], v), 0
     ),
@@ -149,6 +157,7 @@ BEFORE_CHECK = {
     "directed_cycle",
     "walk_power",
     "homomorphism",
+    "h_coloring_with_witness",
     "search_restricted_dual",
     "find_topo_embedding",
     "find_subdivided_clique",

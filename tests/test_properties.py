@@ -20,6 +20,7 @@ from chibound.coloring import (
     validate_coloring,
 )
 from chibound.corpus import canonical_form
+from chibound.generators import complete, cycle
 from chibound.graphs import (
     Digraph,
     Graph,
@@ -35,6 +36,7 @@ from chibound.graphs import (
 )
 from chibound.homomorphism import _core_above
 from chibound.invariants import biclique_number, clique_number, degeneracy
+from chibound.minors import critical_patterns, find_topo_embedding, validate_topo_embedding
 from chibound.treedepth import (
     TreedepthSolver,
     _degeneracy,
@@ -49,6 +51,7 @@ from oracles import (
     naive_chromatic,
     naive_is_star_coloring,
     naive_star_chromatic,
+    naive_topo_embedding,
     naive_treedepth,
     walk_count_matrix,
 )
@@ -432,3 +435,16 @@ def test_star_validator_matches_the_naive_check(g, data):
             if naive_treedepth(induced_subgraph(g, classes[a] + classes[b])[0]) > 2
         ]
         assert witness[1] == bad[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7))
+def test_topo_embedding_search_agrees_with_the_naive_oracle(g):
+    patterns = [complete(3), cycle(5), complete(4), complete(5)] + critical_patterns(4, 6)
+    for h in patterns:
+        for r in range(3):
+            emb = find_topo_embedding(h, g, r)
+            assert (emb is None) == (naive_topo_embedding(h, g, r) is None), (h, r)
+            if emb is not None:
+                ok, why = validate_topo_embedding(g, emb, r)
+                assert ok, why
