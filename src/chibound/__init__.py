@@ -41,7 +41,7 @@ from .codec import (
     serialize_digraph,
     serialize_graph,
 )
-from .generators import GeneratorSeed, SplitMix64, generate, mycielskian
+from .generators import SplitMix64, generate, mycielskian
 from .invariants import (
     InvariantResult,
     average_degree,
@@ -85,9 +85,7 @@ from .holes import (
 from .homomorphism import (
     DualityReport,
     HomMapping,
-    h_coloring_with_witness,
     homomorphism,
-    search_restricted_dual,
     symmetric_digraph,
     transitive_tournament,
     verify_restricted_dual,

@@ -52,12 +52,6 @@ class Coloring:
     kind: str  # "proper" | "chi_p"
     p: int | None = None
 
-    def color_classes(self):
-        classes = [[] for _ in range(self.num_colors)]
-        for v, c in enumerate(self.assignment):
-            classes[c].append(v)
-        return classes
-
     def to_jsonable(self):
         return {
             "assignment": list(self.assignment),

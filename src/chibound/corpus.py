@@ -90,15 +90,6 @@ def canonical_form(g):
     return (g.n, *best)
 
 
-def canonical_graph(g):
-    """A canonically labeled copy of g (same form for all isomorphic inputs)."""
-    return _graph_of_form(canonical_form(g))
-
-
-def are_isomorphic(g1, g2):
-    return g1.n == g2.n and canonical_form(g1) == canonical_form(g2)
-
-
 def _cache_dir():
     env = os.environ.get("CHIBOUND_CACHE_DIR")
     if env:

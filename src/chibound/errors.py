@@ -49,7 +49,6 @@ CAPS = {
     "clique": (64, "vertices"),
     "biclique": (24, "vertices"),
     "homomorphism": (12, "vertices per side"),
-    "dual_synthesis": (5, "target vertices"),  # search_restricted_dual
     "hole_host": (60, "vertices"),
     "orientation": (20, "edges"),  # all 2^m orientations
     "tm_host": (40, "vertices"),  # topological-minor and induced-subdivision hosts

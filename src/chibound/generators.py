@@ -7,8 +7,6 @@ platform. Seeds are surfaced in every report that consumed them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .codec import parse_graph
 from .errors import ParameterError, check_int, is_int
 from .graphs import Graph, girth
@@ -55,18 +53,6 @@ class SplitMix64:
 
     def split(self, tag):
         return SplitMix64(self.next_u64() ^ _fnv1a64(str(tag)))
-
-
-@dataclass(frozen=True)
-class GeneratorSeed:
-    """Reproducibility record: family tag, parameters, and the 64-bit seed."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def build(self):
-        return generate(self.family, self.params, self.seed)
 
 
 def complete(n):

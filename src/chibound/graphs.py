@@ -148,9 +148,6 @@ class Digraph:
     def is_oriented(self):
         return not any(o & i for o, i in zip(self.out_bits, self.in_bits))
 
-    def underlying_graph(self):
-        return Graph(self.n, {_normalize_edge(u, v) for u, v in self.sorted_arcs()})
-
     def sorted_arcs(self):
         return [(u, v) for u, row in enumerate(self.out_bits) for v in bits(row)]
 

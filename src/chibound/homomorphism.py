@@ -1,10 +1,10 @@
-"""Digraph homomorphisms, transitive tournaments, directed-walk powers,
-restricted-dual verification, and the degeneracy-dispatch coloring pipeline.
+"""Digraph homomorphisms, transitive tournaments, longest directed paths,
+directed-walk powers and restricted-dual verification.
 
 The homomorphism engine is a CSP backtracker: source vertices in descending
 total-degree order, forward checking of candidate lists, deterministic
-tie-breaking, so witnesses are reproducible. Undirected coloring questions go
-through the symmetric-digraph embedding (one arc each way per edge).
+tie-breaking, so witnesses are reproducible. Undirected graphs enter through
+the symmetric-digraph embedding (one arc each way per edge).
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codec import digraph_to_digraph6
-from .errors import BudgetError, ParameterError, WalkLoopError, check_cap, check_int
-from .graphs import Digraph, bits, induced_subgraph, shrink_to_minimal, walk_masks
-from .invariants import clique_number, degeneracy
+from .errors import BudgetError, WalkLoopError, check_cap, check_int
+from .graphs import Digraph, bits, walk_masks
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,6 @@ def symmetric_digraph(g):
         arcs.append((u, v))
         arcs.append((v, u))
     return Digraph(g.n, arcs)
-
-
-def _as_digraph(obj):
-    return obj if isinstance(obj, Digraph) else symmetric_digraph(obj)
 
 
 def validate_homomorphism(f, g, hom):
@@ -120,8 +115,8 @@ def homomorphism(f, g, cap=None, budget=None):
     return None
 
 
-def hom_exists(f, g, budget=None):
-    return homomorphism(f, g, budget=budget) is not None
+def hom_exists(f, g):
+    return homomorphism(f, g) is not None
 
 
 def transitive_tournament(k):
@@ -241,99 +236,3 @@ def verify_restricted_dual(f, d, samples):
                 violation=record,
             )
     return DualityReport(premise_ok=True, samples=tuple(records), verdict=True)
-
-
-def search_restricted_dual(f, samples, max_size=3):
-    """Exhaustive search for a restricted dual of f over the sample class.
-
-    Tries every loopless digraph on 1..max_size vertices in a fixed order and
-    returns the first one verify_restricted_dual accepts, or None. Exponential
-    in max_size**2 (2^(n(n-1)) candidates per order); intended for max_size <= 4.
-    The primary contract of this module is verification of supplied candidates,
-    not synthesis.
-    """
-    check_int("max_size", max_size, 0)
-    check_cap("dual_synthesis", max_size)
-    for n in range(1, max_size + 1):
-        slots = [(u, v) for u in range(n) for v in range(n) if u != v]
-        for mask in range(1 << len(slots)):
-            d = Digraph(n, [a for i, a in enumerate(slots) if mask >> i & 1])
-            report = verify_restricted_dual(f, d, samples)
-            if report.verdict:
-                return d
-    return None
-
-
-@dataclass(frozen=True)
-class HColoringOutcome:
-    """Either a homomorphism into the template or a small non-colorable witness."""
-
-    kind: str  # "mapping" | "witness"
-    mapping: HomMapping | None = None
-    witness: tuple = ()
-
-    def to_jsonable(self):
-        return {
-            "kind": self.kind,
-            "mapping": None if self.mapping is None else self.mapping.to_jsonable(),
-            "witness": list(self.witness),
-        }
-
-
-def _core_above(g, order, threshold):
-    """Sorted vertices of the (threshold + 1)-core, given a min-degree
-    elimination order: the suffix from the first vertex with more than
-    threshold later neighbours. Each earlier vertex had degree <= threshold
-    when it was peeled, and what is left from there has minimum degree above
-    threshold."""
-    later = (1 << g.n) - 1
-    for i, v in enumerate(order):
-        later &= ~(1 << v)
-        if (g.adj_bits[v] & later).bit_count() > threshold:
-            return sorted(order[i:])
-    return []
-
-
-def h_coloring_with_witness(
-    g, h, clique_threshold, degeneracy_threshold, hom_budget=None
-):
-    """Degeneracy-dispatch template coloring.
-
-    Dense inputs (degeneracy above the threshold) are peeled to their core and
-    give up a clique witness X with G[X] not mapping to the template; sparse
-    inputs run the bounded homomorphism search. Both outcomes re-validate
-    before being returned, so a threshold configuration that cannot justify
-    its witness raises ParameterError instead of returning a wrong answer.
-    """
-    check_int("clique_threshold", clique_threshold, 1)
-    check_int("degeneracy_threshold", degeneracy_threshold, 0)
-    template = _as_digraph(h)
-    value, order = degeneracy(g)
-    if value > degeneracy_threshold:
-        core = _core_above(g, order, degeneracy_threshold)
-        sub, verts = induced_subgraph(g, core)
-        cq = clique_number(sub)
-        if cq.value < clique_threshold:
-            raise ParameterError(
-                f"dense core has clique number {cq.value} < threshold "
-                f"{clique_threshold}; thresholds do not fit this template"
-            )
-        witness = tuple(sorted(verts[v] for v in cq.certificate[:clique_threshold]))
-        wsub, _ = induced_subgraph(g, witness)
-        if hom_exists(symmetric_digraph(wsub), template, budget=hom_budget):
-            raise ParameterError(
-                "clique witness maps into the template; thresholds unsound"
-            )
-        return HColoringOutcome(kind="witness", witness=witness)
-    mapping = homomorphism(symmetric_digraph(g), template, budget=hom_budget)
-    if mapping is not None:
-        ok, reason = validate_homomorphism(symmetric_digraph(g), template, mapping)
-        if not ok:
-            raise AssertionError(f"solver returned an invalid mapping: {reason}")
-        return HColoringOutcome(kind="mapping", mapping=mapping)
-    # no mapping at all: shrink to a minimal non-colorable vertex set
-    witness = shrink_to_minimal(
-        g,
-        lambda sub: not hom_exists(symmetric_digraph(sub), template, budget=hom_budget),
-    )
-    return HColoringOutcome(kind="witness", witness=witness)

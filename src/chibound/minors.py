@@ -18,7 +18,6 @@ try; chi_TM takes its balls from the host's coloring search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .corpus import all_graphs, connected_graphs
@@ -32,7 +31,6 @@ from .graphs import (
     subdivide_exact,
     subdivision_internal_vertices,
 )
-from .invariants import clique_number
 from .coloring import _chromatic_at_least, _search, chromatic_number_value
 
 
@@ -372,35 +370,19 @@ def _subdivision_chains(h, r):
     }
 
 
-@dataclass(frozen=True)
-class ITMEnumeration:
-    patterns: tuple
-    max_average_degree: Fraction
-    max_clique: int
-    max_chromatic: int
-
-
 def enumerate_ITM_exact(g, r, max_pattern_size):
-    """All patterns (up to isomorphism, up to the size cap) whose exact
-    r-subdivision is induced in g, with the density statistics over them."""
+    """The patterns (up to isomorphism, up to the size cap) whose exact
+    r-subdivision is induced in g, smallest first."""
     check_int("r", r, 0)
     check_int("max_pattern_size", max_pattern_size, 0)
     check_cap("itm_host", g.n)
     check_cap("pattern", max_pattern_size)
-    found = []
-    for size in range(1, max_pattern_size + 1):
-        for h in all_graphs(size):
-            if is_induced_exact_subdivision(h, r, g) is not None:
-                found.append(h)
-    max_ad = Fraction(0)
-    max_om = 0
-    max_chi = 0
-    for h in found:
-        if h.n:
-            max_ad = max(max_ad, Fraction(2 * h.m, h.n))
-        max_om = max(max_om, clique_number(h).value)
-        max_chi = max(max_chi, chromatic_number_value(h))
-    return ITMEnumeration(tuple(found), max_ad, max_om, max_chi)
+    return tuple(
+        h
+        for size in range(1, max_pattern_size + 1)
+        for h in all_graphs(size)
+        if is_induced_exact_subdivision(h, r, g) is not None
+    )
 
 
 _critical_cache = {}

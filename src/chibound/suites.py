@@ -33,7 +33,12 @@ from .errors import CAPS, ParameterError, check_int
 from .generators import SplitMix64, complete, random_gnp, generate
 from .graphs import induced_subgraph, orientations, subdivide_exact
 from .holes import verify_hole_density
-from .homomorphism import directed_path, transitive_tournament, verify_restricted_dual
+from .homomorphism import (
+    directed_path,
+    longest_directed_path_order,
+    transitive_tournament,
+    verify_restricted_dual,
+)
 from .invariants import (
     biclique_number,
     clique_number,
@@ -318,7 +323,8 @@ def _check_s5(payload):
 def _instances_s5(spec):
     per_t = check_int("per_t", spec.params.get("per_t", 100), 0)
     tasks = []
-    ts = [check_int("t", t, 1) for t in spec.params.get("ts", (3, 4))]
+    # t = 1 asks for edgeless graphs, which the sampler never draws
+    ts = [check_int("t", t, 2) for t in spec.params.get("ts", (3, 4))]
     for t in ts:
         rng = SplitMix64(spec.seed).split(f"s5-t{t}")
         for g in _sample_k1t_free(t, per_t, rng):
@@ -462,14 +468,23 @@ def _check_s9(payload):
     report = verify_restricted_dual(
         directed_path(k + 1), transitive_tournament(k), samples
     )
+    # P_(k+1) -> G exactly when G has a directed cycle or a directed path on
+    # k + 1 vertices: a cross-check that shares no code with the search
+    mismatch = None
+    for rec, g in zip(report.samples, samples):
+        lp = longest_directed_path_order(g)
+        if rec["f_to_g"] != (lp is None or lp > k):
+            mismatch = rec
+            break
     measured = {
         "premise_ok": report.premise_ok,
         "samples": len(samples),
         "verdict": report.verdict,
     }
     return _record(
-        None, {"k": k}, measured, {"verdict": True}, report.verdict,
-        witness=report.violation,
+        None, {"k": k}, measured, {"verdict": True},
+        report.verdict and mismatch is None,
+        witness=report.violation or mismatch,
     )
 
 

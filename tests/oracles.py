@@ -7,6 +7,8 @@ certificate never gets checked by the machinery that produced it.
 
 from itertools import combinations, permutations
 
+from chibound.corpus import _graph_of_form, canonical_form
+
 
 def naive_chromatic(g):
     """Smallest k admitting a proper coloring; lexicographic backtracking."""
@@ -230,6 +232,19 @@ def naive_topo_embedding(h, g, r):
         if route(0, set()):
             return branch, paths
     return None
+
+
+# Test helpers over the package's canonical form, which naive_canonical_form
+# below checks independently.
+
+
+def canonical_graph(g):
+    """A canonically labeled copy of g (same form for all isomorphic inputs)."""
+    return _graph_of_form(canonical_form(g))
+
+
+def are_isomorphic(g1, g2):
+    return g1.n == g2.n and canonical_form(g1) == canonical_form(g2)
 
 
 def naive_canonical_form(g):

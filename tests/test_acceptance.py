@@ -130,7 +130,7 @@ def test_criterion_9_property_suites():
         bad += 0 if ok else 1
         checked += 1
     for g in sample[::5]:
-        for h in enumerate_ITM_exact(g, 1, 4).patterns:
+        for h in enumerate_ITM_exact(g, 1, 4):
             emb = is_induced_exact_subdivision(h, 1, g)
             ok, _why = validate_topo_embedding(g, emb, 1, exact=True, induced=True)
             bad += 0 if ok else 1

@@ -13,7 +13,7 @@ from chibound.errors import CAPS, SizeCapError, check_cap
 from chibound.generators import path
 from chibound.graphs import Digraph, Graph, orientations
 from chibound.holes import enumerate_holes
-from chibound.homomorphism import homomorphism, search_restricted_dual
+from chibound.homomorphism import homomorphism
 from chibound.invariants import biclique_number, clique_number
 from chibound.minors import (
     critical_patterns,
@@ -34,7 +34,6 @@ PINNED = {
     "clique": (64, "vertices"),
     "biclique": (24, "vertices"),
     "homomorphism": (12, "vertices per side"),
-    "dual_synthesis": (5, "target vertices"),
     "hole_host": (60, "vertices"),
     "orientation": (20, "edges"),
     "tm_host": (40, "vertices"),
@@ -53,7 +52,6 @@ CASES = {
     "clique": lambda s: (clique_number, (Graph(s),)),
     "biclique": lambda s: (biclique_number, (Graph(s),)),
     "homomorphism": lambda s: (homomorphism, (Digraph(1), Digraph(s))),
-    "dual_synthesis": lambda s: (search_restricted_dual, (Digraph(1), [], s)),
     "hole_host": lambda s: (enumerate_holes, (Graph(s), 4)),
     "orientation": lambda s: (lambda g: next(orientations(g)), (path(s + 1),)),
     "tm_host": lambda s: (find_topo_embedding, (Graph(1), Graph(s), 1)),
@@ -74,7 +72,6 @@ BEFORE_SEARCH = {
     "clique_number",
     "biclique_number",
     "homomorphism",
-    "search_restricted_dual",
     "enumerate_holes",
     "_iter_holes",
     "orientations",

@@ -125,6 +125,21 @@ def test_hom_command(tmp_path, capsys):
     assert json.loads(out)["exists"] is False
 
 
+def test_hom_command_never_prints_an_invalid_mapping(tmp_path, capsys, monkeypatch):
+    from chibound import cli
+    from chibound.homomorphism import HomMapping
+
+    c5 = tmp_path / "c5.g6"
+    run_cli(capsys, "generate", "cycle", "--param", "n=5", "--out", str(c5))
+    # all of C5 onto vertex 0 maps every edge to a loop, which is no arc
+    monkeypatch.setattr(cli, "homomorphism", lambda f, g, cap: HomMapping((0,) * 5))
+    out_file = tmp_path / "hom.json"
+    with pytest.raises(AssertionError, match="invalid mapping"):
+        main(["hom", str(c5), str(c5), "--out", str(out_file)])
+    assert capsys.readouterr().out == ""
+    assert not out_file.exists()
+
+
 def test_dual_verify_command(tmp_path, capsys):
     from chibound.codec import digraph_to_digraph6
     from chibound.homomorphism import directed_path, transitive_tournament
@@ -199,7 +214,8 @@ def test_verify_rejects_malformed_suite_params(tmp_path, capsys, param, shown):
      ("S3", "ps=[2.5]", "p must be an int >= 0, got 2.5"),
      ("S4", 'limits={"2": 5.5}', "max_n must be an int >= 0, got 5.5"),
      ("S4", 'limits={"2.5": 5}', "p must be an int >= 1, got '2.5'"),
-     ("S5", "ts=[3.5]", "t must be an int >= 1, got 3.5"),
+     ("S5", "ts=[3.5]", "t must be an int >= 2, got 3.5"),
+     ("S5", "ts=[1]", "t must be an int >= 2, got 1"),
      ("S7", 'grid=[{"g": 5, "omega": 2.5, "copies": 1}]',
       "omega must be an int >= 2, got 2.5"),
      ("S9", "ks=[1.5]", "k must be an int >= 1, got 1.5"),

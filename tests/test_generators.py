@@ -4,7 +4,6 @@ import pytest
 from chibound.codec import graph_to_graph6
 from chibound.errors import ParameterError
 from chibound.generators import (
-    GeneratorSeed,
     SplitMix64,
     cycle,
     generate,
@@ -42,8 +41,8 @@ def test_generate_deterministic():
 
 
 def test_generator_seed_record():
-    spec = GeneratorSeed("cycle", {"n": 5}, seed=7)
-    assert spec.build() == cycle(5)
+    # a (family, params, seed) triple rebuilds the same graph
+    assert generate("cycle", {"n": 5}, seed=7) == cycle(5)
 
 
 def test_simple_families():

@@ -1,18 +1,16 @@
 import pytest
 
 from chibound import corpus
-from chibound.errors import BudgetError, ParameterError, SizeCapError, WalkLoopError
-from chibound.generators import SplitMix64, complete, cycle, path
+from chibound.errors import BudgetError, SizeCapError, WalkLoopError
+from chibound.generators import SplitMix64
 from chibound.graphs import Digraph, orientations
 from chibound.homomorphism import (
     HomMapping,
     directed_cycle,
     directed_path,
-    h_coloring_with_witness,
     hom_exists,
     homomorphism,
     longest_directed_path_order,
-    symmetric_digraph,
     transitive_tournament,
     validate_homomorphism,
     verify_restricted_dual,
@@ -147,59 +145,6 @@ def test_restricted_dual_verdicts():
     )
     assert report.premise_ok and not report.verdict
     assert report.violation["f_to_g"] is False and report.violation["g_to_d"] is False
-
-
-def test_h_coloring_witness_for_dense_input():
-    out = h_coloring_with_witness(
-        complete(5), complete(4), clique_threshold=5, degeneracy_threshold=3
-    )
-    assert out.kind == "witness" and len(out.witness) == 5
-
-
-def test_h_coloring_mapping_for_sparse_input():
-    out = h_coloring_with_witness(
-        cycle(5), complete(3), clique_threshold=4, degeneracy_threshold=2
-    )
-    assert out.kind == "mapping" and out.mapping is not None
-    out = h_coloring_with_witness(
-        path(6), complete(2), clique_threshold=3, degeneracy_threshold=1
-    )
-    assert out.kind == "mapping"
-
-
-def test_h_coloring_never_both_and_revalidates():
-    out = h_coloring_with_witness(
-        cycle(5), complete(2), clique_threshold=3, degeneracy_threshold=2
-    )
-    # odd cycle is not 2-colorable: sparse path must fall back to a witness
-    assert out.kind == "witness"
-    assert out.mapping is None
-    sub_g, _ = __import__("chibound.graphs", fromlist=["induced_subgraph"]).induced_subgraph(
-        cycle(5), out.witness
-    )
-    assert not hom_exists(symmetric_digraph(sub_g), symmetric_digraph(complete(2)))
-
-
-def test_h_coloring_unsound_thresholds_raise():
-    with pytest.raises(ParameterError):
-        h_coloring_with_witness(
-            complete(5), complete(6), clique_threshold=5, degeneracy_threshold=3
-        )
-
-
-def test_dual_synthesis_finds_tournament_dual():
-    from chibound.homomorphism import search_restricted_dual
-
-    samples = []
-    for n in range(1, 4):
-        for g in corpus.all_graphs(n):
-            samples.extend(orientations(g))
-    found = search_restricted_dual(directed_path(2), samples, max_size=2)
-    # single-arc exclusion: the arcless single vertex is the canonical dual
-    assert found is not None and found.n == 1 and found.m == 0
-    found = search_restricted_dual(directed_path(3), samples, max_size=2)
-    assert found is not None
-    assert verify_restricted_dual(directed_path(3), found, samples).verdict
 
 
 def test_budget_error():

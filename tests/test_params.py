@@ -33,9 +33,7 @@ from chibound.holes import count_holes, enumerate_holes, verify_hole_density
 from chibound.homomorphism import (
     directed_cycle,
     directed_path,
-    h_coloring_with_witness,
     homomorphism,
-    search_restricted_dual,
     transitive_tournament,
     walk_power,
 )
@@ -88,15 +86,6 @@ ENTRIES = {
     "walk_power.length": (lambda v: walk_power(D2, v), 1),
     "homomorphism.cap": (lambda v: homomorphism(D1, D1, cap=v), 0),
     "homomorphism.budget": (lambda v: homomorphism(D1, D1, budget=v), 0),
-    "h_coloring_with_witness.clique_threshold": (
-        lambda v: h_coloring_with_witness(C5, K3, v, 2), 1
-    ),
-    "h_coloring_with_witness.degeneracy_threshold": (
-        lambda v: h_coloring_with_witness(C5, K3, 4, v), 0
-    ),
-    "search_restricted_dual.max_size": (
-        lambda v: search_restricted_dual(D1, [], v), 0
-    ),
     "find_topo_embedding.r": (lambda v: find_topo_embedding(K3, C5, v), 0),
     "find_subdivided_clique.k": (lambda v: find_subdivided_clique(C5, v, 1), 0),
     "find_subdivided_clique.r": (lambda v: find_subdivided_clique(C5, 3, v), 0),
@@ -157,8 +146,6 @@ BEFORE_CHECK = {
     "directed_cycle",
     "walk_power",
     "homomorphism",
-    "h_coloring_with_witness",
-    "search_restricted_dual",
     "find_topo_embedding",
     "find_subdivided_clique",
     "Graph.__init__",

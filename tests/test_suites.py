@@ -84,6 +84,16 @@ def test_s9_small():
     assert report.passed
 
 
+def test_s9_fails_when_the_path_check_disagrees(monkeypatch):
+    # a longest path of one vertex everywhere says P_2 maps nowhere, which
+    # every sample with an arc contradicts
+    monkeypatch.setattr(suites, "longest_directed_path_order", lambda d: 1)
+    report = run_suite(SuiteSpec(claim="S9", params={"ks": (1,), "max_n": 2}))
+    (rec,) = report.instances
+    assert rec["measured"]["verdict"] is True and not rec["pass"]
+    assert rec["witness"]["f_to_g"] is True
+
+
 def test_s2_reduced_scope():
     report = run_suite(
         SuiteSpec(claim="S2", params={"max_n": 5, "random_count": 5}, seed=1)
