@@ -32,7 +32,6 @@ from .graphs import (
     is_connected,
     orientations,
     power,
-    subdivide,
     subdivide_exact,
 )
 from .codec import (

@@ -87,9 +87,6 @@ class Graph:
             for v in bits(row >> u + 1 << u + 1)
         ]
 
-    def vertices(self):
-        return range(self.n)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj_bits == other.adj_bits
 
@@ -205,45 +202,11 @@ def disjoint_union(graphs):
     return Graph(n, edges)
 
 
-def subdivide(g, profile):
-    """Subdivide each edge e by profile[e] vertices.
-
-    The profile must cover exactly the edge set of g. Original vertices keep
-    their indices; internal vertices of each subdivided edge are numbered
-    consecutively, edges processed in sorted order, positions running from the
-    smaller endpoint to the larger one.
-    """
-    prof = {_normalize_edge(*e): k for e, k in profile.items()}
-    if set(prof) != g.edges:
-        missing = g.edges - set(prof)
-        extra = set(prof) - g.edges
-        raise ParameterError(
-            f"profile must cover the edge set exactly: missing {sorted(missing)}, "
-            f"extraneous {sorted(extra)}"
-        )
-    for k in prof.values():
-        check_int("subdivision count", k, 0)
-    edges = []
-    next_id = g.n
-    for u, v in g.sorted_edges():
-        k = prof[(u, v)]
-        chain = [u] + list(range(next_id, next_id + k)) + [v]
-        next_id += k
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(next_id, edges)
-
-
-def subdivide_exact(g, p):
-    """The p-subdivision: every edge replaced by a path with p internal vertices."""
-    check_int("p", p, 0)
-    return subdivide(g, {e: p for e in g.sorted_edges()})
-
-
 def subdivision_internal_vertices(g, p):
     """Map each edge of g to the internal-vertex chain it gets in subdivide_exact(g, p).
 
-    Chains are listed from the smaller endpoint toward the larger one, matching
-    subdivide_exact's numbering.
+    The one numbering rule: edges in sorted order take consecutive ids from
+    g.n, each chain listed from the smaller endpoint toward the larger one.
     """
     chains = {}
     next_id = g.n
@@ -251,6 +214,18 @@ def subdivision_internal_vertices(g, p):
         chains[(u, v)] = tuple(range(next_id, next_id + p))
         next_id += p
     return chains
+
+
+def subdivide_exact(g, p):
+    """The p-subdivision: every edge replaced by a path with p internal
+    vertices. Original vertices keep their indices."""
+    check_int("p", p, 0)
+    chains = subdivision_internal_vertices(g, p)
+    edges = []
+    for (u, v), inner in chains.items():
+        chain = (u, *inner, v)
+        edges.extend(zip(chain, chain[1:]))
+    return Graph(g.n + p * len(chains), edges)
 
 
 def blow_up(g, k):

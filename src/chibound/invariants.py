@@ -24,14 +24,8 @@ class InvariantResult:
 
     def to_jsonable(self):
         def conv(obj):
-            if isinstance(obj, Fraction):
-                return {"numerator": obj.numerator, "denominator": obj.denominator}
             if isinstance(obj, (tuple, list)):
                 return [conv(x) for x in obj]
-            if isinstance(obj, frozenset):
-                return sorted(obj)
-            if isinstance(obj, dict):
-                return {str(k): conv(v) for k, v in sorted(obj.items())}
             if hasattr(obj, "to_jsonable"):
                 return obj.to_jsonable()
             return obj

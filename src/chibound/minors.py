@@ -10,9 +10,9 @@ find_topo_embedding places branch vertices on bitmasks. The candidates for a
 pattern vertex are the unused host vertices of large enough degree inside the
 distance-(r + 1) balls around its placed neighbours' images, tried in
 ascending order, and the smaller balls count the interior vertices the paths
-must use at least. The omega_TM and chi_TM climbs build one host view (degree
-masks, balls, neighbour tuples) per host and pass it with every pattern they
-try; chi_TM takes its balls from the host's coloring search.
+must use at least. omega_TM and chi_TM share one climb, _climb, over one host
+view (degree masks, balls, neighbour tuples) per host, passed with every
+pattern they try; chi_TM takes its balls from the host's coloring search.
 """
 
 from __future__ import annotations
@@ -283,20 +283,23 @@ def find_subdivided_clique(g, k, r):
     return find_topo_embedding(pattern, g, r)
 
 
+def _climb(view, value, reached):
+    """Raise value one level at a time while reached(value + 1) holds. A
+    pattern at level k (K_k, or a k-chromatic graph) needs k branch vertices
+    of degree >= k - 1, so the climb stops without asking reached once the
+    host has too few."""
+    while view.at_least[value].bit_count() > value and reached(value + 1):
+        value += 1
+    return value
+
+
 def omega_TM(g, r):
     """Largest k with a (<= r)-subdivided K_k subgraph embedding in g. A climb
     past the pattern cap raises SizeCapError rather than stopping short."""
     check_int("r", r, 0)
     check_cap("tm_host", g.n)
     view = _HostView(g, distance_balls(g, r + 1))
-    k = 1
-    # K_k needs k branch vertices of degree >= k - 1
-    while (
-        view.at_least[k - 1].bit_count() >= k
-        and find_subdivided_clique(view, k, r) is not None
-    ):
-        k += 1
-    return k - 1
+    return _climb(view, 0, lambda k: find_subdivided_clique(view, k, r) is not None)
 
 
 def is_induced_exact_subdivision(h, r, g):
@@ -430,49 +433,27 @@ def critical_patterns(chi, max_size):
     return out
 
 
-@dataclass(frozen=True)
-class ChiTMResult:
-    value: int
-    exact: bool  # False when the pattern-size cap may hide denser patterns
-    cap: int
+def chi_TM(g, r):
+    """max chi(H) over the patterns H in TM_r(g).
 
-
-def chi_TM(g, r, max_pattern_size):
-    """max chi(H) over patterns H in TM_r(g) with |H| <= max_pattern_size.
-
-    Climbs chromatic levels: level c+1 is reachable iff some edge-critical
-    (c+1)-chromatic pattern embeds, because TM membership is closed under
-    pattern subgraphs. Exact when the size cap covers the host; otherwise an
-    honest lower bound, flagged in the result.
+    Climbs chromatic levels from chi(g): level c is reachable iff some
+    edge-critical c-chromatic pattern embeds, because TM membership is closed
+    under pattern subgraphs.
     """
     check_int("r", r, 0)
-    check_int("max_pattern_size", max_pattern_size, 0)
-    cap = min(max_pattern_size, g.n)
-    if g.n == 0:
-        return ChiTMResult(0, True, cap)
-    host_chi = chromatic_number_value(g)
     check_cap("tm_host", g.n)
+    host_chi = chromatic_number_value(g)
     # chromatic_number_value has made g's coloring search current, and its
     # balls reach radius 3
     balls = _search(g).balls[: r + 2] if r <= 2 else distance_balls(g, r + 1)
     view = _HostView(g, balls)
-    value = 1
-    if cap >= g.n:
-        value = max(value, host_chi)
-    while True:
-        nxt = value + 1
-        # a pattern of chromatic number nxt needs nxt branch vertices of degree >= nxt-1
-        if view.at_least[nxt - 1].bit_count() < nxt:
-            break
-        # reaching chromatic level nxt needs at least nxt - host_chi subdivided
-        # edges, each eating a distinct interior vertex, which bounds |H|
-        size_bound = min(cap, g.n - max(0, nxt - host_chi))
-        hit = False
-        for h in critical_patterns(nxt, size_bound):
-            if find_topo_embedding(h, view, r) is not None:
-                hit = True
-                break
-        if not hit:
-            break
-        value = nxt
-    return ChiTMResult(value, max_pattern_size >= g.n, cap)
+
+    def reached(c):
+        # reaching level c needs at least c - host_chi subdivided edges, each
+        # eating a distinct interior vertex, which bounds |H|
+        return any(
+            find_topo_embedding(h, view, r) is not None
+            for h in critical_patterns(c, g.n - c + host_chi)
+        )
+
+    return _climb(view, host_chi, reached)

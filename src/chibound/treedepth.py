@@ -162,10 +162,6 @@ class TreedepthSolver:
 
     def td_at_most(self, mask, k):
         """Decide td(G[mask]) <= k. Sound and complete; memoized."""
-        if mask == 0:
-            return True
-        if k <= 0:
-            return False
         for comp in component_masks(self.adj_bits, mask):
             if not self._td_conn_at_most(comp, k):
                 return False

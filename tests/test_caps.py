@@ -16,6 +16,7 @@ from chibound.holes import enumerate_holes
 from chibound.homomorphism import homomorphism
 from chibound.invariants import biclique_number, clique_number
 from chibound.minors import (
+    chi_TM,
     critical_patterns,
     enumerate_ITM_exact,
     find_subdivided_clique,
@@ -42,22 +43,25 @@ PINNED = {
     "critical_catalogue": (8, "vertices"),
 }
 
-# row -> size -> (entry point, args) with the input one size over the row
+# row -> size -> the calls (entry point, args) with the input one size over the row
 CASES = {
-    "chi_1": lambda s: (chi_p, (Graph(s), 1)),
-    "chi_2": lambda s: (chi_p, (Graph(s), 2)),
-    "chi_3": lambda s: (chi_p, (Graph(s), 4)),
-    "tree_depth": lambda s: (tree_depth, (Graph(s),)),
-    "tree_depth_hard": lambda s: (tree_depth, (Graph(s), 100)),
-    "clique": lambda s: (clique_number, (Graph(s),)),
-    "biclique": lambda s: (biclique_number, (Graph(s),)),
-    "homomorphism": lambda s: (homomorphism, (Digraph(1), Digraph(s))),
-    "hole_host": lambda s: (enumerate_holes, (Graph(s), 4)),
-    "orientation": lambda s: (lambda g: next(orientations(g)), (path(s + 1),)),
-    "tm_host": lambda s: (find_topo_embedding, (Graph(1), Graph(s), 1)),
-    "pattern": lambda s: (find_subdivided_clique, (Graph(1), s, 1)),
-    "itm_host": lambda s: (enumerate_ITM_exact, (Graph(s), 1, 2)),
-    "critical_catalogue": lambda s: (critical_patterns, (4, s)),
+    "chi_1": lambda s: [(chi_p, (Graph(s), 1))],
+    "chi_2": lambda s: [(chi_p, (Graph(s), 2))],
+    "chi_3": lambda s: [(chi_p, (Graph(s), 4))],
+    "tree_depth": lambda s: [(tree_depth, (Graph(s),))],
+    "tree_depth_hard": lambda s: [(tree_depth, (Graph(s), 100))],
+    "clique": lambda s: [(clique_number, (Graph(s),))],
+    "biclique": lambda s: [(biclique_number, (Graph(s),))],
+    "homomorphism": lambda s: [(homomorphism, (Digraph(1), Digraph(s)))],
+    "hole_host": lambda s: [(enumerate_holes, (Graph(s), 4))],
+    "orientation": lambda s: [(lambda g: next(orientations(g)), (path(s + 1),))],
+    "tm_host": lambda s: [
+        (find_topo_embedding, (Graph(1), Graph(s), 1)),
+        (chi_TM, (Graph(s), 1)),
+    ],
+    "pattern": lambda s: [(find_subdivided_clique, (Graph(1), s, 1))],
+    "itm_host": lambda s: [(enumerate_ITM_exact, (Graph(s), 1, 2))],
+    "critical_catalogue": lambda s: [(critical_patterns, (4, s))],
 }
 
 # the entry points above and the functions they pass through to the check
@@ -79,6 +83,7 @@ BEFORE_SEARCH = {
     "Graph.m.<locals>.<genexpr>",
     "find_topo_embedding",
     "find_subdivided_clique",
+    "chi_TM",
     "enumerate_ITM_exact",
     "critical_patterns",
 }
@@ -93,23 +98,23 @@ def test_table_values_are_pinned():
 def test_row_raises_one_past_its_limit_before_any_search(name):
     limit, unit = CAPS[name]
     check_cap(name, limit)  # the limit itself is allowed
-    fn, args = CASES[name](limit + 1)
-    called = set()
+    for fn, args in CASES[name](limit + 1):
+        called = set()
 
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and Path(code.co_filename).parent == PACKAGE:
-            called.add(code.co_qualname)
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and Path(code.co_filename).parent == PACKAGE:
+                called.add(code.co_qualname)
 
-    sys.setprofile(profile)
-    try:
-        with pytest.raises(SizeCapError) as info:
-            fn(*args)
-    finally:
-        sys.setprofile(None)
-    assert f"{name} is capped at {limit} {unit}, got {limit + 1}" in str(info.value)
-    assert "check_cap" in called
-    assert called <= BEFORE_SEARCH, called - BEFORE_SEARCH
+        sys.setprofile(profile)
+        try:
+            with pytest.raises(SizeCapError) as info:
+                fn(*args)
+        finally:
+            sys.setprofile(None)
+        assert f"{name} is capped at {limit} {unit}, got {limit + 1}" in str(info.value)
+        assert "check_cap" in called
+        assert called <= BEFORE_SEARCH, called - BEFORE_SEARCH
 
 
 def test_caller_cap_overrides_the_table():

@@ -195,7 +195,7 @@ def test_one_search_per_graph(monkeypatch):
         assert chi_p(g, 1).value == chi
         assert chi <= chi_p(g, 2).value <= chi_p(g, 3).value
         assert chromatic_number_value(g) == chi
-        assert chi_TM(g, 0, g.n).value == chi
+        assert chi_TM(g, 0) == chi
         assert built.count(g) == 1
 
 

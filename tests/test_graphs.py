@@ -16,7 +16,6 @@ from chibound.graphs import (
     induced_subgraph,
     orientations,
     power,
-    subdivide,
     subdivide_exact,
 )
 from oracles import are_isomorphic
@@ -47,14 +46,6 @@ def test_graph_immutable():
         g.n = 5
 
 
-def test_subdivide_profile_must_cover_edges():
-    g = complete(3)
-    with pytest.raises(ParameterError):
-        subdivide(g, {(0, 1): 1})
-    with pytest.raises(ParameterError):
-        subdivide(g, {(0, 1): 1, (0, 2): 1, (1, 2): 0, (0, 3): 0})
-
-
 def test_subdivide_counts():
     k4 = subdivide_exact(complete(4), 1)
     assert (k4.n, k4.m) == (10, 12)
@@ -68,8 +59,6 @@ def test_subdivide_counts():
 
 
 def test_subdivide_triangle_gives_c5():
-    g = subdivide(complete(3), {(0, 1): 1, (0, 2): 1, (1, 2): 0})
-    assert are_isomorphic(g, cycle(5))
     assert are_isomorphic(subdivide_exact(complete(3), 1), cycle(6))
 
 

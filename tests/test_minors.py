@@ -100,16 +100,13 @@ def test_itm_members_reembed():
 
 def test_chi_tm():
     host = subdivide_exact(complete(4), 1)
-    res = chi_TM(host, 1, 4)
-    assert res.value == 4 and not res.exact  # cap 4 < 10 vertices
-    res = chi_TM(host, 1, host.n)
-    assert res.value == 4 and res.exact
-    assert chi_TM(path(6), 3, 6).value <= 2
+    assert chi_TM(host, 1) == 4
+    assert chi_TM(path(6), 3) <= 2
 
 
 def test_chi_tm_depth_zero_is_chromatic(small_connected):
     for g in small_connected[::6]:
-        assert chi_TM(g, 0, g.n).value == chromatic_number_value(g)
+        assert chi_TM(g, 0) == chromatic_number_value(g)
 
 
 def test_critical_patterns():
@@ -140,7 +137,7 @@ def test_one_ball_build_per_host(monkeypatch):
     monkeypatch.setattr(graphs, "walk_masks", counting_walk)
     for g in hosts:
         chi_p(g, 2)
-        chi_TM(g, 1, g.n)
+        chi_TM(g, 1)
     assert len(built) == len(hosts)
 
 

@@ -28,7 +28,7 @@ from chibound.generators import (
     random_gnp,
     star,
 )
-from chibound.graphs import Digraph, blow_up, power, subdivide, subdivide_exact
+from chibound.graphs import Digraph, blow_up, power, subdivide_exact
 from chibound.holes import count_holes, enumerate_holes, verify_hole_density
 from chibound.homomorphism import (
     directed_cycle,
@@ -54,7 +54,6 @@ TESTS = Path(__file__).resolve().parent
 # arguments built here, outside the profiled calls
 C5 = cycle(5)
 K3 = complete(3)
-P2 = path(2)
 D1 = Digraph(1)
 D2 = Digraph(2, [(0, 1)])
 
@@ -65,7 +64,6 @@ ENTRIES = {
     "uniform_subdivision_coloring.p": (lambda v: uniform_subdivision_coloring(C5, v), 1),
     "subdivision_chi_p_coloring.p": (lambda v: subdivision_chi_p_coloring(C5, v, None), 0),
     "product_chi_p_coloring.p": (lambda v: product_chi_p_coloring(C5, v, None, {}), 1),
-    "subdivide.count": (lambda v: subdivide(P2, {(0, 1): v}), 0),
     "subdivide_exact.p": (lambda v: subdivide_exact(C5, v), 0),
     "blow_up.k": (lambda v: blow_up(C5, v), 1),
     "power.d": (lambda v: power(C5, v), 1),
@@ -90,8 +88,7 @@ ENTRIES = {
     "find_subdivided_clique.k": (lambda v: find_subdivided_clique(C5, v, 1), 0),
     "find_subdivided_clique.r": (lambda v: find_subdivided_clique(C5, 3, v), 0),
     "omega_TM.r": (lambda v: omega_TM(C5, v), 0),
-    "chi_TM.r": (lambda v: chi_TM(C5, v, 5), 0),
-    "chi_TM.max_pattern_size": (lambda v: chi_TM(C5, 1, v), 0),
+    "chi_TM.r": (lambda v: chi_TM(C5, v), 0),
     "critical_patterns.chi": (lambda v: critical_patterns(v, 5), 1),
     "critical_patterns.max_size": (lambda v: critical_patterns(4, v), 0),
     "enumerate_ITM_exact.r": (lambda v: enumerate_ITM_exact(C5, v, 3), 0),
@@ -120,14 +117,7 @@ BEFORE_CHECK = {
     "uniform_subdivision_coloring",
     "subdivision_chi_p_coloring",
     "product_chi_p_coloring",
-    "subdivide",
-    "subdivide.<locals>.<dictcomp>",
     "subdivide_exact",
-    "Graph.sorted_edges",
-    "Graph.sorted_edges.<locals>.<listcomp>",
-    "bits",
-    "_normalize_edge",
-    "Graph.edges",
     "blow_up",
     "power",
     "tree_depth_at_most",
@@ -202,8 +192,8 @@ def test_entry_rejects_a_bad_int_before_any_search(entry, kind, value):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: chi_TM(C5, 1.5, 5),
-        lambda: chi_TM(C5, True, 5),
+        lambda: chi_TM(C5, 1.5),
+        lambda: chi_TM(C5, True),
         lambda: count_holes(C5, 5.0),
         lambda: chi_p(C5, 2, cap=True),
         lambda: tree_depth(path(4), cap=2.5),

@@ -1,4 +1,6 @@
-"""Every public name reaches a claim, or is pinned here with its reason.
+"""Every public name reaches a claim, and every defaulted parameter of a public
+function is passed by some call in the package, or is pinned here with its
+reason.
 
 A name-reachability walk over the package's syntax trees starts from the CLI
 entry point, the suite runners and the module-level tables they read. A
@@ -36,6 +38,19 @@ UNREACHED = {
     "holes.validate_hole": "the hole certificate check a hole suite will use",
     "homomorphism.directed_cycle": "a digraph test family",
     "graphs.Digraph.is_oriented": "a digraph test family property",
+}
+
+
+# defaulted parameters of public functions that no call in the package
+# passes, each kept for a stated reason
+UNPASSED = {
+    "cli.main.argv": "the console entry point reads sys.argv; tests pass argv",
+    "invariants.clique_number.cap": "passed through cli._INVARIANTS from --cap-n",
+    "invariants.biclique_number.cap": "passed through cli._INVARIANTS from --cap-n",
+    "treedepth.tree_depth.cap": "passed through cli._INVARIANTS from --cap-n",
+    "homomorphism.homomorphism.budget": "a node budget on every search (ROADMAP aim 3)",
+    "minors.validate_topo_embedding.exact": "checked by acceptance criterion C9c",
+    "minors.validate_topo_embedding.induced": "checked by acceptance criterion C9c",
 }
 
 
@@ -112,3 +127,44 @@ def test_every_public_name_is_reached_or_pinned():
         if _public(q) and q not in reached and not q.rsplit(".", 1)[1].isupper()
     }
     assert unreached == set(UNREACHED)
+
+
+def _passes(call, index, keyword):
+    """Whether a call may pass the parameter at `index` (None: keyword-only)."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (None, keyword) for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed_or_pinned():
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = set()
+    for qual, (name, nodes) in _definitions().items():
+        fn = nodes[0] if nodes else None
+        if not (_public(qual) and isinstance(fn, ast.FunctionDef) and fn.name == name):
+            continue
+        offset = qual.count(".") - 1  # a method's self is not passed in the call
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = [
+            (i - offset, p.arg)
+            for i, p in enumerate(positional)
+            if i >= len(positional) - len(a.defaults)
+        ]
+        defaulted += [
+            (None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+        ]
+        unpassed |= {
+            f"{qual}.{arg}"
+            for index, arg in defaulted
+            if not any(_passes(c, index, arg) for c in calls.get(name, ()))
+        }
+    assert unpassed == set(UNPASSED)
