@@ -5,7 +5,7 @@ lexicographic backtracking, direct subset enumeration, and matrix powers, so a
 certificate never gets checked by the machinery that produced it.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from chibound.corpus import _graph_of_form, canonical_form
 
@@ -139,6 +139,16 @@ def naive_max_biclique(g):
         else:
             break
     return best
+
+
+def naive_hom_exists(f, g):
+    """Whether some map from f's vertices to g's sends every arc to an arc;
+    tries every map."""
+    arcs = f.sorted_arcs()
+    return any(
+        all(g.has_arc(m[u], m[v]) for u, v in arcs)
+        for m in product(range(g.n), repeat=f.n)
+    )
 
 
 def naive_holes(g):

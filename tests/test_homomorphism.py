@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from chibound import corpus
+from chibound.codec import digraph_to_digraph6
 from chibound.errors import BudgetError, SizeCapError, WalkLoopError
 from chibound.generators import SplitMix64
 from chibound.graphs import Digraph, orientations
@@ -16,7 +20,7 @@ from chibound.homomorphism import (
     verify_restricted_dual,
     walk_power,
 )
-from oracles import walk_count_matrix
+from oracles import naive_hom_exists, walk_count_matrix
 
 
 def _random_digraph(rng, n, p):
@@ -157,3 +161,61 @@ def test_budget_error():
 def test_hom_cap():
     with pytest.raises(SizeCapError):
         homomorphism(directed_path(13), transitive_tournament(13))
+
+
+def test_existence_matches_brute_force_over_all_maps():
+    rng = SplitMix64(19)
+    for _ in range(400):
+        f = _random_digraph(rng, rng.randrange(6), 0.35)
+        g = _random_digraph(rng, rng.randrange(6), 0.5)
+        hom = homomorphism(f, g)
+        assert (hom is not None) == naive_hom_exists(f, g)
+        if hom is not None:
+            assert validate_homomorphism(f, g, hom)[0]
+
+
+def _least_budget(f, g):
+    """The least node budget under which homomorphism(f, g) does not raise."""
+
+    def enough(budget):
+        try:
+            homomorphism(f, g, budget=budget)
+        except BudgetError:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not enough(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if enough(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+# SHA-256 of the mapping and the least budget of every S9 search pair,
+# (P_(k+1), orientation) and (orientation, T_k) for k = 1..3, recorded before
+# the search dropped the re-checks its forward checking makes redundant
+HOMOMORPHISMS_SHA256 = "2ed16d926792d8f3b5797bfd02a7e759e7baa60e7515bc65a57b8e7dd22b6873"
+
+
+def test_homomorphisms_and_node_counts_are_pinned():
+    samples = []
+    for n in range(1, 5):
+        for g in corpus.all_graphs(n):
+            samples.extend(orientations(g))
+    h = hashlib.sha256()
+    count = 0
+    for k in range(1, 4):
+        for sample in samples:
+            for f, g in ((directed_path(k + 1), sample), (sample, transitive_tournament(k))):
+                hom = homomorphism(f, g)
+                data = None if hom is None else hom.to_jsonable()
+                text = json.dumps([data, _least_budget(f, g)], separators=(",", ":"))
+                h.update(f"{digraph_to_digraph6(f)} {digraph_to_digraph6(g)} {text}\n".encode())
+                count += 1
+    assert count == 1092
+    assert h.hexdigest() == HOMOMORPHISMS_SHA256

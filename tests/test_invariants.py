@@ -1,7 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from chibound.codec import graph_to_graph6
+from chibound.corpus import connected_corpus
 from chibound.errors import SizeCapError
 from chibound.generators import (
     SplitMix64,
@@ -79,6 +83,21 @@ def test_biclique_floor_of_clique():
     for _ in range(25):
         g = random_gnp(8, 0.5, rng)
         assert biclique_number(g).value >= clique_number(g).value // 2
+
+
+# SHA-256 of biclique_number(g).to_jsonable() over connected_corpus(7),
+# recorded before the search was rewritten as one recursive function
+BICLIQUES_SHA256 = "109fa16e0d40579f5233b92795ba8cb20eef8e373a555595498e04a118dd2786"
+
+
+def test_biclique_certificates_are_pinned():
+    h = hashlib.sha256()
+    graphs = connected_corpus(7)
+    for g in graphs:
+        text = json.dumps(biclique_number(g).to_jsonable(), sort_keys=True, separators=(",", ":"))
+        h.update(f"{graph_to_graph6(g)} {text}\n".encode())
+    assert len(graphs) == 996
+    assert h.hexdigest() == BICLIQUES_SHA256
 
 
 def test_degeneracy():
