@@ -19,7 +19,7 @@ from .codec import (
     serialize_graph,
 )
 from .coloring import chi_p, chromatic_number
-from .errors import ChiboundError, ParseError, SizeCapError
+from .errors import ChiboundError, ParameterError, ParseError, SizeCapError
 from .generators import generate
 from .graphs import acyclic_orientation, blow_up, power, subdivide_exact
 from .holes import count_holes, enumerate_holes, is_even_hole_free
@@ -140,17 +140,21 @@ def _cmd_transform(args):
         result = power(g, args.d)
         _write_output(serialize_graph(result, args.format), args.out)
     elif args.op == "orient":
-        order = (
-            [int(x) for x in args.order.split(",")]
-            if args.order
-            else list(range(g.n))
-        )
+        order = _parse_order(args.order) if args.order else list(range(g.n))
         result = acyclic_orientation(g, order)
         fmt = "digraph6" if args.format == "graph6" else args.format
         _write_output(serialize_digraph(result, fmt), args.out)
-    else:
-        raise ChiboundError(f"unknown transform {args.op!r}")
     return EXIT_OK
+
+
+def _parse_order(text):
+    order = []
+    for entry in text.split(","):
+        try:
+            order.append(int(entry))
+        except ValueError:
+            raise ParameterError(f"--order entry {entry!r} is not a vertex number") from None
+    return order
 
 
 def _cmd_holes(args):

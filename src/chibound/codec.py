@@ -159,33 +159,18 @@ def _check_pairs(pairs, key):
     return out
 
 
-def graph_from_json(text):
+def _from_json(text, cls, key):
+    """A Graph or Digraph from {"n": ..., key: [[u, v], ...]}."""
     data = _load_json(text)
-    if "n" not in data or "edges" not in data:
-        raise ParseError('JSON graph requires "n" and "edges" fields')
-    n = data["n"]
-    if not is_int(n):
+    if "n" not in data or key not in data:
+        raise ParseError(f'JSON {cls.__name__.lower()} requires "n" and "{key}" fields')
+    if not is_int(data["n"]):
         raise ParseError('"n" must be an integer')
-    return Graph(n, _check_pairs(data["edges"], "edges"))
+    return cls(data["n"], _check_pairs(data[key], key))
 
 
-def graph_to_json(g):
-    payload = {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def digraph_from_json(text):
-    data = _load_json(text)
-    if "n" not in data or "arcs" not in data:
-        raise ParseError('JSON digraph requires "n" and "arcs" fields')
-    n = data["n"]
-    if not is_int(n):
-        raise ParseError('"n" must be an integer')
-    return Digraph(n, _check_pairs(data["arcs"], "arcs"))
-
-
-def digraph_to_json(d):
-    payload = {"n": d.n, "arcs": [list(a) for a in d.sorted_arcs()]}
+def _to_json(n, key, pairs):
+    payload = {"n": n, key: [list(p) for p in pairs]}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -193,7 +178,7 @@ def parse_graph(text):
     """Parse graph6 or edge-list JSON, dispatching on the leading character."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        return graph_from_json(stripped)
+        return _from_json(stripped, Graph, "edges")
     return graph_from_graph6(stripped)
 
 
@@ -201,7 +186,7 @@ def serialize_graph(g, fmt="graph6"):
     if fmt == "graph6":
         return graph_to_graph6(g)
     if fmt == "json":
-        return graph_to_json(g)
+        return _to_json(g.n, "edges", g.sorted_edges())
     raise ValidationError(f"unknown graph format {fmt!r}")
 
 
@@ -209,7 +194,7 @@ def parse_digraph(text):
     """Parse digraph6 or arc-list JSON, dispatching on the leading character."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        return digraph_from_json(stripped)
+        return _from_json(stripped, Digraph, "arcs")
     return digraph_from_digraph6(stripped)
 
 
@@ -217,5 +202,5 @@ def serialize_digraph(d, fmt="digraph6"):
     if fmt == "digraph6":
         return digraph_to_digraph6(d)
     if fmt == "json":
-        return digraph_to_json(d)
+        return _to_json(d.n, "arcs", d.sorted_arcs())
     raise ValidationError(f"unknown digraph format {fmt!r}")

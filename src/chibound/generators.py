@@ -26,7 +26,7 @@ class SplitMix64:
     """SplitMix64 PRNG; `split(tag)` derives an independent, reproducible stream."""
 
     def __init__(self, seed):
-        self._state = seed & _MASK64
+        self._state = check_int("seed", seed, 0) & _MASK64
 
     def next_u64(self):
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64

@@ -54,25 +54,22 @@ def homomorphism(f, g, cap=None, budget=None):
     check_cap("homomorphism", max(f.n, g.n), cap)
     if budget is not None:
         check_int("budget", budget, 0)
-    if f.n == 0:
-        return HomMapping(())
-    if g.n == 0:
-        return None
-    order = sorted(
-        range(f.n),
-        key=lambda v: (-(f.out_bits[v].bit_count() + f.in_bits[v].bit_count()), v),
-    )
-    outs = [tuple(bits(row)) for row in f.out_bits]
-    ins = [tuple(bits(row)) for row in f.in_bits]
-    full = (1 << g.n) - 1
-    domains = [full] * f.n
-    assignment = [-1] * f.n
+    # per source vertex, one (neighbour, the target rows its image must lie
+    # in) for each arc at it
+    arcs = [[] for _ in range(f.n)]
+    for v, w in f.sorted_arcs():
+        arcs[v].append((w, g.out_bits))
+        arcs[w].append((v, g.in_bits))
+    order = sorted(range(f.n), key=lambda v: (-len(arcs[v]), v))
     nodes = 0
 
     def assign(idx, domains):
+        # forward checking keeps every domain consistent with the images
+        # already chosen, so narrowing an assigned neighbour's single image
+        # never empties it and no arc needs a second check
         nonlocal nodes
         if idx == f.n:
-            return True
+            return domains
         v = order[idx]
         dom = domains[v]
         while dom:
@@ -83,36 +80,20 @@ def homomorphism(f, g, cap=None, budget=None):
                 raise BudgetError(f"homomorphism search exceeded {budget} nodes")
             new_domains = list(domains)
             new_domains[v] = 1 << x
-            ok = True
-            for w in outs[v]:
-                if assignment[w] < 0:
-                    new_domains[w] &= g.out_bits[x]
-                    if not new_domains[w]:
-                        ok = False
-                        break
-                elif not g.has_arc(x, assignment[w]):
-                    ok = False
+            for w, rows in arcs[v]:
+                new_domains[w] &= rows[x]
+                if not new_domains[w]:
                     break
-            if ok:
-                for w in ins[v]:
-                    if assignment[w] < 0:
-                        new_domains[w] &= g.in_bits[x]
-                        if not new_domains[w]:
-                            ok = False
-                            break
-                    elif not g.has_arc(assignment[w], x):
-                        ok = False
-                        break
-            if ok:
-                assignment[v] = x
-                if assign(idx + 1, new_domains):
-                    return True
-                assignment[v] = -1
-        return False
+            else:
+                found = assign(idx + 1, new_domains)
+                if found is not None:
+                    return found
+        return None
 
-    if assign(0, domains):
-        return HomMapping(tuple(assignment))
-    return None
+    found = assign(0, [(1 << g.n) - 1] * f.n)
+    if found is None:
+        return None
+    return HomMapping(tuple(d.bit_length() - 1 for d in found))
 
 
 def hom_exists(f, g):

@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import check_cap
+from .graphs import bits
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ def _max_clique_mask(adj, candidates):
         if clique.bit_count() + cand.bit_count() <= best_count:
             return
         pool = cand | excl
-        pivot = (pool & -pool).bit_length() - 1
         # pivot with most candidate neighbors prunes hardest
         best_cover = -1
         m = pool
@@ -90,8 +90,6 @@ def _max_clique_mask(adj, candidates):
 def clique_number(g, cap=None):
     """Exact clique number with a witness vertex set."""
     check_cap("clique", g.n, cap)
-    if g.n == 0:
-        return InvariantResult("clique_number", 0, certificate=())
     mask = _max_clique_mask(g.adj_bits, (1 << g.n) - 1)
     verts = tuple(v for v in range(g.n) if mask >> v & 1)
     return InvariantResult("clique_number", len(verts), certificate=verts)
@@ -115,50 +113,29 @@ def biclique_number(g, cap=None):
     """Largest r with K_{r,r} as a (not necessarily induced) subgraph, with witness."""
     check_cap("biclique", g.n, cap)
     adj = g.adj_bits
-    best_pair = None
 
-    def exists(r):
-        nonlocal best_pair
-        if r == 0:
-            best_pair = ((), ())
-            return True
-
-        def choose(side_a, common, start):
-            nonlocal best_pair
-            if len(side_a) == r:
-                rest = common & ~sum(1 << a for a in side_a)
-                if rest.bit_count() >= r:
-                    b = []
-                    m = rest
-                    while len(b) < r:
-                        v = (m & -m).bit_length() - 1
-                        m &= m - 1
-                        b.append(v)
-                    best_pair = (tuple(side_a), tuple(b))
-                    return True
-                return False
-            for v in range(start, g.n):
-                if len(side_a) + (g.n - v) < r:
-                    break
-                if g.degree(v) < r:
-                    continue
-                new_common = common & adj[v] if side_a else adj[v]
-                # the B side must fit inside the common neighborhood
-                if new_common.bit_count() < r:
-                    continue
-                if choose(side_a + [v], new_common, v + 1):
-                    return True
-            return False
-
-        return choose([], (1 << g.n) - 1, 0)
+    def find(r, side_a, common, start):
+        # a K_{r,r} whose A side extends side_a by vertices from start on, or
+        # None; common, the common neighbourhood of side_a, excludes side_a
+        # and keeps at least r vertices, so its first r are the B side
+        if len(side_a) == r:
+            return tuple(side_a), tuple(bits(common))[:r]
+        for v in range(start, g.n - r + len(side_a) + 1):
+            narrowed = common & adj[v]
+            if narrowed.bit_count() >= r:
+                found = find(r, side_a + [v], narrowed, v + 1)
+                if found is not None:
+                    return found
+        return None
 
     value = 0
     witness = ((), ())
-    r = 1
-    while r * 2 <= g.n and exists(r):
-        value = r
-        witness = best_pair
-        r += 1
+    while 2 * (value + 1) <= g.n:
+        found = find(value + 1, [], (1 << g.n) - 1, 0)
+        if found is None:
+            break
+        value += 1
+        witness = found
     return InvariantResult("biclique_number", value, certificate=witness)
 
 

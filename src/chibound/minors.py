@@ -105,15 +105,9 @@ def _paths_up_to(nbrs, source, target, max_edges, blocked):
     results = []
 
     def walk(pathv, used):
-        last = pathv[-1]
-        if last == target:
-            results.append(tuple(pathv))
-            return
-        if len(pathv) > max_edges:
-            return
-        for nxt in nbrs[last]:
+        for nxt in nbrs[pathv[-1]]:
             if nxt == target:
-                walk(pathv + [nxt], used)
+                results.append(tuple(pathv) + (target,))
             elif nxt not in used and nxt not in blocked and len(pathv) < max_edges:
                 walk(pathv + [nxt], used | {nxt})
 
@@ -212,13 +206,11 @@ def find_topo_embedding(pattern, g, r):
             return dict(paths)
         u, v = edges[eidx]
         su, sv = branch[u], branch[v]
-        blocked = (set(branch.values()) | set(used)) - {su, sv}
-        for p in _paths_up_to(view.nbrs, su, sv, r + 1, blocked):
-            inner = set(p[1:-1])
-            if inner & used:
-                continue
+        # used holds the branch images and the routed interiors, which every
+        # new path keeps out of its own interior
+        for p in _paths_up_to(view.nbrs, su, sv, r + 1, used - {su, sv}):
             paths[(u, v)] = p
-            result = route(eidx + 1, used | inner, paths)
+            result = route(eidx + 1, used.union(p[1:-1]), paths)
             if result is not None:
                 return result
             del paths[(u, v)]
@@ -438,7 +430,12 @@ def chi_TM(g, r):
 
     Climbs chromatic levels from chi(g): level c is reachable iff some
     edge-critical c-chromatic pattern embeds, because TM membership is closed
-    under pattern subgraphs.
+    under pattern subgraphs. Level c tries the patterns of up to
+    g.n - c + chi(g) vertices, and from level 4 on they come from
+    critical_patterns, whose catalogue is capped at 8 vertices. So a climb
+    that asks for a level c >= 4 on a host with g.n - c + chi(g) > 8 raises
+    SizeCapError (critical_catalogue) long before the tm_host cap of 40: the
+    Petersen graph does at r = 1.
     """
     check_int("r", r, 0)
     check_cap("tm_host", g.n)

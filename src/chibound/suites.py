@@ -679,6 +679,8 @@ def _pool_run(args):
 
 def run_suite(spec):
     """Execute one registered suite and assemble its report."""
+    check_int("seed", spec.seed, 0)
+    check_int("jobs", spec.jobs, 1)
     if spec.claim not in SUITES:
         raise ParameterError(f"unknown claim id {spec.claim!r}; known: {sorted(SUITES)}")
     title, anchor, instance_fn, check_fn = SUITES[spec.claim]

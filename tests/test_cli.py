@@ -53,6 +53,60 @@ def test_transform_orient(tmp_path, capsys):
     assert code == EXIT_OK and out.strip().startswith("&")
 
 
+def test_transform_orient_follows_the_order(tmp_path, capsys):
+    src = tmp_path / "p3.json"
+    src.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    code, out, _ = run_cli(capsys, "transform", "orient", str(src), "--order", "2,1,0",
+                           "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"n": 3, "arcs": [[1, 0], [2, 1]]}
+
+
+def test_transform_orient_rejects_a_non_integer_order_entry(tmp_path, capsys):
+    src = tmp_path / "c4.g6"
+    run_cli(capsys, "generate", "cycle", "--param", "n=4", "--out", str(src))
+    code, out, err = run_cli(capsys, "transform", "orient", str(src), "--order", "a,b,c,d")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: --order entry 'a' is not a vertex number\n"
+
+
+@pytest.mark.parametrize(
+    "argv, n, m",
+    [(("blowup", "--k", "2"), 8, 20), (("power", "--d", "2"), 4, 6)],
+)
+def test_transform_blowup_and_power(tmp_path, capsys, argv, n, m):
+    src = tmp_path / "c4.g6"
+    run_cli(capsys, "generate", "cycle", "--param", "n=4", "--out", str(src))
+    op, *rest = argv
+    code, out, _ = run_cli(capsys, "transform", op, str(src), *rest)
+    assert code == EXIT_OK
+    from chibound.codec import graph_from_graph6
+
+    g = graph_from_graph6(out.strip())
+    assert (g.n, g.m) == (n, m)
+
+
+def test_invariant_maxdegree(tmp_path, capsys):
+    path = tmp_path / "star.g6"
+    run_cli(capsys, "generate", "star", "--param", "t=4", "--out", str(path))
+    code, out, _ = run_cli(capsys, "invariant", str(path), "--which", "maxdegree")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == {"maxdegree": {"name": "max_degree", "value": 4}}
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [(("verify", "S7", "--seed", "-1"), "seed must be an int >= 0, got -1"),
+     (("verify", "S7", "--jobs", "0"), "jobs must be an int >= 1, got 0"),
+     (("generate", "complete", "--param", "n=3", "--seed", "-1"),
+      "seed must be an int >= 0, got -1")],
+)
+def test_seed_and_jobs_below_range_exit_2(capsys, argv, shown):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert shown in err
+
+
 def test_invariant_json(tmp_path, capsys):
     path = tmp_path / "in.g6"
     path.write_text("Bw\n")
@@ -122,6 +176,22 @@ def test_hom_command(tmp_path, capsys):
     assert code == EXIT_OK
     assert json.loads(out)["exists"] is True
     code, out, _ = run_cli(capsys, "hom", str(k3), str(c5))
+    assert json.loads(out)["exists"] is False
+
+
+def test_hom_command_reads_json_graphs_and_digraphs(tmp_path, capsys):
+    # an "arcs" object is a digraph, an "edges" object a graph taken both ways
+    arc = tmp_path / "arc.json"
+    edge = tmp_path / "edge.json"
+    arc.write_text('{"n":2,"arcs":[[0,1]]}')
+    edge.write_text('{"n":2,"edges":[[0,1]]}')
+    code, out, _ = run_cli(capsys, "hom", str(arc), str(edge))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["source"] == "&AO" and payload["exists"] is True
+    assert payload["mapping"] == [0, 1]
+    code, out, _ = run_cli(capsys, "hom", str(edge), str(arc))
+    assert code == EXIT_OK
     assert json.loads(out)["exists"] is False
 
 

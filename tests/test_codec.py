@@ -3,14 +3,12 @@ import pytest
 
 from chibound.codec import (
     digraph_from_digraph6,
-    digraph_from_json,
     digraph_to_digraph6,
-    digraph_to_json,
     graph_from_graph6,
-    graph_from_json,
     graph_to_graph6,
-    graph_to_json,
+    parse_digraph,
     parse_graph,
+    serialize_digraph,
     serialize_graph,
 )
 from chibound.errors import ParseError, SizeCapError, ValidationError
@@ -28,25 +26,26 @@ def test_known_graph6_values():
 
 
 def test_json_roundtrip():
-    g = graph_from_json('{"n":2,"edges":[[0,1]]}')
+    g = parse_graph('{"n":2,"edges":[[0,1]]}')
     assert g == complete(2)
-    assert graph_from_json(graph_to_json(g)) == g
+    assert serialize_graph(g, "json") == '{"edges":[[0,1]],"n":2}'
+    assert parse_graph(serialize_graph(g, "json")) == g
 
 
 def test_json_rejects_loop_and_duplicate():
     with pytest.raises(ValidationError):
-        graph_from_json('{"n":3,"edges":[[0,0]]}')
+        parse_graph('{"n":3,"edges":[[0,0]]}')
     with pytest.raises(ValidationError):
-        graph_from_json('{"n":3,"edges":[[0,1],[1,0]]}')
+        parse_graph('{"n":3,"edges":[[0,1],[1,0]]}')
 
 
 def test_json_malformed():
     with pytest.raises(ParseError):
-        graph_from_json('{"n":3')
+        parse_graph('{"n":3')
+    with pytest.raises(ParseError, match='^JSON graph requires "n" and "edges" fields$'):
+        parse_graph('{"edges":[[0,1]]}')
     with pytest.raises(ParseError):
-        graph_from_json('{"edges":[[0,1]]}')
-    with pytest.raises(ParseError):
-        graph_from_json('{"n":2,"edges":[[0,1,2]]}')
+        parse_graph('{"n":2,"edges":[[0,1,2]]}')
 
 
 def test_graph6_parse_errors_carry_offset():
@@ -109,7 +108,13 @@ def test_digraph6_roundtrip():
 
 def test_digraph_json_roundtrip():
     d = Digraph(2, [(0, 1), (1, 0)])
-    assert digraph_from_json(digraph_to_json(d)) == d
+    text = serialize_digraph(d, "json")
+    assert text == '{"arcs":[[0,1],[1,0]],"n":2}'
+    assert parse_digraph(text) == d
+    with pytest.raises(ParseError, match='^JSON digraph requires "n" and "arcs" fields$'):
+        parse_digraph('{"n":2,"edges":[[0,1]]}')
+    with pytest.raises(ParseError, match="^'arcs' entries must be integer pairs"):
+        parse_digraph('{"n":2,"arcs":[[0,1.5]]}')
 
 
 def test_parse_graph_dispatch():

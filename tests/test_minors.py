@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -102,6 +103,20 @@ def test_chi_tm():
     host = subdivide_exact(complete(4), 1)
     assert chi_TM(host, 1) == 4
     assert chi_TM(path(6), 3) <= 2
+
+
+def test_chi_tm_past_level_three_is_capped_by_the_catalogue():
+    # Petersen, the Kneser graph K(5, 2), is 3-chromatic and 3-regular, so the
+    # climb asks for level 4, whose patterns may have 10 - 4 + 3 = 9 vertices:
+    # one past the critical_catalogue cap, far inside the tm_host cap
+    pairs = list(combinations(range(5), 2))
+    petersen = Graph(
+        10, [(i, j) for i, j in combinations(range(10), 2) if not set(pairs[i]) & set(pairs[j])]
+    )
+    with pytest.raises(
+        SizeCapError, match=r"^critical_catalogue is capped at 8 vertices, got 9$"
+    ):
+        chi_TM(petersen, 1)
 
 
 def test_chi_tm_depth_zero_is_chromatic(small_connected):

@@ -22,6 +22,7 @@ from chibound.generators import (
     complete,
     complete_bipartite,
     cycle,
+    generate,
     high_girth,
     mycielski_iterate,
     path,
@@ -46,6 +47,7 @@ from chibound.minors import (
     find_topo_embedding,
     omega_TM,
 )
+from chibound.suites import SuiteSpec, run_suite
 from chibound.treedepth import tree_depth, tree_depth_at_most
 
 PACKAGE = Path(chibound.__file__).resolve().parent
@@ -105,6 +107,10 @@ ENTRIES = {
     "high_girth.d": (lambda v: high_girth(8, v, 4, SplitMix64(0)), 0),
     "high_girth.g": (lambda v: high_girth(8, 2, v, SplitMix64(0)), 3),
     "SplitMix64.randrange.n": (lambda v: SplitMix64(0).randrange(v), 1),
+    "SplitMix64.seed": (SplitMix64, 0),
+    "generate.seed": (lambda v: generate("complete", {"n": 3}, seed=v), 0),
+    "run_suite.seed": (lambda v: run_suite(SuiteSpec("S7", seed=v)), 0),
+    "run_suite.jobs": (lambda v: run_suite(SuiteSpec("S7", jobs=v)), 1),
 }
 
 # the checks, and what an entry point runs before it reaches its check
@@ -154,6 +160,9 @@ BEFORE_CHECK = {
     "high_girth",
     "SplitMix64.__init__",
     "SplitMix64.randrange",
+    "generate",
+    "generate.<locals>.<listcomp>",
+    "run_suite",
 }
 
 

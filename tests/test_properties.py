@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from chibound.codec import (
     graph_from_graph6,
-    graph_from_json,
     graph_to_graph6,
-    graph_to_json,
+    parse_graph,
+    serialize_graph,
 )
 from chibound.coloring import (
     _chromatic_at_least,
@@ -162,7 +162,7 @@ def test_walk_layers_match_the_oracles(case, data):
 @given(graphs(max_n=8))
 def test_codec_roundtrip(g):
     assert graph_from_graph6(graph_to_graph6(g)) == g
-    assert graph_from_json(graph_to_json(g)) == g
+    assert parse_graph(serialize_graph(g, "json")) == g
 
 
 @common

@@ -1,0 +1,172 @@
+"""Every rejection branch of the certificate validators fires: one hand-made
+bad certificate per branch, each with the reason it must be rejected for."""
+
+import pytest
+
+from chibound.coloring import Coloring, validate_coloring
+from chibound.generators import complete, complete_bipartite, cycle, path, star
+from chibound.holes import Hole, validate_hole
+from chibound.invariants import validate_biclique, validate_clique
+from chibound.minors import TopoMinorEmbedding, validate_topo_embedding
+from chibound.treedepth import EliminationForest, validate_elimination_forest
+
+K3 = complete(3)
+C4 = cycle(4)
+P3 = path(3)
+# K3 in C4 at depth 1: the edge (0, 2) runs through 3
+K3_PATHS = {(0, 1): (0, 1), (1, 2): (1, 2), (0, 2): (0, 3, 2)}
+
+
+def _k3_in_c4(branch=(0, 1, 2), edits=None):
+    """K3 in C4 with the paths of K3_PATHS replaced by edits; a None path
+    drops its edge."""
+    paths = {**K3_PATHS, **(edits or {})}
+    return TopoMinorEmbedding(K3, branch, {e: p for e, p in paths.items() if p})
+
+
+# case id -> (validator call, the reason it returns)
+CASES = {
+    "topo.not_injective": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(branch=(0, 0, 2)), 1),
+        "branch map is not injective",
+    ),
+    "topo.branch_outside_host": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(branch=(0, 1, 7)), 1),
+        "branch vertex outside host",
+    ),
+    "topo.edges_uncovered": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): None}), 1),
+        "paths do not cover the pattern edge set",
+    ),
+    "topo.path_leaves_host": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): (0, 9, 2)}), 1),
+        "path for (0, 2) leaves the host",
+    ),
+    "topo.wrong_ends": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): (0, 3, 1)}), 1),
+        "path for (0, 2) joins the wrong branch vertices",
+    ),
+    "topo.exact_length": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(), 1, exact=True),
+        "path for (0, 1) has 0 internal vertices, not 1",
+    ),
+    "topo.too_long": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(), 0),
+        "path for (0, 2) exceeds 0 internal vertices",
+    ),
+    "topo.not_a_host_edge": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(1, 2): (1, 3, 2)}), 1),
+        "(1, 3) along path (1, 2) is not a host edge",
+    ),
+    "topo.repeats_a_vertex": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): (0, 3, 0, 3, 2)}), 3),
+        "path for (0, 2) repeats a vertex",
+    ),
+    "topo.interior_on_a_branch_vertex": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): (0, 1, 2)}), 1),
+        "path interior touches a branch vertex",
+    ),
+    "topo.shared_interior": (
+        lambda: validate_topo_embedding(
+            star(3), TopoMinorEmbedding(P3, (1, 2, 3), {(0, 1): (1, 0, 2), (1, 2): (2, 0, 3)}), 1
+        ),
+        "paths share an interior vertex",
+    ),
+    "topo.not_induced": (
+        lambda: validate_topo_embedding(
+            K3, TopoMinorEmbedding(P3, (0, 1, 2), {(0, 1): (0, 1), (1, 2): (1, 2)}), 0,
+            induced=True,
+        ),
+        "embedded subdivision is not induced (extra host edges)",
+    ),
+    "biclique.not_a_vertex": (
+        lambda: validate_biclique(complete_bipartite(2, 2), ((0,), (9,))),
+        "9 is not a vertex",
+    ),
+    "biclique.sides_overlap": (
+        lambda: validate_biclique(complete_bipartite(2, 2), ((0, 2), (2, 3))),
+        "sides are not disjoint",
+    ),
+    "biclique.repeated_vertex": (
+        lambda: validate_biclique(complete_bipartite(2, 2), ((0, 0), (2, 3))),
+        "repeated vertex",
+    ),
+    "biclique.sizes_differ": (
+        lambda: validate_biclique(complete_bipartite(2, 2), ((0, 1), (2,))),
+        "sides differ in size",
+    ),
+    "biclique.missing_cross_edge": (
+        lambda: validate_biclique(complete_bipartite(2, 2), ((0, 2), (1, 3))),
+        "missing cross edge (0, 1)",
+    ),
+    "hole.not_a_vertex": (
+        lambda: validate_hole(cycle(5), Hole((0, 1, 2, 9))),
+        "9 is not a vertex",
+    ),
+    "hole.too_short": (
+        lambda: validate_hole(cycle(5), Hole((0, 1, 2))),
+        "not a simple cycle of length >= 4",
+    ),
+    "hole.missing_cycle_edge": (
+        lambda: validate_hole(cycle(5), Hole((0, 1, 2, 4))),
+        "missing cycle edge (2, 4)",
+    ),
+    "hole.chord": (
+        lambda: validate_hole(complete(4), Hole((0, 1, 2, 3))),
+        "chord (0, 2)",
+    ),
+    "forest.size_mismatch": (
+        lambda: validate_elimination_forest(P3, EliminationForest((-1, 0))),
+        "parent array size mismatch",
+    ),
+    "forest.parent_not_a_vertex": (
+        lambda: validate_elimination_forest(P3, EliminationForest((-1, 0, 9))),
+        "parent 9 of vertex 2 is not a vertex",
+    ),
+    "forest.parent_cycle": (
+        lambda: validate_elimination_forest(P3, EliminationForest((1, 0, -1))),
+        "parent cycle through vertex 0",
+    ),
+    "forest.edge_across_branches": (
+        lambda: validate_elimination_forest(P3, EliminationForest((-1, -1, 1))),
+        "edge (0, 1) is not ancestor-descendant",
+    ),
+    "forest.height": (
+        lambda: validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 3),
+        "height 2 != claimed 3",
+    ),
+    "clique.not_a_vertex": (lambda: validate_clique(K3, (0, 5)), "5 is not a vertex"),
+    "clique.repeated_vertex": (lambda: validate_clique(K3, (0, 0)), "repeated vertex"),
+    "clique.missing_edge": (lambda: validate_clique(P3, (0, 1, 2)), "missing edge (0, 2)"),
+    "coloring.monochromatic_edge": (
+        lambda: validate_coloring(path(2), Coloring((0, 0), 1, "proper")),
+        ("monochromatic_edge", (0, 1)),
+    ),
+    "coloring.bicolored_p4": (
+        lambda: validate_coloring(path(4), Coloring((0, 1, 0, 1), 2, "chi_p", 2)),
+        ("subset_treedepth", (0, 1)),
+    ),
+    # every color pair of P8 colored a, b, c, a, b, c, a, b spans a matching,
+    # but the three classes together are P8, of tree-depth 4
+    "coloring.three_classes": (
+        lambda: validate_coloring(path(8), Coloring((0, 1, 2, 0, 1, 2, 0, 1), 3, "chi_p", 3)),
+        ("subset_treedepth", (0, 1, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_validator_rejects_with_its_reason(case):
+    call, reason = CASES[case]
+    ok, why = call()
+    assert ok is False
+    assert why == reason
+
+
+def test_the_hand_made_certificates_differ_from_valid_ones_only_in_the_fault():
+    assert validate_topo_embedding(C4, _k3_in_c4(), 1) == (True, None)
+    assert validate_biclique(complete_bipartite(2, 2), ((0, 1), (2, 3))) == (True, None)
+    assert validate_hole(cycle(5), Hole((0, 1, 2, 3, 4))) == (True, None)
+    assert validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 2) == (True, None)
+    assert validate_clique(K3, (0, 1, 2)) == (True, None)
+    assert validate_coloring(path(8), Coloring((0, 1, 2, 0, 1, 2, 0, 1), 3, "chi_p", 2)) == (True, None)
