@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 from .codec import (
+    _load_json,
     parse_digraph,
     parse_graph,
     serialize_digraph,
@@ -184,7 +185,7 @@ def _read_digraph_or_graph(path):
     text = _read_input(path)
     stripped = text.strip()
     if stripped.startswith("{"):
-        if '"arcs"' in stripped:
+        if "arcs" in _load_json(stripped):
             return parse_digraph(stripped)
         return symmetric_digraph(parse_graph(stripped))
     if stripped.startswith("&") or stripped.startswith(">>digraph6<<"):

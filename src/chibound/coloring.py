@@ -5,8 +5,14 @@ is p = 1 (chromatic_number) and star coloring is p = 2. One search object per
 graph decides for every component, p and k whether a depth-p k-coloring
 exists (by tree-depth at k <= p), and `_least_assignment` climbs k component
 by component. Only the last graph colored keeps its search, so the questions
-asked of one graph in a row (chi, then chi_p at several p) share it and find
-each component's chi once. The backtracking search uses
+asked of one graph in a row (chi, then chi_p at several p, then tree_depth)
+share it and find each component's chi_p once. A depth-p coloring is a
+depth-p' coloring for every p' < p, and an optimal elimination forest colored
+by depth is a depth-p coloring for every p, so chi <= chi_2 <= chi_3 <= td:
+each climb at p starts at the colors of the largest p' < p the graph has
+answered (p = 1 starts at omega), and tree_depth runs on the search's one
+TreedepthSolver with each component's lower bound raised to its largest
+chi_p found. The backtracking search uses
 saturation-first vertex selection, ascending colors, and first-use
 symmetry breaking, so witnesses are deterministic. At p >= 2 it also forward
 checks: once all k colors are in use it skips a subtree as soon as an uncolored
@@ -154,8 +160,9 @@ class _ColoringSearch:
     """Backtracking search for depth-p colorings of one graph, any mask, p and k.
 
     Built once per graph: neighbour tuples, degree order, distance-3 balls and
-    one TreedepthSolver, whose memo every run shares, and `proper`: each
-    component mask's least proper coloring, found once. A run colors one vertex
+    one TreedepthSolver, whose memo every run and tree_depth share, and
+    `colorings`: per (component mask, p) its least depth-p coloring, found
+    once. A run colors one vertex
     mask, a component, and its state is bitmasks: one vertex mask per color
     class, the mask of uncolored vertices, and per vertex the mask of colors
     on its colored neighbours (its saturation). `_forbidden` turns them into
@@ -181,7 +188,8 @@ class _ColoringSearch:
         # change when v is colored
         self.near = [ball & ~(1 << v) for v, ball in enumerate(self.balls[-1])]
         self.td = TreedepthSolver(g)
-        self.proper = {}
+        # (component mask, p) -> least depth-p coloring of that component
+        self.colorings = {}
 
     def _reset(self, comp, k, p):
         self.k = k
@@ -272,15 +280,18 @@ class _ColoringSearch:
         use are exactly 0..max_used-1 by first-use symmetry breaking). Before
         v is placed every subset meets its bound, and the components of a
         union that miss v are components of the union without v, so only the
-        component holding v is decided."""
+        component holding v is decided. A subset none of whose other colors
+        is on a neighbour of v leaves v alone in its component, so it is
+        skipped."""
         others = [i for i in range(max_used) if i != c]
         new_mask = self.color_masks[c] | 1 << v
+        row = self.nbr_bits[v]
         for size in range(3, min(self.p, len(others) + 1) + 1):
             for rest in combinations(others, size - 1):
                 mask = new_mask
                 for i in rest:
                     mask |= self.color_masks[i]
-                if not self.td.component_td_at_most(mask, v, size):
+                if row & mask and not self.td.component_td_at_most(mask, v, size):
                     return False
         return True
 
@@ -322,23 +333,45 @@ def _search(g):
     return _ColoringSearch(g)
 
 
+def _least_coloring(search, comp, p):
+    """The least depth-p coloring of component comp, found once per search.
+    A depth-p coloring is a depth-p' one for every p' < p, so chi_p' <= chi_p
+    and the climb starts at the colors of the largest p' < p already found;
+    with none, p = 1 climbs from omega and p >= 2 from chi."""
+    colorings = search.colorings
+    found = colorings.get((comp, p))
+    if found is None:
+        if p == 1:
+            floor = _max_clique_mask(search.g.adj_bits, comp).bit_count()
+        else:
+            below = max((q for c, q in colorings if c == comp and q < p), default=1)
+            floor = max(_least_coloring(search, comp, below)) + 1
+        found = colorings[comp, p] = search.least(comp, floor, p)
+    return found
+
+
 def _least_assignment(g, p, cap):
     """A least depth-p coloring of g under the vertex cap (default: its CAPS
-    row), by component: the least proper coloring, climbed from omega on its
-    first request, then at p >= 2 a climb from its chi."""
+    row), component by component."""
     check_cap(f"chi_{min(p, 3)}", g.n, cap)
     search = _search(g)
     assignment = [0] * g.n
     for comp in component_masks(g.adj_bits, (1 << g.n) - 1):
-        found = search.proper.get(comp)
-        if found is None:
-            omega = _max_clique_mask(g.adj_bits, comp).bit_count()
-            found = search.proper[comp] = search.least(comp, omega, 1)
-        if p > 1:
-            found = search.least(comp, max(found) + 1, p)
-        for v, c in zip(bits(comp), found):
+        for v, c in zip(bits(comp), _least_coloring(search, comp, p)):
             assignment[v] = c
     return assignment
+
+
+def _tree_depth_solver(g):
+    """The TreedepthSolver of g's coloring search, each component's lower
+    bound raised to the colors of its least colorings found so far: coloring
+    an optimal elimination forest by depth gives a depth-p coloring for every
+    p, so td >= chi_p. Only tree_depth(g) asks for it, and it decides every
+    component of g, so the bounds raised here are all used."""
+    search = _search(g)
+    for (comp, _), found in search.colorings.items():
+        search.td.raise_lower_bound(comp, max(found) + 1)
+    return search.td
 
 
 def chromatic_number_value(g):

@@ -15,7 +15,10 @@ queries (td <= k?) from many callers share the memo, including queries on
 just the component of a mask that holds a given vertex, and elimination
 forests are read from the memo without another search. The bounded decision
 is what the chi_p machinery calls, and it stays cheap even on graphs far
-above the exact-solve cap as long as k is small.
+above the exact-solve cap as long as k is small. `tree_depth(g)` runs on the
+one solver of g's coloring search, so it shares the memo of the chi_p
+questions asked of g, and each component's lower bound starts at the largest
+chi_p found for it when that beats degeneracy + 1 (td >= chi_p for every p).
 """
 
 from __future__ import annotations
@@ -160,6 +163,11 @@ class TreedepthSolver:
             e = self.memo[comp] = [lower, comp.bit_count(), None]
         return e
 
+    def raise_lower_bound(self, comp, lower):
+        """Record td(G[comp]) >= lower for a connected comp, known from outside."""
+        e = self._entry(comp)
+        e[0] = max(e[0], lower)
+
     def td_at_most(self, mask, k):
         """Decide td(G[mask]) <= k. Sound and complete; memoized."""
         for comp in component_masks(self.adj_bits, mask):
@@ -259,7 +267,11 @@ def tree_depth(g, cap=None):
     """Exact tree-depth with an elimination-forest certificate."""
     check_cap("tree_depth", g.n, cap)
     check_cap("tree_depth_hard", g.n)
-    solver = TreedepthSolver(g)
+    # g's one solver, shared with its coloring search (imported here, since
+    # coloring builds on this module)
+    from .coloring import _tree_depth_solver
+
+    solver = _tree_depth_solver(g)
     full = (1 << g.n) - 1
     value = solver.treedepth(full)
     return InvariantResult("tree_depth", value, certificate=solver.forest(full))

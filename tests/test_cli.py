@@ -195,6 +195,18 @@ def test_hom_command_reads_json_graphs_and_digraphs(tmp_path, capsys):
     assert json.loads(out)["exists"] is False
 
 
+def test_hom_command_reads_a_graph_whose_label_says_arcs(tmp_path, capsys):
+    # digraph against graph goes by the object's keys, not by its text
+    g = tmp_path / "g.json"
+    g.write_text('{"n":2,"edges":[[0,1]],"label":"arcs"}')
+    code, _, _ = run_cli(capsys, "invariant", str(g), "--which", "maxdegree")
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, "hom", str(g), str(g))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["source"] == payload["target"] and payload["exists"] is True
+
+
 def test_hom_command_never_prints_an_invalid_mapping(tmp_path, capsys, monkeypatch):
     from chibound import cli
     from chibound.homomorphism import HomMapping

@@ -173,17 +173,25 @@ def test_depth_search_query_count(monkeypatch):
 
 
 def test_one_search_per_graph(monkeypatch):
-    # every coloring question asked of one graph in a row runs on one search;
-    # the chromatic_number shrink on C5 + K2 (omega 2 < chi 3) colors its
-    # subgraphs with searches of their own and leaves the graph's search alone
+    # every coloring question asked of one graph in a row runs on one search,
+    # and tree_depth on that search's TreedepthSolver; the chromatic_number
+    # shrink on C5 + K2 (omega 2 < chi 3) colors its subgraphs with searches
+    # and solvers of their own and leaves the graph's alone
     built = []
+    solvers = []
     init = _ColoringSearch.__init__
+    solver_init = TreedepthSolver.__init__
 
     def counting_init(self, g):
         built.append(g)
         init(self, g)
 
+    def counting_solver_init(self, g):
+        solvers.append(g)
+        solver_init(self, g)
+
     monkeypatch.setattr(_ColoringSearch, "__init__", counting_init)
+    monkeypatch.setattr(TreedepthSolver, "__init__", counting_solver_init)
     for g in (
         disjoint_union([cycle(5), complete(4)]),
         disjoint_union([cycle(5), complete(2)]),
@@ -191,12 +199,54 @@ def test_one_search_per_graph(monkeypatch):
     ):
         coloring._search.cache_clear()
         built.clear()
+        solvers.clear()
         chi = chromatic_number(g).value
         assert chi_p(g, 1).value == chi
-        assert chi <= chi_p(g, 2).value <= chi_p(g, 3).value
+        assert chi <= chi_p(g, 2).value <= chi_p(g, 3).value <= tree_depth(g).value
         assert chromatic_number_value(g) == chi
         assert chi_TM(g, 0) == chi
         assert built.count(g) == 1
+        assert solvers.count(g) == 1
+
+
+def test_chi_3_climbs_from_chi_2(monkeypatch):
+    # a depth-3 coloring is a star coloring, so chi_3 asked right after chi_2
+    # runs no search below chi_2
+    asked = []
+    run = _ColoringSearch.run
+
+    def recording_run(self, comp, k, p):
+        asked.append((k, p))
+        return run(self, comp, k, p)
+
+    monkeypatch.setattr(_ColoringSearch, "run", recording_run)
+    rng = SplitMix64(7)
+    graphs = [PETERSEN, complete_bipartite(3, 3), subdivide_exact(complete(4), 1)]
+    graphs += [random_gnp(8, 0.4, rng) for _ in range(10)]
+    for g in graphs:
+        coloring._search.cache_clear()
+        chi_2 = chi_p(g, 2).value
+        asked.clear()
+        assert chi_p(g, 3).value >= chi_2
+        assert asked and all(k >= chi_2 for k, _ in asked)
+
+
+def test_depth_checks_skip_a_placed_vertex_alone(monkeypatch):
+    # a color subset none of whose other colors sits next to the vertex just
+    # placed leaves that vertex alone in its component, which meets any bound
+    alone = 0
+    decide = TreedepthSolver.component_td_at_most
+
+    def counting(self, mask, v, k):
+        nonlocal alone
+        alone += not self.adj_bits[v] & mask
+        return decide(self, mask, v, k)
+
+    monkeypatch.setattr(TreedepthSolver, "component_td_at_most", counting)
+    for g in (subdivide_exact(complete(5), 1), PETERSEN):
+        found = _ColoringSearch(g).least((1 << g.n) - 1, 3, 3)
+        assert validate_coloring(g, make_coloring(found, "chi_p", 3))[0]
+    assert alone == 0
 
 
 def test_search_is_freed_by_the_next_graph():
@@ -225,6 +275,35 @@ def test_certificates_do_not_depend_on_call_order():
         for order in ((4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2), (1, 2, 3, 4)):
             for p in order:
                 assert chi_p(g, p) == cold[p]
+
+
+def test_tree_depth_does_not_depend_on_call_order():
+    # tree_depth shares the graph's solver with its coloring search and
+    # starts from the least colorings found before it; the forest is the
+    # cold one whatever was asked first, and chi_p asked after tree_depth is
+    # the cold chi_p
+    rng = SplitMix64(13)
+    graphs = [random_gnp(5 + i % 6, 0.3 + 0.1 * (i % 4), rng) for i in range(30)]
+    for i in range(10):
+        parts = [random_gnp(3 + (i + j) % 4, 0.5, rng) for j in range(2)]
+        graphs.append(disjoint_union(parts))
+    ps = (1, 2, 3, 4)
+    for g in graphs:
+        coloring._search.cache_clear()
+        cold = tree_depth(g)
+        cold_chi = {}
+        for p in ps:
+            coloring._search.cache_clear()
+            cold_chi[p] = chi_p(g, p)
+        for order in ((4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2)):
+            coloring._search.cache_clear()
+            for p in order:
+                chi_p(g, p)
+            assert tree_depth(g) == cold
+        coloring._search.cache_clear()
+        assert tree_depth(g) == cold
+        for p in ps:
+            assert chi_p(g, p) == cold_chi[p]
 
 
 def test_chi_p_caps():
