@@ -51,7 +51,6 @@ from .invariants import (
 )
 from .treedepth import (
     EliminationForest,
-    tree_depth,
     tree_depth_at_most,
     validate_elimination_forest,
 )
@@ -61,6 +60,7 @@ from .coloring import (
     chromatic_number,
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
+    tree_depth,
     uniform_subdivision_coloring,
     validate_coloring,
 )

@@ -19,7 +19,7 @@ from .codec import (
     serialize_digraph,
     serialize_graph,
 )
-from .coloring import chi_p, chromatic_number
+from .coloring import chi_p, chromatic_number, tree_depth
 from .errors import ChiboundError, ParameterError, ParseError, SizeCapError
 from .generators import generate
 from .graphs import acyclic_orientation, blow_up, power, subdivide_exact
@@ -38,7 +38,6 @@ from .invariants import (
     max_degree,
 )
 from .suites import SUITES, SuiteSpec, run_all, run_suite
-from .treedepth import tree_depth
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -131,20 +130,19 @@ def _cmd_generate(args):
 
 def _cmd_transform(args):
     g = parse_graph(_read_input(args.input))
-    if args.op == "subdivide":
-        result = subdivide_exact(g, args.p)
-        _write_output(serialize_graph(result, args.format), args.out)
-    elif args.op == "blowup":
-        result = blow_up(g, args.k)
-        _write_output(serialize_graph(result, args.format), args.out)
-    elif args.op == "power":
-        result = power(g, args.d)
-        _write_output(serialize_graph(result, args.format), args.out)
-    elif args.op == "orient":
+    if args.op == "orient":
         order = _parse_order(args.order) if args.order else list(range(g.n))
         result = acyclic_orientation(g, order)
         fmt = "digraph6" if args.format == "graph6" else args.format
         _write_output(serialize_digraph(result, fmt), args.out)
+        return EXIT_OK
+    if args.op == "subdivide":
+        result = subdivide_exact(g, args.p)
+    elif args.op == "blowup":
+        result = blow_up(g, args.k)
+    else:
+        result = power(g, args.d)
+    _write_output(serialize_graph(result, args.format), args.out)
     return EXIT_OK
 
 

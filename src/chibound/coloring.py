@@ -1,19 +1,21 @@
-"""Exact coloring solvers and their certificate checkers.
+"""Exact coloring solvers, tree-depth, and their certificate checkers.
 
 Every solver is the depth-p chromatic number chi_p for some p: proper coloring
 is p = 1 (chromatic_number) and star coloring is p = 2. One search object per
-graph decides for every component, p and k whether a depth-p k-coloring
-exists (by tree-depth at k <= p), and `_least_assignment` climbs k component
-by component. Only the last graph colored keeps its search, so the questions
-asked of one graph in a row (chi, then chi_p at several p, then tree_depth)
-share it and find each component's chi_p once. A depth-p coloring is a
-depth-p' coloring for every p' < p, and an optimal elimination forest colored
-by depth is a depth-p coloring for every p, so chi <= chi_2 <= chi_3 <= td:
-each climb at p starts at the colors of the largest p' < p the graph has
-answered (p = 1 starts at omega), and tree_depth runs on the search's one
-TreedepthSolver with each component's lower bound raised to its largest
-chi_p found. The backtracking search uses
-saturation-first vertex selection, ascending colors, and first-use
+graph, `_search(g)`, is the graph's one solve context: it decides for every
+component, p and k whether a depth-p k-coloring exists (by tree-depth at
+k <= p), and `_least_assignment` climbs k component by component. Only the
+last graph asked keeps its search, so the questions asked of one graph in a
+row (chi, then chi_p at several p, then tree_depth, and the shallow-minor
+climbs and find_topo_embedding, which read its degree masks, balls and
+neighbour tuples) share it and find each component's chi_p once. A depth-p
+coloring is a depth-p' coloring for every p' < p, and an optimal elimination
+forest colored by depth is a depth-p coloring for every p, so
+chi <= chi_2 <= chi_3 <= td: each climb at p starts at the colors of the
+largest p' < p the graph has answered (p = 1 starts at omega), and
+tree_depth, beside chi_p, runs on the search's one TreedepthSolver with each
+component's lower bound raised to its largest chi_p found. The backtracking
+search uses saturation-first vertex selection, ascending colors, and first-use
 symmetry breaking, so witnesses are deterministic. At p >= 2 it also forward
 checks: once all k colors are in use it skips a subtree as soon as an uncolored
 vertex near the one just colored has every color forbidden. Forbidden colors
@@ -159,10 +161,12 @@ def _first_bicolored_p4_pair(g, masks):
 class _ColoringSearch:
     """Backtracking search for depth-p colorings of one graph, any mask, p and k.
 
-    Built once per graph: neighbour tuples, degree order, distance-3 balls and
-    one TreedepthSolver, whose memo every run and tree_depth share, and
+    Built once per graph and read by every question asked of it: neighbour
+    tuples, degree order and degree masks, distance-3 balls, one
+    TreedepthSolver, whose memo every run and tree_depth share, and
     `colorings`: per (component mask, p) its least depth-p coloring, found
-    once. A run colors one vertex
+    once. The shallow-minor climbs read the neighbour tuples, degree masks
+    and balls too. A run colors one vertex
     mask, a component, and its state is bitmasks: one vertex mask per color
     class, the mask of uncolored vertices, and per vertex the mask of colors
     on its colored neighbours (its saturation). `_forbidden` turns them into
@@ -180,9 +184,14 @@ class _ColoringSearch:
         self.nbr_bits = g.adj_bits
         # DSATUR ties go to the larger degree, then (stable sort) the smaller vertex
         self.order = sorted(range(g.n), key=lambda v: -len(self.nbrs[v]))
+        # at_least[d]: the mask of the vertices of degree at least d, d = 0..n
+        self.at_least = [0] * (g.n + 1)
+        for v, row in enumerate(g.adj_bits):
+            self.at_least[row.bit_count()] |= 1 << v
+        for d in range(g.n - 1, -1, -1):
+            self.at_least[d] |= self.at_least[d + 1]
         self.nodes = 0
-        # per radius 0..3 and vertex v, the vertices within that distance of
-        # v; chi_TM's host view shares them
+        # per radius 0..3 and vertex v, the vertices within that distance of v
         self.balls = distance_balls(g, 3)
         # the vertices within distance 3 of v, whose forbidden colors can
         # change when v is colored
@@ -329,7 +338,7 @@ class _ColoringSearch:
 
 @lru_cache(maxsize=1)
 def _search(g):
-    """The search of g, kept for the last graph colored only."""
+    """The search of g, kept for the last graph asked only."""
     return _ColoringSearch(g)
 
 
@@ -360,18 +369,6 @@ def _least_assignment(g, p, cap):
         for v, c in zip(bits(comp), _least_coloring(search, comp, p)):
             assignment[v] = c
     return assignment
-
-
-def _tree_depth_solver(g):
-    """The TreedepthSolver of g's coloring search, each component's lower
-    bound raised to the colors of its least colorings found so far: coloring
-    an optimal elimination forest by depth gives a depth-p coloring for every
-    p, so td >= chi_p. Only tree_depth(g) asks for it, and it decides every
-    component of g, so the bounds raised here are all used."""
-    search = _search(g)
-    for (comp, _), found in search.colorings.items():
-        search.td.raise_lower_bound(comp, max(found) + 1)
-    return search.td
 
 
 def chromatic_number_value(g):
@@ -421,6 +418,22 @@ def chi_p(g, p, cap=None):
         )
     coloring = make_coloring(_least_assignment(g, p, cap), "chi_p", p)
     return InvariantResult("chi_p", coloring.num_colors, certificate=coloring)
+
+
+def tree_depth(g, cap=None):
+    """Exact tree-depth with an elimination-forest certificate, on the
+    TreedepthSolver of g's search. Coloring an optimal elimination forest by
+    depth gives a depth-p coloring for every p, so td >= chi_p, and each
+    component's lower bound is first raised to the colors of its least
+    colorings found so far."""
+    check_cap("tree_depth", g.n, cap)
+    check_cap("tree_depth_hard", g.n)
+    search = _search(g)
+    for (comp, _), found in search.colorings.items():
+        search.td.raise_lower_bound(comp, max(found) + 1)
+    full = (1 << g.n) - 1
+    value = search.td.treedepth(full)
+    return InvariantResult("tree_depth", value, certificate=search.td.forest(full))
 
 
 def uniform_subdivision_coloring(g, p):

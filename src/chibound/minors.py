@@ -10,15 +10,15 @@ find_topo_embedding places branch vertices on bitmasks. The candidates for a
 pattern vertex are the unused host vertices of large enough degree inside the
 distance-(r + 1) balls around its placed neighbours' images, tried in
 ascending order, and the smaller balls count the interior vertices the paths
-must use at least. omega_TM and chi_TM share one climb, _climb, over one host
-view (degree masks, balls, neighbour tuples) per host, passed with every
-pattern they try; chi_TM takes its balls from the host's coloring search.
+must use at least. It reads the degree masks, balls and neighbour tuples of
+the host's one coloring search (coloring._search), which every pattern tried
+on that host shares; omega_TM and chi_TM share one climb, _climb, on the
+same search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .corpus import all_graphs, connected_graphs
 from .errors import check_cap, check_int
@@ -116,52 +116,28 @@ def _paths_up_to(nbrs, source, target, max_edges, blocked):
     return results
 
 
-class _HostView:
-    """What the branch placement reads of one host at one depth r, built once
-    per climb and shared by every pattern the climb tries: at_least[d], the
-    mask of the vertices of degree at least d, for d = 0..n; balls[i][x], the
-    vertices within distance i of x, for i = 0..r + 1 (graphs.distance_balls);
-    and the neighbour tuples the path router walks, built on first use."""
-
-    def __init__(self, g, balls):
-        self.g = g
-        self.balls = balls
-        self.at_least = [0] * (g.n + 1)
-        for x, row in enumerate(g.adj_bits):
-            for d in range(row.bit_count() + 1):
-                self.at_least[d] |= 1 << x
-
-    @cached_property
-    def nbrs(self):
-        return [self.g.neighbors(x) for x in range(self.g.n)]
-
-
 def find_topo_embedding(pattern, g, r):
-    """An embedding witnessing pattern in TM_r(g), or None (complete search).
-
-    g may also be the _HostView of a host at depth r: the climbs below build
-    one per host and pass it here for every pattern they try.
-    """
+    """An embedding witnessing pattern in TM_r(g), or None (complete search)."""
     check_int("r", r, 0)
-    if isinstance(g, _HostView):
-        view, g = g, g.g
-    else:
-        check_cap("tm_host", g.n)
-        view = _HostView(g, distance_balls(g, r + 1))
+    check_cap("tm_host", g.n)
+    search = _search(g)
+    # balls[i][x]: the vertices within distance i of x, for i = 0..r + 1; the
+    # search's own reach radius 3
+    balls = search.balls[: r + 2] if r <= 2 else distance_balls(g, r + 1)
     h = pattern
     if h.n > g.n:
         return None
     hdeg = [h.degree(v) for v in range(h.n)]
-    at_least = view.at_least
+    at_least = search.at_least
     if not all(at_least[d] for d in hdeg):
         return None
     order = sorted(range(h.n), key=lambda v: (-hdeg[v], v))
     edges = h.sorted_edges()
     pattern_nbrs = [h.neighbors(v) for v in range(h.n)]
-    far = view.balls[-1]
+    far = balls[-1]
     # the balls of radius 1..r: a placed neighbour's image at host distance
     # d <= r + 1 from x lies outside exactly d - 1 of them
-    inner_balls = view.balls[1:-1]
+    inner_balls = balls[1:-1]
     # a complete pattern is vertex-transitive: fix ascending branch images
     symmetric = all(d == h.n - 1 for d in hdeg)
 
@@ -208,7 +184,7 @@ def find_topo_embedding(pattern, g, r):
         su, sv = branch[u], branch[v]
         # used holds the branch images and the routed interiors, which every
         # new path keeps out of its own interior
-        for p in _paths_up_to(view.nbrs, su, sv, r + 1, used - {su, sv}):
+        for p in _paths_up_to(search.nbrs, su, sv, r + 1, used - {su, sv}):
             paths[(u, v)] = p
             result = route(eidx + 1, used.union(p[1:-1]), paths)
             if result is not None:
@@ -267,20 +243,20 @@ def _route_depth1(g, h, branch):
 
 
 def find_subdivided_clique(g, k, r):
-    """Embedding of some (<= r)-subdivision of K_k in g, or None. g may be a
-    host view, as in find_topo_embedding."""
+    """Embedding of some (<= r)-subdivision of K_k in g, or None."""
     check_int("k", k, 0)
     check_cap("pattern", k)
     pattern = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
     return find_topo_embedding(pattern, g, r)
 
 
-def _climb(view, value, reached):
+def _climb(g, value, reached):
     """Raise value one level at a time while reached(value + 1) holds. A
     pattern at level k (K_k, or a k-chromatic graph) needs k branch vertices
-    of degree >= k - 1, so the climb stops without asking reached once the
-    host has too few."""
-    while view.at_least[value].bit_count() > value and reached(value + 1):
+    of degree >= k - 1 in host g, so the climb stops without asking reached
+    once g has too few."""
+    at_least = _search(g).at_least
+    while at_least[value].bit_count() > value and reached(value + 1):
         value += 1
     return value
 
@@ -290,8 +266,7 @@ def omega_TM(g, r):
     past the pattern cap raises SizeCapError rather than stopping short."""
     check_int("r", r, 0)
     check_cap("tm_host", g.n)
-    view = _HostView(g, distance_balls(g, r + 1))
-    return _climb(view, 0, lambda k: find_subdivided_clique(view, k, r) is not None)
+    return _climb(g, 0, lambda k: find_subdivided_clique(g, k, r) is not None)
 
 
 def is_induced_exact_subdivision(h, r, g):
@@ -392,7 +367,10 @@ def _critical_of_size(chi, size):
     for h in connected_graphs(size):
         if min(h.degree(v) for v in range(h.n)) < chi - 1:
             continue
-        if chromatic_number_value(h) != chi:
+        # an edge lowers chi by at most one, so chi(h) >= chi with no h - e
+        # keeping it means chi(h) == chi; _chromatic_at_least builds searches
+        # of its own, so the host of a climb keeps its search
+        if not _chromatic_at_least(h, chi):
             continue
         edges = h.sorted_edges()
         if not any(
@@ -440,17 +418,13 @@ def chi_TM(g, r):
     check_int("r", r, 0)
     check_cap("tm_host", g.n)
     host_chi = chromatic_number_value(g)
-    # chromatic_number_value has made g's coloring search current, and its
-    # balls reach radius 3
-    balls = _search(g).balls[: r + 2] if r <= 2 else distance_balls(g, r + 1)
-    view = _HostView(g, balls)
 
     def reached(c):
         # reaching level c needs at least c - host_chi subdivided edges, each
         # eating a distinct interior vertex, which bounds |H|
         return any(
-            find_topo_embedding(h, view, r) is not None
+            find_topo_embedding(h, g, r) is not None
             for h in critical_patterns(c, g.n - c + host_chi)
         )
 
-    return _climb(view, host_chi, reached)
+    return _climb(g, host_chi, reached)

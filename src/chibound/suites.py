@@ -26,6 +26,7 @@ from .coloring import (
     chromatic_number_value,
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
+    tree_depth,
     uniform_subdivision_coloring,
     validate_coloring,
 )
@@ -49,7 +50,7 @@ from .invariants import (
     validate_degeneracy_order,
 )
 from .minors import chi_TM, omega_TM
-from .treedepth import tree_depth, tree_depth_at_most, validate_elimination_forest
+from .treedepth import tree_depth_at_most, validate_elimination_forest
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,19 @@ queries (td <= k?) from many callers share the memo, including queries on
 just the component of a mask that holds a given vertex, and elimination
 forests are read from the memo without another search. The bounded decision
 is what the chi_p machinery calls, and it stays cheap even on graphs far
-above the exact-solve cap as long as k is small. `tree_depth(g)` runs on the
-one solver of g's coloring search, so it shares the memo of the chi_p
-questions asked of g, and each component's lower bound starts at the largest
-chi_p found for it when that beats degeneracy + 1 (td >= chi_p for every p).
+above the exact-solve cap as long as k is small. The exact `tree_depth(g)`
+sits beside chi_p in coloring, on the one solver of g's coloring search, so
+it shares the memo of the chi_p questions asked of g, and each component's
+lower bound starts at the largest chi_p found for it when that beats
+degeneracy + 1 (td >= chi_p for every p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import check_cap, check_int
+from .errors import check_int
 from .graphs import bits, component_masks, component_of
-from .invariants import InvariantResult
 
 
 @dataclass(frozen=True)
@@ -261,20 +261,6 @@ def tree_depth_at_most(g, k):
     """Bounded decision without the exact-solve size cap (cheap for small k)."""
     check_int("k", k, 0)
     return TreedepthSolver(g).td_at_most((1 << g.n) - 1, k)
-
-
-def tree_depth(g, cap=None):
-    """Exact tree-depth with an elimination-forest certificate."""
-    check_cap("tree_depth", g.n, cap)
-    check_cap("tree_depth_hard", g.n)
-    # g's one solver, shared with its coloring search (imported here, since
-    # coloring builds on this module)
-    from .coloring import _tree_depth_solver
-
-    solver = _tree_depth_solver(g)
-    full = (1 << g.n) - 1
-    value = solver.treedepth(full)
-    return InvariantResult("tree_depth", value, certificate=solver.forest(full))
 
 
 def depth_coloring(g, forest):

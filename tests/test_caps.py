@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import chibound
-from chibound.coloring import chi_p
+from chibound.coloring import chi_p, tree_depth
 from chibound.errors import CAPS, SizeCapError, check_cap
 from chibound.generators import path
 from chibound.graphs import Digraph, Graph, orientations
@@ -22,7 +22,6 @@ from chibound.minors import (
     find_subdivided_clique,
     find_topo_embedding,
 )
-from chibound.treedepth import tree_depth
 
 PACKAGE = Path(chibound.__file__).resolve().parent
 

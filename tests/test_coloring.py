@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from chibound import coloring
+from chibound import coloring, minors
 from chibound.codec import graph_to_graph6
 from chibound.coloring import (
     Coloring,
@@ -15,6 +15,7 @@ from chibound.coloring import (
     make_coloring,
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
+    tree_depth,
     uniform_subdivision_coloring,
     validate_coloring,
 )
@@ -29,8 +30,8 @@ from chibound.generators import (
     random_gnp,
 )
 from chibound.graphs import Graph, disjoint_union, induced_subgraph, subdivide_exact
-from chibound.minors import chi_TM
-from chibound.treedepth import TreedepthSolver, tree_depth
+from chibound.minors import chi_TM, find_topo_embedding, omega_TM
+from chibound.treedepth import TreedepthSolver
 from oracles import naive_chromatic, naive_is_star_coloring, naive_star_chromatic
 
 PETERSEN = Graph(
@@ -174,9 +175,11 @@ def test_depth_search_query_count(monkeypatch):
 
 def test_one_search_per_graph(monkeypatch):
     # every coloring question asked of one graph in a row runs on one search,
-    # and tree_depth on that search's TreedepthSolver; the chromatic_number
-    # shrink on C5 + K2 (omega 2 < chi 3) colors its subgraphs with searches
-    # and solvers of their own and leaves the graph's alone
+    # and tree_depth on that search's TreedepthSolver, and the shallow-minor
+    # questions read the same search; the chromatic_number shrink on C5 + K2
+    # (omega 2 < chi 3) colors its subgraphs with searches and solvers of
+    # their own and leaves the graph's alone, and so does the level-4 pattern
+    # catalogue the prism's climbs build from an empty cache
     built = []
     solvers = []
     init = _ColoringSearch.__init__
@@ -192,10 +195,13 @@ def test_one_search_per_graph(monkeypatch):
 
     monkeypatch.setattr(_ColoringSearch, "__init__", counting_init)
     monkeypatch.setattr(TreedepthSolver, "__init__", counting_solver_init)
-    for g in (
-        disjoint_union([cycle(5), complete(4)]),
-        disjoint_union([cycle(5), complete(2)]),
-        complete_bipartite(2, 3),
+    monkeypatch.setattr(minors, "_critical_cache", {})
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    for g, chi_tm_1 in (
+        (disjoint_union([cycle(5), complete(4)]), 4),
+        (disjoint_union([cycle(5), complete(2)]), 3),
+        (complete_bipartite(2, 3), 3),
+        (prism, 4),
     ):
         coloring._search.cache_clear()
         built.clear()
@@ -205,6 +211,10 @@ def test_one_search_per_graph(monkeypatch):
         assert chi <= chi_p(g, 2).value <= chi_p(g, 3).value <= tree_depth(g).value
         assert chromatic_number_value(g) == chi
         assert chi_TM(g, 0) == chi
+        assert chi_TM(g, 1) == chi_tm_1
+        omega_tm_1 = omega_TM(g, 1)
+        assert omega_tm_1 <= chi_tm_1
+        assert (find_topo_embedding(complete(3), g, 1) is not None) == (omega_tm_1 >= 3)
         assert built.count(g) == 1
         assert solvers.count(g) == 1
 

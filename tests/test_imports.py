@@ -1,8 +1,10 @@
 """Every chibound module imports on its own, each in a fresh interpreter, so no
 module leans on another having been imported first. The package's __init__,
 which imports every module, is replaced by an empty package object with the
-same path, so a module loads only what it imports itself."""
+same path, so a module loads only what it imports itself. No module imports
+inside a function or class body, where an import cycle could hide."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +38,17 @@ def test_module_imports_alone(module):
     )
     assert done.returncode == 0, done.stderr
     assert f"chibound.{module}" in done.stdout.split()
+
+
+def test_imports_sit_at_module_level():
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested += [
+                    f"{path.stem}.{node.name}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert nested == []

@@ -13,6 +13,7 @@ from chibound.coloring import (
     chi_p,
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
+    tree_depth,
     uniform_subdivision_coloring,
 )
 from chibound.corpus import all_graphs, connected_graphs
@@ -48,7 +49,7 @@ from chibound.minors import (
     omega_TM,
 )
 from chibound.suites import SuiteSpec, run_suite
-from chibound.treedepth import tree_depth, tree_depth_at_most
+from chibound.treedepth import tree_depth_at_most
 
 PACKAGE = Path(chibound.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent

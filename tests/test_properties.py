@@ -17,6 +17,7 @@ from chibound.coloring import (
     chi_p,
     chromatic_number,
     make_coloring,
+    tree_depth,
     validate_coloring,
 )
 from chibound.corpus import canonical_form
@@ -40,7 +41,6 @@ from chibound.treedepth import (
     TreedepthSolver,
     _degeneracy,
     _star_hubs,
-    tree_depth,
     tree_depth_at_most,
     validate_elimination_forest,
 )

@@ -47,7 +47,7 @@ UNPASSED = {
     "cli.main.argv": "the console entry point reads sys.argv; tests pass argv",
     "invariants.clique_number.cap": "passed through cli._INVARIANTS from --cap-n",
     "invariants.biclique_number.cap": "passed through cli._INVARIANTS from --cap-n",
-    "treedepth.tree_depth.cap": "passed through cli._INVARIANTS from --cap-n",
+    "coloring.tree_depth.cap": "passed through cli._INVARIANTS from --cap-n",
     "homomorphism.homomorphism.budget": "a node budget on every search (ROADMAP aim 3)",
     "minors.validate_topo_embedding.exact": "checked by acceptance criterion C9c",
     "minors.validate_topo_embedding.induced": "checked by acceptance criterion C9c",

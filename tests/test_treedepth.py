@@ -4,6 +4,7 @@ import json
 import pytest
 
 from chibound.codec import graph_to_graph6
+from chibound.coloring import tree_depth
 from chibound.corpus import all_graphs
 from chibound.errors import ParameterError, SizeCapError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp, star
@@ -12,7 +13,6 @@ from chibound.treedepth import (
     EliminationForest,
     TreedepthSolver,
     depth_coloring,
-    tree_depth,
     tree_depth_at_most,
     validate_elimination_forest,
 )
