@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from chibound import graphs
+from chibound import corpus, graphs
 from chibound.codec import graph_to_graph6
 from chibound.corpus import connected_graphs
 from chibound.errors import SizeCapError
@@ -68,6 +68,28 @@ def test_omega_tm_monotone_in_depth(small_connected):
     for g in small_connected[::12]:
         values = [omega_TM(g, r) for r in range(3)]
         assert values == sorted(values)
+
+
+# recorded while is_induced_exact_subdivision still ran a set-based backtracker
+# of its own; the embeddings must not change
+ITM_SHA256 = "b7bd2e25c23bd5bc772d9b4e340d85194bd6977478510c74e737107b9fc369ad"
+
+
+def test_itm_embeddings_are_pinned():
+    h = hashlib.sha256()
+    patterns = [p for n in range(1, 5) for p in corpus.all_graphs(n)]
+    count = found = 0
+    for g in corpus.connected_corpus(7)[::7]:
+        for pattern in patterns:
+            for r in range(2):
+                emb = is_induced_exact_subdivision(pattern, r, g)
+                data = None if emb is None else emb.to_jsonable()
+                text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+                h.update(f"{graph_to_graph6(g)} {graph_to_graph6(pattern)} {r} {text}\n".encode())
+                count += 1
+                found += emb is not None
+    assert (count, found) == (5148, 2717)
+    assert h.hexdigest() == ITM_SHA256
 
 
 def test_induced_exact_subdivision():
