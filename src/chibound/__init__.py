@@ -27,7 +27,6 @@ from .graphs import (
     blow_up,
     connected_components,
     disjoint_union,
-    girth,
     induced_subgraph,
     is_connected,
     orientations,

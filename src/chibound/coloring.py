@@ -377,8 +377,9 @@ def chromatic_number_value(g):
 
 
 def _chromatic_at_least(g, chi):
-    """Whether g has no proper coloring with chi - 1 colors. A search of its
-    own: the subgraphs a shrink tries must not evict the graph being colored."""
+    """Whether g has no proper coloring with chi - 1 colors, on a search of
+    its own: the critical-pattern catalogue and S11's re-check ask it of
+    graphs whose searches must not evict the host being colored."""
     search = _ColoringSearch(g)
     comps = component_masks(g.adj_bits, (1 << g.n) - 1)
     return any(search.run(comp, chi - 1, 1) is None for comp in comps)
@@ -393,7 +394,10 @@ def chromatic_number(g, cap=None):
     if omega.value == value:
         witness = ("clique", omega.certificate)
     else:
-        critical = shrink_to_minimal(g, lambda sub: _chromatic_at_least(sub, value))
+        search = _search(g)
+        critical = shrink_to_minimal(
+            (1 << g.n) - 1, lambda mask: search.run(mask, value - 1, 1) is None
+        )
         witness = ("critical_subgraph", critical)
     return InvariantResult(
         "chromatic_number", value, certificate=coloring, lower_bound=witness

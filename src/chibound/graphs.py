@@ -172,24 +172,20 @@ def induced_subgraph(g, vertices):
     return Graph(len(verts), edges), verts
 
 
-def shrink_to_minimal(g, holds):
+def shrink_to_minimal(mask, holds):
     """Greedy vertex deletion down to a minimal witness set.
 
-    holds(h) is a property of induced subgraphs that g has. Sweeps the vertices
-    in order, deleting each one whose removal keeps the property, until a full
-    sweep deletes nothing; returns the surviving vertices as a sorted tuple.
+    holds(m) is a property of vertex masks that mask has and that every
+    superset of a mask with it keeps, as a lower bound on an invariant of
+    the induced subgraph does. One sweep in ascending vertex order deletes
+    each vertex whose removal keeps the property; by that monotonicity no
+    survivor can be deleted afterwards. Returns the survivors as a sorted
+    tuple.
     """
-    verts = list(range(g.n))
-    changed = True
-    while changed:
-        changed = False
-        for v in list(verts):
-            rest = [u for u in verts if u != v]
-            sub, _ = induced_subgraph(g, rest)
-            if holds(sub):
-                verts = rest
-                changed = True
-    return tuple(verts)
+    for v in list(bits(mask)):
+        if holds(mask & ~(1 << v)):
+            mask &= ~(1 << v)
+    return tuple(bits(mask))
 
 
 def disjoint_union(graphs):
@@ -336,30 +332,34 @@ def is_connected(g):
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
-def girth(g):
-    """Length of a shortest cycle, or None for a forest (BFS from every vertex)."""
+def shortest_cycle(g):
+    """A shortest cycle as a vertex list, or None for a forest. One BFS per
+    edge uv, in sorted-edge order, looks for a u-v path that avoids uv and is
+    shorter than the best cycle so far; the first strictly shortest cycle is
+    kept."""
     best = None
-    nbrs = [g.neighbors(v) for v in range(g.n)]
-    for s in range(g.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        frontier = [s]
-        while frontier:
+    nbrs = [g.neighbors(x) for x in range(g.n)]
+    for u, v in g.sorted_edges():
+        parent = {u: u}
+        frontier = [u]
+        # a path found from this frontier closes a cycle of depth + 2 vertices
+        depth = 0
+        while frontier and v not in parent and (best is None or depth + 2 < len(best)):
             nxt = []
             for x in frontier:
                 for y in nbrs[x]:
-                    if y == parent[x]:
+                    if y in parent or (x == u and y == v):
                         continue
-                    if y in dist:
-                        cycle_len = dist[x] + dist[y] + 1
-                        if best is None or cycle_len < best:
-                            best = cycle_len
-                    else:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        nxt.append(y)
+                    parent[y] = x
+                    if y == v:
+                        break
+                    nxt.append(y)
+                if v in parent:
+                    break
             frontier = nxt
-            # BFS layers beyond best/2 cannot improve the bound from this root
-            if best is not None and frontier and dist[frontier[0]] > best // 2:
-                break
+            depth += 1
+        if v in parent:
+            best = [v]
+            while best[-1] != u:
+                best.append(parent[best[-1]])
     return best

@@ -1,9 +1,10 @@
 """Digraph homomorphisms, transitive tournaments, longest directed paths,
 directed-walk powers and restricted-dual verification.
 
-The homomorphism engine is a CSP backtracker: source vertices in descending
-total-degree order, forward checking of candidate lists, deterministic
-tie-breaking, so witnesses are reproducible. Undirected graphs enter through
+The homomorphism engine is a CSP backtracker, map_search: bitmask domains,
+candidate images in ascending order and forward checking, so witnesses are
+reproducible. homomorphism orders source vertices by descending total degree;
+minors' induced-subdivision test runs on the same search. Undirected graphs enter through
 the symmetric-digraph embedding (one arc each way per edge).
 """
 
@@ -45,30 +46,23 @@ def validate_homomorphism(f, g, hom):
     return True, None
 
 
-def homomorphism(f, g, cap=None, budget=None):
-    """A homomorphism f -> g, or None after a complete search.
+def map_search(order, arcs, domains, budget):
+    """The first vertex map found by backtracking, as one single-image domain
+    mask per source vertex, or None after a complete search.
 
-    `budget` caps the number of search nodes; exhausting it raises BudgetError
-    rather than ever returning a wrong answer.
+    Source vertices are assigned in `order`, each to the images of its
+    domain mask in ascending order. arcs[v] lists (w, rows) pairs: mapping v
+    to x narrows w's domain to rows[x]. Forward checking keeps every domain
+    consistent with the images already chosen, so narrowing an assigned
+    vertex's single image never empties it and no pair needs a second check.
+    `budget` caps the search nodes (None: no cap); exhausting it raises
+    BudgetError rather than ever returning a wrong answer.
     """
-    check_cap("homomorphism", max(f.n, g.n), cap)
-    if budget is not None:
-        check_int("budget", budget, 0)
-    # per source vertex, one (neighbour, the target rows its image must lie
-    # in) for each arc at it
-    arcs = [[] for _ in range(f.n)]
-    for v, w in f.sorted_arcs():
-        arcs[v].append((w, g.out_bits))
-        arcs[w].append((v, g.in_bits))
-    order = sorted(range(f.n), key=lambda v: (-len(arcs[v]), v))
     nodes = 0
 
     def assign(idx, domains):
-        # forward checking keeps every domain consistent with the images
-        # already chosen, so narrowing an assigned neighbour's single image
-        # never empties it and no arc needs a second check
         nonlocal nodes
-        if idx == f.n:
+        if idx == len(order):
             return domains
         v = order[idx]
         dom = domains[v]
@@ -90,7 +84,27 @@ def homomorphism(f, g, cap=None, budget=None):
                     return found
         return None
 
-    found = assign(0, [(1 << g.n) - 1] * f.n)
+    return assign(0, domains)
+
+
+def homomorphism(f, g, cap=None, budget=None):
+    """A homomorphism f -> g, or None after a complete search (map_search,
+    source vertices by descending total degree).
+
+    `budget` caps the number of search nodes; exhausting it raises BudgetError
+    rather than ever returning a wrong answer.
+    """
+    check_cap("homomorphism", max(f.n, g.n), cap)
+    if budget is not None:
+        check_int("budget", budget, 0)
+    # per source vertex, one (neighbour, the target rows its image must lie
+    # in) for each arc at it
+    arcs = [[] for _ in range(f.n)]
+    for v, w in f.sorted_arcs():
+        arcs[v].append((w, g.out_bits))
+        arcs[w].append((v, g.in_bits))
+    order = sorted(range(f.n), key=lambda v: (-len(arcs[v]), v))
+    found = map_search(order, arcs, [(1 << g.n) - 1] * f.n, budget)
     if found is None:
         return None
     return HomMapping(tuple(d.bit_length() - 1 for d in found))

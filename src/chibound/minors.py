@@ -32,6 +32,7 @@ from .graphs import (
     subdivision_internal_vertices,
 )
 from .coloring import _chromatic_at_least, _search, chromatic_number_value
+from .homomorphism import map_search
 
 
 @dataclass(eq=False)
@@ -271,73 +272,48 @@ def omega_TM(g, r):
 
 def is_induced_exact_subdivision(h, r, g):
     """Embedding witnessing that the exact r-subdivision of h is an induced
-    subgraph of g, or None (backtracking induced-subgraph isomorphism)."""
+    subgraph of g, or None after a complete search.
+
+    An induced-subgraph isomorphism on homomorphism.map_search: a subdivision
+    vertex's domain holds the host vertices of at least its degree, and
+    mapping it to x narrows each neighbour's domain to x's neighbours and
+    every other vertex's to the vertices distinct from and not adjacent to
+    x. Vertices are placed by descending degree, each next one adjacent to
+    one already placed when it can be.
+    """
+    check_int("r", r, 0)
     check_cap("tm_host", g.n)
     sub = subdivide_exact(h, r)
     if sub.n > g.n:
         return None
-    # map the subdivision into g; order pattern vertices to stay connected
-    sdeg = [sub.degree(v) for v in range(sub.n)]
-    snbrs = [sub.neighbors(v) for v in range(sub.n)]
+    srows = sub.adj_bits
+    sdeg = [row.bit_count() for row in srows]
     order = []
-    placed = set()
+    placed = 0
     pending = sorted(range(sub.n), key=lambda v: (-sdeg[v], v))
     while pending:
-        nxt = None
-        for v in pending:
-            if any(u in placed for u in snbrs[v]):
-                nxt = v
-                break
-        if nxt is None:
-            nxt = pending[0]
+        nxt = next((v for v in pending if srows[v] & placed), pending[0])
         order.append(nxt)
-        placed.add(nxt)
+        placed |= 1 << nxt
         pending.remove(nxt)
-    mapping = {}
-    used = set()
-
-    def extend(idx):
-        if idx == sub.n:
-            return True
-        v = order[idx]
-        for x in range(g.n):
-            if x in used or g.degree(x) < sdeg[v]:
-                continue
-            ok = True
-            for u in snbrs[v]:
-                if u in mapping and not g.has_edge(mapping[u], x):
-                    ok = False
-                    break
-            if ok:
-                for u, y in mapping.items():
-                    if not sub.has_edge(u, v) and g.has_edge(y, x):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = x
-            used.add(x)
-            if extend(idx + 1):
-                return True
-            del mapping[v]
-            used.remove(x)
-        return False
-
-    if not extend(0):
+    rows = g.adj_bits
+    full = (1 << g.n) - 1
+    apart = [full & ~row & ~(1 << x) for x, row in enumerate(rows)]
+    arcs = [
+        [(w, rows if srows[v] >> w & 1 else apart) for w in range(sub.n) if w != v]
+        for v in range(sub.n)
+    ]
+    domains = [sum(1 << x for x, row in enumerate(rows) if row.bit_count() >= d) for d in sdeg]
+    found = map_search(order, arcs, domains, None)
+    if found is None:
         return None
-    branch = tuple(mapping[v] for v in range(h.n))
-    chains = _subdivision_chains(h, r)
-    paths = {
-        e: tuple(mapping[x] for x in chain) for e, chain in chains.items()
-    }
-    return TopoMinorEmbedding(pattern=h, branch_map=branch, paths=paths)
-
-
-def _subdivision_chains(h, r):
+    image = [d.bit_length() - 1 for d in found]
     inner = subdivision_internal_vertices(h, r)
-    return {
-        (u, v): (u,) + inner[(u, v)] + (v,) for u, v in h.sorted_edges()
+    paths = {
+        (u, v): tuple(image[x] for x in (u,) + inner[(u, v)] + (v,))
+        for u, v in h.sorted_edges()
     }
+    return TopoMinorEmbedding(pattern=h, branch_map=tuple(image[: h.n]), paths=paths)
 
 
 def enumerate_ITM_exact(g, r, max_pattern_size):

@@ -177,9 +177,10 @@ def test_one_search_per_graph(monkeypatch):
     # every coloring question asked of one graph in a row runs on one search,
     # and tree_depth on that search's TreedepthSolver, and the shallow-minor
     # questions read the same search; the chromatic_number shrink on C5 + K2
-    # (omega 2 < chi 3) colors its subgraphs with searches and solvers of
-    # their own and leaves the graph's alone, and so does the level-4 pattern
-    # catalogue the prism's climbs build from an empty cache
+    # (omega 2 < chi 3) colors its vertex masks on that search too, and the
+    # level-4 pattern catalogue the prism's climbs build from an empty cache
+    # colors its candidates with searches of their own and leaves the graph's
+    # alone
     built = []
     solvers = []
     init = _ColoringSearch.__init__
@@ -217,6 +218,25 @@ def test_one_search_per_graph(monkeypatch):
         assert (find_topo_embedding(complete(3), g, 1) is not None) == (omega_tm_1 >= 3)
         assert built.count(g) == 1
         assert solvers.count(g) == 1
+
+
+def test_critical_shrink_runs_on_the_graph_search(monkeypatch):
+    # omega 2 < chi 3, so the witness is a shrunk vertex set, and every mask
+    # the shrink tries is colored on the graph's one search
+    built = []
+    init = _ColoringSearch.__init__
+
+    def counting_init(self, g):
+        built.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(_ColoringSearch, "__init__", counting_init)
+    coloring._search.cache_clear()
+    g = disjoint_union([cycle(5), complete(2)])
+    res = chromatic_number(g)
+    assert res.value == 3
+    assert res.lower_bound == ("critical_subgraph", (0, 1, 2, 3, 4))
+    assert built == [g]
 
 
 def test_chi_3_climbs_from_chi_2(monkeypatch):

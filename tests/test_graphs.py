@@ -12,10 +12,10 @@ from chibound.graphs import (
     blow_up,
     connected_components,
     disjoint_union,
-    girth,
     induced_subgraph,
     orientations,
     power,
+    shortest_cycle,
     subdivide_exact,
 )
 from oracles import are_isomorphic
@@ -118,10 +118,10 @@ def test_acyclic_orientation():
 
 
 def test_girth():
-    assert girth(cycle(5)) == 5
-    assert girth(path(9)) is None
-    assert girth(complete(4)) == 3
-    assert girth(complete_bipartite(2, 3)) == 4
+    assert len(shortest_cycle(cycle(5))) == 5
+    assert shortest_cycle(path(9)) is None
+    assert len(shortest_cycle(complete(4))) == 3
+    assert len(shortest_cycle(complete_bipartite(2, 3))) == 4
 
 
 def test_components_and_union():

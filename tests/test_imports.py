@@ -2,7 +2,9 @@
 module leans on another having been imported first. The package's __init__,
 which imports every module, is replaced by an empty package object with the
 same path, so a module loads only what it imports itself. No module imports
-inside a function or class body, where an import cycle could hide."""
+inside a function or class body, where an import cycle could hide. Engines a
+module shares with another are imported by public names; the private names
+one module takes from another are listed here, and a new one fails."""
 
 import ast
 import subprocess
@@ -52,3 +54,37 @@ def test_imports_sit_at_module_level():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 ]
     assert nested == []
+
+
+# importer <- module.name for every private chibound name a module imports
+# from another one, or reads off a chibound module it imports
+PRIVATE_IMPORTS = {
+    "cli<-codec._load_json",
+    "coloring<-invariants._max_clique_mask",
+    "minors<-coloring._chromatic_at_least",
+    "minors<-coloring._search",
+    "suites<-coloring._chromatic_at_least",
+}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        found.add(f"{path.stem}<-{node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                found.add(f"{path.stem}<-{node.value.id}.{node.attr}")
+    assert found == PRIVATE_IMPORTS

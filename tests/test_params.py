@@ -46,6 +46,7 @@ from chibound.minors import (
     enumerate_ITM_exact,
     find_subdivided_clique,
     find_topo_embedding,
+    is_induced_exact_subdivision,
     omega_TM,
 )
 from chibound.suites import SuiteSpec, run_suite
@@ -92,6 +93,7 @@ ENTRIES = {
     "find_subdivided_clique.r": (lambda v: find_subdivided_clique(C5, 3, v), 0),
     "omega_TM.r": (lambda v: omega_TM(C5, v), 0),
     "chi_TM.r": (lambda v: chi_TM(C5, v), 0),
+    "is_induced_exact_subdivision.r": (lambda v: is_induced_exact_subdivision(K3, v, C5), 0),
     "critical_patterns.chi": (lambda v: critical_patterns(v, 5), 1),
     "critical_patterns.max_size": (lambda v: critical_patterns(4, v), 0),
     "enumerate_ITM_exact.r": (lambda v: enumerate_ITM_exact(C5, v, 3), 0),
@@ -151,6 +153,7 @@ BEFORE_CHECK = {
     "chi_TM",
     "critical_patterns",
     "enumerate_ITM_exact",
+    "is_induced_exact_subdivision",
     "complete",
     "complete_bipartite",
     "cycle",
@@ -194,7 +197,8 @@ def test_entry_rejects_a_bad_int_before_any_search(entry, kind, value):
             fn(value)
     finally:
         sys.setprofile(None)
-    assert f"must be an int >= {least}, got {value!r}" in str(info.value)
+    name = entry.rsplit(".", 1)[1]
+    assert f"{name} must be an int >= {least}, got {value!r}" in str(info.value)
     assert "check_int" in called
     assert called <= BEFORE_CHECK, called - BEFORE_CHECK
 

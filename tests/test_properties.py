@@ -32,6 +32,7 @@ from chibound.graphs import (
     distance_balls,
     induced_subgraph,
     orientations,
+    shortest_cycle,
     subdivide_exact,
     walk_masks,
 )
@@ -163,6 +164,21 @@ def test_walk_layers_match_the_oracles(case, data):
 def test_codec_roundtrip(g):
     assert graph_from_graph6(graph_to_graph6(g)) == g
     assert parse_graph(serialize_graph(g, "json")) == g
+
+
+@common
+@given(graphs(max_n=9))
+def test_shortest_cycle_is_a_cycle_of_girth_length(g):
+    cyc = shortest_cycle(g)
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    if cyc is None:
+        assert nx.is_forest(h)
+        return
+    assert len(set(cyc)) == len(cyc)
+    assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    assert len(cyc) == nx.girth(h)
 
 
 @common

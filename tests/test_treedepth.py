@@ -181,8 +181,8 @@ def test_forest_bytes_are_pinned():
 
 
 def test_root_scan_counts(monkeypatch):
-    # the degeneracy lower bound skips root scans that would fail: 9,162
-    # scans on these graphs without it, 10,221 without it and without the
+    # the degeneracy lower bound skips root scans that would fail: 5,246
+    # scans on these graphs without it, 5,797 without it and without the
     # universal-vertex stop. A scan splits its component at a root only when
     # it reaches that root, and a first root adjacent to its whole component
     # is the only one tried; every split is one component_masks call, and a
