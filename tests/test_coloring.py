@@ -19,7 +19,7 @@ from chibound.coloring import (
     uniform_subdivision_coloring,
     validate_coloring,
 )
-from chibound.corpus import all_graphs, connected_graphs
+from chibound.corpus import all_graphs, connected_corpus, connected_graphs
 from chibound.errors import ParameterError, SizeCapError, ValidationError
 from chibound.generators import (
     SplitMix64,
@@ -31,6 +31,7 @@ from chibound.generators import (
 )
 from chibound.graphs import Graph, disjoint_union, induced_subgraph, subdivide_exact
 from chibound.minors import chi_TM, find_topo_embedding, omega_TM
+from chibound.suites import build_sub_colorings
 from chibound.treedepth import TreedepthSolver
 from oracles import naive_chromatic, naive_is_star_coloring, naive_star_chromatic
 
@@ -413,8 +414,6 @@ def test_product_coloring_collapses_at_p1():
 def test_product_coloring_validates_and_counts():
     from math import comb
 
-    from chibound.suites import build_sub_colorings
-
     g = cycle(5)
     base = chromatic_number(g).certificate
     subs = build_sub_colorings(g, base, 2)
@@ -459,3 +458,29 @@ def test_certificate_bytes_are_pinned():
             sub = subdivide_exact(g, 1)
             add(sub, chi_p(sub, 2, cap=44))
     assert h.hexdigest() == CERTIFICATES_SHA256
+
+
+# SHA-256 of every construction below over the connected graphs on up to six
+# vertices; recorded before the product coloring lost its fewer-colors branch
+CONSTRUCTIONS_SHA256 = "2304d0bbadeab0205b3d92169e85493443294b78f76ece89a7dbd822bed2187e"
+
+
+def test_construction_bytes_are_pinned():
+    h = hashlib.sha256()
+    built = below = 0
+
+    def add(g, name, p, col):
+        nonlocal built
+        built += 1
+        text = json.dumps(col.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        h.update(f"{graph_to_graph6(g)} {name} {p} {text}\n".encode())
+
+    for g in connected_corpus(6):
+        base = chromatic_number(g).certificate
+        for p in (2, 3):
+            below += base.num_colors < p
+            add(g, "product", p, product_chi_p_coloring(g, p, base, build_sub_colorings(g, base, p)))
+        for p in (0, 1, 2):
+            add(g, "subdivision", p, subdivision_chi_p_coloring(g, p, base))
+    assert (built, below) == (715, 29)
+    assert h.hexdigest() == CONSTRUCTIONS_SHA256
