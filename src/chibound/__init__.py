@@ -48,11 +48,7 @@ from .invariants import (
     degeneracy,
     max_degree,
 )
-from .treedepth import (
-    EliminationForest,
-    tree_depth_at_most,
-    validate_elimination_forest,
-)
+from .treedepth import EliminationForest, validate_elimination_forest
 from .coloring import (
     Coloring,
     chi_p,
@@ -60,6 +56,7 @@ from .coloring import (
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
     tree_depth,
+    tree_depth_at_most,
     uniform_subdivision_coloring,
     validate_coloring,
 )

@@ -8,13 +8,13 @@ k <= p), and `_least_assignment` climbs k component by component. Only the
 last graph asked keeps its search, so the questions asked of one graph in a
 row (chi, then chi_p at several p, then tree_depth, and the shallow-minor
 climbs and find_topo_embedding, which read its degree masks, balls and
-neighbour tuples) share it and find each component's chi_p once. A depth-p
-coloring is a depth-p' coloring for every p' < p, and an optimal elimination
-forest colored by depth is a depth-p coloring for every p, so
-chi <= chi_2 <= chi_3 <= td: each climb at p starts at the colors of the
-largest p' < p the graph has answered (p = 1 starts at omega), and
-tree_depth, beside chi_p, runs on the search's one TreedepthSolver with each
-component's lower bound raised to its largest chi_p found. The backtracking
+neighbour tuples) share it and record each component's least depth-p
+coloring once per p. A depth-p coloring is a depth-p' coloring for every
+p' < p, and an optimal elimination forest colored by depth is one for every
+p, so chi <= chi_2 <= chi_3 <= td: each climb at p starts at the colors of the
+largest p' < p in the component's record (p = 1 at omega), and tree_depth
+and tree_depth_at_most, beside chi_p, run on the search's one TreedepthSolver,
+tree_depth raising each component's lower bound to its record. The backtracking
 search uses saturation-first vertex selection, ascending colors, and first-use
 symmetry breaking, so witnesses are deterministic. At p >= 2 it also forward
 checks: once all k colors are in use it skips a subtree as soon as an uncolored
@@ -92,8 +92,7 @@ def _check_structure(g, coloring):
         raise ValidationError("colors must be ints")
     if coloring.p is not None and not is_int(coloring.p):
         raise ValidationError(f"p must be an int, got {coloring.p!r}")
-    used = set(coloring.assignment)
-    if g.n and used != set(range(coloring.num_colors)):
+    if set(coloring.assignment) != set(range(coloring.num_colors)):
         raise ValidationError("colors must be 0..num_colors-1 with every color used")
 
 
@@ -164,9 +163,9 @@ class _ColoringSearch:
     Built once per graph and read by every question asked of it: neighbour
     tuples, degree order and degree masks, distance-3 balls, one
     TreedepthSolver, whose memo every run and tree_depth share, and
-    `colorings`: per (component mask, p) its least depth-p coloring, found
-    once. The shallow-minor climbs read the neighbour tuples, degree masks
-    and balls too. A run colors one vertex
+    `colorings`: per component mask, its least depth-p coloring for each p
+    asked, found once. The shallow-minor climbs read the neighbour tuples,
+    degree masks and balls too. A run colors one vertex
     mask, a component, and its state is bitmasks: one vertex mask per color
     class, the mask of uncolored vertices, and per vertex the mask of colors
     on its colored neighbours (its saturation). `_forbidden` turns them into
@@ -197,7 +196,7 @@ class _ColoringSearch:
         # change when v is colored
         self.near = [ball & ~(1 << v) for v, ball in enumerate(self.balls[-1])]
         self.td = TreedepthSolver(g)
-        # (component mask, p) -> least depth-p coloring of that component
+        # component mask -> {p: least depth-p coloring of that component}
         self.colorings = {}
 
     def _reset(self, comp, k, p):
@@ -214,7 +213,7 @@ class _ColoringSearch:
         forest colored by depth is one; above p the search colors by first use."""
         if k <= p:
             ok = self.td.td_at_most(comp, k)
-            colors = depth_coloring(self.g, self.td.forest(comp)) if ok else None
+            colors = depth_coloring(self.td.forest(comp)) if ok else None
         else:
             self._reset(comp, k, p)
             colors = self.assignment if self._extend(0) else None
@@ -347,16 +346,17 @@ def _least_coloring(search, comp, p):
     A depth-p coloring is a depth-p' one for every p' < p, so chi_p' <= chi_p
     and the climb starts at the colors of the largest p' < p already found;
     with none, p = 1 climbs from omega and p >= 2 from chi."""
-    colorings = search.colorings
-    found = colorings.get((comp, p))
-    if found is None:
+    found = search.colorings.get(comp, {})
+    coloring = found.get(p)
+    if coloring is None:
         if p == 1:
             floor = _max_clique_mask(search.g.adj_bits, comp).bit_count()
         else:
-            below = max((q for c, q in colorings if c == comp and q < p), default=1)
+            below = max((q for q in found if q < p), default=1)
             floor = max(_least_coloring(search, comp, below)) + 1
-        found = colorings[comp, p] = search.least(comp, floor, p)
-    return found
+        coloring = search.least(comp, floor, p)
+        search.colorings.setdefault(comp, {})[p] = coloring
+    return coloring
 
 
 def _least_assignment(g, p, cap):
@@ -376,10 +376,11 @@ def chromatic_number_value(g):
     return max(_least_assignment(g, 1, g.n), default=-1) + 1
 
 
-def _chromatic_at_least(g, chi):
-    """Whether g has no proper coloring with chi - 1 colors, on a search of
-    its own: the critical-pattern catalogue and S11's re-check ask it of
-    graphs whose searches must not evict the host being colored."""
+def chromatic_at_least(g, chi):
+    """Whether g has no proper coloring with chi - 1 colors, on a search of its
+    own that leaves the slot of `_search` alone: the critical-pattern
+    catalogue colors patterns in the middle of a host's shallow-minor climb,
+    and S11 re-checks a witness subgraph of the graph it has just solved."""
     search = _ColoringSearch(g)
     comps = component_masks(g.adj_bits, (1 << g.n) - 1)
     return any(search.run(comp, chi - 1, 1) is None for comp in comps)
@@ -414,11 +415,8 @@ def chi_p(g, p, cap=None):
     check_int("p", p, 1)
     if p == 1:
         res = chromatic_number(g, cap)
-        return InvariantResult(
-            "chi_p",
-            res.value,
-            certificate=replace(res.certificate, kind="chi_p", p=1),
-            lower_bound=res.lower_bound,
+        return replace(
+            res, name="chi_p", certificate=replace(res.certificate, kind="chi_p", p=1)
         )
     coloring = make_coloring(_least_assignment(g, p, cap), "chi_p", p)
     return InvariantResult("chi_p", coloring.num_colors, certificate=coloring)
@@ -433,11 +431,18 @@ def tree_depth(g, cap=None):
     check_cap("tree_depth", g.n, cap)
     check_cap("tree_depth_hard", g.n)
     search = _search(g)
-    for (comp, _), found in search.colorings.items():
-        search.td.raise_lower_bound(comp, max(found) + 1)
+    for comp, found in search.colorings.items():
+        search.td.raise_lower_bound(comp, max(found[max(found)]) + 1)
     full = (1 << g.n) - 1
     value = search.td.treedepth(full)
     return InvariantResult("tree_depth", value, certificate=search.td.forest(full))
+
+
+def tree_depth_at_most(g, k):
+    """Decide td(g) <= k on the TreedepthSolver of g's search, without the
+    exact-solve size cap (cheap for small k)."""
+    check_int("k", k, 0)
+    return _search(g).td.td_at_most((1 << g.n) - 1, k)
 
 
 def uniform_subdivision_coloring(g, p):
@@ -457,6 +462,13 @@ def uniform_subdivision_coloring(g, p):
     return make_coloring(assignment, "chi_p", p)
 
 
+def _check_proper_base(g, base):
+    """Raise ValidationError unless base is a proper coloring of g."""
+    ok, witness = validate_coloring(g, replace(base, kind="proper", p=None))
+    if not ok:
+        raise ValidationError(f"base coloring is not proper: {witness}")
+
+
 def subdivision_chi_p_coloring(g, p, base):
     """Depth-(p+1) coloring of the exact p-subdivision from a proper base coloring.
 
@@ -465,11 +477,7 @@ def subdivision_chi_p_coloring(g, p, base):
     colors, drawing from a palette of max(base colors, p+2).
     """
     check_int("p", p, 0)
-    ok, witness = validate_coloring(
-        g, Coloring(base.assignment, base.num_colors, "proper")
-    )
-    if not ok:
-        raise ValidationError(f"base coloring is not proper: {witness}")
+    _check_proper_base(g, base)
     if p == 0:
         return Coloring(base.assignment, base.num_colors, "chi_p", 1)
     palette = max(base.num_colors, p + 2)
@@ -488,19 +496,15 @@ def subdivision_chi_p_coloring(g, p, base):
 def product_chi_p_coloring(g, p, base, sub_colorings):
     """Combine a proper base coloring with per-color-subset depth-p colorings.
 
-    For every p-subset I of base colors, sub_colorings[frozenset(I)] must map
-    each vertex whose base color lies in I to its color in a valid depth-p
-    coloring of that induced subgraph. The combined color of v is the pair
-    (base color, tuple of its subset colors), which is a depth-p coloring of g
-    using at most chi * a^binom(chi-1, p-1) colors, a being the largest subset
-    palette.
+    For every min(p, chi)-subset I of base colors, sub_colorings[frozenset(I)]
+    must map each vertex whose base color lies in I to its color in a valid
+    depth-p coloring of that induced subgraph. The combined color of v is the
+    pair (base color c, its colors in the subsets holding c), which is a
+    depth-p coloring of g using at most chi * a^binom(chi-1, p-1) colors, a
+    being the largest subset palette.
     """
     check_int("p", p, 1)
-    ok, witness = validate_coloring(
-        g, Coloring(base.assignment, base.num_colors, "proper")
-    )
-    if not ok:
-        raise ValidationError(f"base coloring is not proper: {witness}")
+    _check_proper_base(g, base)
     chi = base.num_colors
     size = min(p, chi)
     needed = [frozenset(c) for c in combinations(range(chi), size)]
@@ -523,20 +527,13 @@ def product_chi_p_coloring(g, p, base, sub_colorings):
                 f"coloring: {witness}"
             )
         gamma[subset] = mapping
-    if size < p:
-        # fewer base colors than p: the single full subset already colors g
-        full = frozenset(range(chi))
-        combined = [(base.assignment[v], gamma[full][v]) for v in range(g.n)]
-    else:
-        others = {
-            c: [J for J in combinations(range(chi), p - 1) if c not in J]
-            for c in range(chi)
-        }
-        combined = []
-        for v in range(g.n):
-            c = base.assignment[v]
-            key = tuple(
-                gamma[frozenset(J) | {c}][v] for J in others[c]
-            )
-            combined.append((c, key))
+    others = {
+        c: [J for J in combinations(range(chi), size - 1) if c not in J]
+        for c in range(chi)
+    }
+    combined = []
+    for v in range(g.n):
+        c = base.assignment[v]
+        key = tuple(gamma[frozenset(J) | {c}][v] for J in others[c])
+        combined.append((c, key))
     return make_coloring(combined, "chi_p", p)

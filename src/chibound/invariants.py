@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .errors import check_cap
+from .errors import check_cap, is_int
 from .graphs import bits
 
 
@@ -175,6 +175,8 @@ def degeneracy(g):
 
 
 def validate_degeneracy_order(g, value, order):
+    if not is_int(value):
+        return False, f"claimed value {value!r} is not an int"
     if not all(g.has_vertex(v) for v in order) or sorted(order) != list(range(g.n)):
         return False, "order is not a vertex permutation"
     seen = 0

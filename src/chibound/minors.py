@@ -31,7 +31,7 @@ from .graphs import (
     subdivide_exact,
     subdivision_internal_vertices,
 )
-from .coloring import _chromatic_at_least, _search, chromatic_number_value
+from .coloring import _search, chromatic_at_least, chromatic_number_value
 from .homomorphism import map_search
 
 
@@ -344,13 +344,12 @@ def _critical_of_size(chi, size):
         if min(h.degree(v) for v in range(h.n)) < chi - 1:
             continue
         # an edge lowers chi by at most one, so chi(h) >= chi with no h - e
-        # keeping it means chi(h) == chi; _chromatic_at_least builds searches
-        # of its own, so the host of a climb keeps its search
-        if not _chromatic_at_least(h, chi):
+        # keeping it means chi(h) == chi
+        if not chromatic_at_least(h, chi):
             continue
         edges = h.sorted_edges()
         if not any(
-            _chromatic_at_least(Graph(h.n, [f for f in edges if f != e]), chi)
+            chromatic_at_least(Graph(h.n, [f for f in edges if f != e]), chi)
             for e in edges
         ):
             out.append(h)

@@ -20,13 +20,14 @@ from math import comb
 from . import corpus
 from .codec import graph_from_graph6, graph_to_graph6
 from .coloring import (
-    _chromatic_at_least,
     chi_p,
+    chromatic_at_least,
     chromatic_number,
     chromatic_number_value,
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
     tree_depth,
+    tree_depth_at_most,
     uniform_subdivision_coloring,
     validate_coloring,
 )
@@ -50,7 +51,7 @@ from .invariants import (
     validate_degeneracy_order,
 )
 from .minors import chi_TM, omega_TM
-from .treedepth import tree_depth_at_most, validate_elimination_forest
+from .treedepth import validate_elimination_forest
 
 
 @dataclass(frozen=True)
@@ -564,7 +565,7 @@ def _check_s11(payload):
         )
     else:
         sub, _ = induced_subgraph(g, lb_verts)
-        revalidations["chi_lower_bound"] = _chromatic_at_least(sub, chi_res.value)
+        revalidations["chi_lower_bound"] = chromatic_at_least(sub, chi_res.value)
 
     chain_ok = chi_res.value <= star_res.value <= chi3_res.value <= td_res.value
     floor_ok = bw_res.value >= om_res.value // 2

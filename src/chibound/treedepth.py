@@ -15,18 +15,17 @@ queries (td <= k?) from many callers share the memo, including queries on
 just the component of a mask that holds a given vertex, and elimination
 forests are read from the memo without another search. The bounded decision
 is what the chi_p machinery calls, and it stays cheap even on graphs far
-above the exact-solve cap as long as k is small. The exact `tree_depth(g)`
-sits beside chi_p in coloring, on the one solver of g's coloring search, so
-it shares the memo of the chi_p questions asked of g, and each component's
-lower bound starts at the largest chi_p found for it when that beats
-degeneracy + 1 (td >= chi_p for every p).
+above the exact-solve cap as long as k is small. `tree_depth(g)` and
+`tree_depth_at_most(g, k)` sit beside chi_p in coloring, on the one solver of
+g's coloring search, so they share the memo of the chi_p questions asked of
+g, and `tree_depth` starts each component's lower bound at its largest chi_p
+found when that beats degeneracy + 1 (td >= chi_p for every p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import check_int
 from .graphs import bits, component_masks, component_of
 
 
@@ -257,13 +256,7 @@ class TreedepthSolver:
         return EliminationForest(tuple(parent))
 
 
-def tree_depth_at_most(g, k):
-    """Bounded decision without the exact-solve size cap (cheap for small k)."""
-    check_int("k", k, 0)
-    return TreedepthSolver(g).td_at_most((1 << g.n) - 1, k)
-
-
-def depth_coloring(g, forest):
+def depth_coloring(forest):
     """Color vertices by depth in an elimination forest.
 
     With td(G) colors this is a valid chi_p coloring for every p: any union of

@@ -105,6 +105,8 @@ def test_validate_coloring_structure_errors():
         validate_coloring(complete(3), Coloring((0, 1), 2, "proper"))
     with pytest.raises(ValidationError):
         validate_coloring(complete(3), Coloring((0, 1, 3), 4, "proper"))
+    with pytest.raises(ValidationError):
+        validate_coloring(Graph(0), Coloring((), 3, "proper"))
 
 
 @pytest.mark.parametrize(

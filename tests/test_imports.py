@@ -4,7 +4,8 @@ which imports every module, is replaced by an empty package object with the
 same path, so a module loads only what it imports itself. No module imports
 inside a function or class body, where an import cycle could hide. Engines a
 module shares with another are imported by public names; the private names
-one module takes from another are listed here, and a new one fails."""
+one module takes from another are listed here, and a new one fails. The
+search engines are built only in the places listed here too."""
 
 import ast
 import subprocess
@@ -61,9 +62,7 @@ def test_imports_sit_at_module_level():
 PRIVATE_IMPORTS = {
     "cli<-codec._load_json",
     "coloring<-invariants._max_clique_mask",
-    "minors<-coloring._chromatic_at_least",
     "minors<-coloring._search",
-    "suites<-coloring._chromatic_at_least",
 }
 
 
@@ -88,3 +87,35 @@ def test_private_names_cross_modules_only_where_listed():
             ):
                 found.add(f"{path.stem}<-{node.value.id}.{node.attr}")
     assert found == PRIVATE_IMPORTS
+
+
+# caller -> constructor for every place in the package that builds a search
+# engine: the solve context (`_search` and the search's own solver), the
+# chi check whose search must leave that context alone, and the coloring
+# validator
+ENGINE_BUILDS = {
+    "coloring._search -> _ColoringSearch",
+    "coloring._ColoringSearch.__init__ -> TreedepthSolver",
+    "coloring.chromatic_at_least -> _ColoringSearch",
+    "coloring.validate_coloring -> TreedepthSolver",
+}
+
+
+def test_engines_are_built_only_by_the_solve_context():
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("TreedepthSolver", "_ColoringSearch"):
+                    found.add(f"{where} -> {name}")
+            visit(child, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == ENGINE_BUILDS

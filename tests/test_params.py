@@ -14,6 +14,7 @@ from chibound.coloring import (
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
     tree_depth,
+    tree_depth_at_most,
     uniform_subdivision_coloring,
 )
 from chibound.corpus import all_graphs, connected_graphs
@@ -50,7 +51,6 @@ from chibound.minors import (
     omega_TM,
 )
 from chibound.suites import SuiteSpec, run_suite
-from chibound.treedepth import tree_depth_at_most
 
 PACKAGE = Path(chibound.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent

@@ -11,13 +11,14 @@ from chibound.codec import (
     serialize_graph,
 )
 from chibound.coloring import (
-    _chromatic_at_least,
     _ColoringSearch,
     _normalize,
     chi_p,
+    chromatic_at_least,
     chromatic_number,
     make_coloring,
     tree_depth,
+    tree_depth_at_most,
     validate_coloring,
 )
 from chibound.corpus import canonical_form
@@ -42,7 +43,6 @@ from chibound.treedepth import (
     TreedepthSolver,
     _degeneracy,
     _star_hubs,
-    tree_depth_at_most,
     validate_elimination_forest,
 )
 from oracles import (
@@ -253,7 +253,7 @@ def test_components_color_as_their_own_graphs(g):
     # one search object colors every component exactly as it colors a copy
     chi = chromatic_number(g).value
     assert chi == naive_chromatic(g)
-    assert _chromatic_at_least(g, chi) and not _chromatic_at_least(g, chi + 1)
+    assert chromatic_at_least(g, chi) and not chromatic_at_least(g, chi + 1)
     for p in range(1, 4):
         colors = chi_p(g, p).certificate.assignment
         for comp in component_masks(g.adj_bits, (1 << g.n) - 1):

@@ -1,8 +1,11 @@
 import json
 import os
 
-from chibound import suites
+from chibound import coloring, suites
+from chibound.codec import graph_from_graph6
+from chibound.coloring import _ColoringSearch
 from chibound.suites import SUITES, SuiteSpec, run_suite
+from chibound.treedepth import TreedepthSolver
 from conftest import recorded_digests, report_digest
 
 
@@ -77,6 +80,33 @@ def test_s1_passes_quickly():
     assert len(report.instances) == 4
     rec = report.instances[0]
     assert set(rec) >= {"graph6", "params", "measured", "expected", "pass"}
+
+
+def test_s1_builds_one_search_and_one_solver_per_graph(monkeypatch):
+    # each instance asks its subdivided clique tree_depth_at_most, omega_TM
+    # and chi_p on the graph's one solve context; validate_coloring builds
+    # the one other solver, for its color subsets at p = 3
+    searches, solvers = [], []
+    init, solver_init = _ColoringSearch.__init__, TreedepthSolver.__init__
+
+    def counting_init(self, g):
+        searches.append(g)
+        init(self, g)
+
+    def counting_solver_init(self, g):
+        solvers.append(g)
+        solver_init(self, g)
+
+    monkeypatch.setattr(_ColoringSearch, "__init__", counting_init)
+    monkeypatch.setattr(TreedepthSolver, "__init__", counting_solver_init)
+    coloring._search.cache_clear()
+    report = run_suite(SuiteSpec(claim="S1"))
+    assert report.passed
+    graphs = [graph_from_graph6(rec["graph6"]) for rec in report.instances]
+    assert searches == graphs
+    ps = [rec["params"]["p"] for rec in report.instances]
+    assert [solvers.count(g) for g in graphs] == [1 + (p >= 3) for p in ps]
+    assert len(solvers) - len(graphs) == 3
 
 
 def test_s9_small():

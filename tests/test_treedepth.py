@@ -4,7 +4,7 @@ import json
 import pytest
 
 from chibound.codec import graph_to_graph6
-from chibound.coloring import tree_depth
+from chibound.coloring import tree_depth, tree_depth_at_most
 from chibound.corpus import all_graphs
 from chibound.errors import ParameterError, SizeCapError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp, star
@@ -13,7 +13,6 @@ from chibound.treedepth import (
     EliminationForest,
     TreedepthSolver,
     depth_coloring,
-    tree_depth_at_most,
     validate_elimination_forest,
 )
 from oracles import naive_treedepth
@@ -146,7 +145,7 @@ def test_forest_scans_nothing_after_treedepth():
 def test_depth_coloring_counts():
     g = path(7)
     res = tree_depth(g)
-    colors = depth_coloring(g, res.certificate)
+    colors = depth_coloring(res.certificate)
     assert len(set(colors)) == res.value
     solver = TreedepthSolver(g)
     assert solver.treedepth((1 << g.n) - 1) == res.value

@@ -6,13 +6,22 @@ import pytest
 from chibound.coloring import Coloring, validate_coloring
 from chibound.generators import complete, complete_bipartite, cycle, path, star
 from chibound.holes import Hole, validate_hole
-from chibound.invariants import validate_biclique, validate_clique
+from chibound.homomorphism import (
+    HomMapping,
+    directed_path,
+    transitive_tournament,
+    validate_homomorphism,
+)
+from chibound.invariants import validate_biclique, validate_clique, validate_degeneracy_order
 from chibound.minors import TopoMinorEmbedding, validate_topo_embedding
 from chibound.treedepth import EliminationForest, validate_elimination_forest
 
 K3 = complete(3)
 C4 = cycle(4)
+C7 = cycle(7)
 P3 = path(3)
+DP3 = directed_path(3)
+T3 = transitive_tournament(3)
 # K3 in C4 at depth 1: the edge (0, 2) runs through 3
 K3_PATHS = {(0, 1): (0, 1), (1, 2): (1, 2), (0, 2): (0, 3, 2)}
 
@@ -135,6 +144,26 @@ CASES = {
         lambda: validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 3),
         "height 2 != claimed 3",
     ),
+    "degeneracy.not_a_permutation": (
+        lambda: validate_degeneracy_order(C7, 2, (0, 1, 2, 3, 4, 5, 5)),
+        "order is not a vertex permutation",
+    ),
+    "degeneracy.back_degree": (
+        lambda: validate_degeneracy_order(C7, 1, tuple(range(7))),
+        "max back-degree 2 != claimed 1",
+    ),
+    "degeneracy.claim_not_an_int": (
+        lambda: validate_degeneracy_order(C7, 2.0, tuple(range(7))),
+        "claimed value 2.0 is not an int",
+    ),
+    "homomorphism.not_into_the_target": (
+        lambda: validate_homomorphism(DP3, T3, HomMapping((0, 1, 5))),
+        "mapping is not a function into the target",
+    ),
+    "homomorphism.arc_to_non_arc": (
+        lambda: validate_homomorphism(DP3, T3, HomMapping((0, 2, 1))),
+        "arc (1, 2) maps to non-arc (2, 1)",
+    ),
     "clique.not_a_vertex": (lambda: validate_clique(K3, (0, 5)), "5 is not a vertex"),
     "clique.repeated_vertex": (lambda: validate_clique(K3, (0, 0)), "repeated vertex"),
     "clique.missing_edge": (lambda: validate_clique(P3, (0, 1, 2)), "missing edge (0, 2)"),
@@ -169,4 +198,6 @@ def test_the_hand_made_certificates_differ_from_valid_ones_only_in_the_fault():
     assert validate_hole(cycle(5), Hole((0, 1, 2, 3, 4))) == (True, None)
     assert validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 2) == (True, None)
     assert validate_clique(K3, (0, 1, 2)) == (True, None)
+    assert validate_degeneracy_order(C7, 2, tuple(range(7))) == (True, None)
+    assert validate_homomorphism(DP3, T3, HomMapping((0, 1, 2))) == (True, None)
     assert validate_coloring(path(8), Coloring((0, 1, 2, 0, 1, 2, 0, 1), 3, "chi_p", 2)) == (True, None)
