@@ -486,3 +486,34 @@ def test_construction_bytes_are_pinned():
             add(g, "subdivision", p, subdivision_chi_p_coloring(g, p, base))
     assert (built, below) == (715, 29)
     assert h.hexdigest() == CONSTRUCTIONS_SHA256
+
+
+# SHA-256 of every coloring search run above the tree-depth range (k > p):
+# its component mask, k, p, the coloring returned and the nodes it took;
+# recorded before the search moved onto one local-variable kernel
+SEARCH_SHA256 = "ded1d6f2c92b6b6818946d6f5b3f0807fb91d38425ab7f5e7e3c487c970ae6c7"
+
+
+def test_search_runs_are_pinned(monkeypatch):
+    h = hashlib.sha256()
+    runs = 0
+    run = _ColoringSearch.run
+
+    def recording_run(self, comp, k, p):
+        nonlocal runs
+        before = self.nodes
+        found = run(self, comp, k, p)
+        if k > p:
+            runs += 1
+            h.update(f"{comp} {k} {p} {found} {self.nodes - before}\n".encode())
+        return found
+
+    monkeypatch.setattr(_ColoringSearch, "run", recording_run)
+    coloring._search.cache_clear()
+    for g in connected_corpus(6):
+        for p in (1, 2, 3):
+            chi_p(g, p)
+    for g in connected_corpus(5):
+        chi_p(subdivide_exact(g, 1), 2, cap=44)
+    assert runs == 540
+    assert h.hexdigest() == SEARCH_SHA256
