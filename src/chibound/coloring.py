@@ -15,15 +15,17 @@ p, so chi <= chi_2 <= chi_3 <= td: each climb at p starts at the colors of the
 largest p' < p in the component's record (p = 1 at omega), and tree_depth
 and tree_depth_at_most, beside chi_p, run on the search's one TreedepthSolver,
 tree_depth raising each component's lower bound to its record. The backtracking
-search uses saturation-first vertex selection, ascending colors, and first-use
-symmetry breaking, so witnesses are deterministic. At p >= 2 it also forward
-checks: once all k colors are in use it skips a subtree as soon as an uncolored
-vertex near the one just colored has every color forbidden. Forbidden colors
-only grow as vertices get colored, so such a subtree holds no coloring, and the
-depth-first search still reaches the same first coloring: forward checking
-saves nodes and never changes a witness. Validators re-check certificates by
-brute enumeration of the defining property and share none of the search
-pruning.
+search, one kernel per run with its state in local variables, uses
+saturation-first vertex selection, ascending colors, and first-use symmetry
+breaking, so witnesses are deterministic. At p >= 2 it also forward checks:
+once all k colors are in use it skips a subtree as soon as an uncolored vertex
+on the change frontier of the one just colored (the only vertices whose
+forbidden colors that coloring can change) has every color forbidden.
+Forbidden colors only grow as vertices get colored, so such a subtree holds no
+coloring, and the depth-first search still reaches the same first coloring:
+forward checking saves nodes and never changes a witness. Validators re-check
+certificates by brute enumeration of the defining property and share none of
+the search pruning.
 
 Definitions in force:
 - depth-p coloring (chi_p): every union of at most p color classes induces a
@@ -35,7 +37,7 @@ Definitions in force:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import ValidationError, check_cap, check_int, is_int
@@ -157,23 +159,70 @@ def _first_bicolored_p4_pair(g, masks):
     return None
 
 
+def _star_rules(nbrs, rows, a, color_masks, sat):
+    """The star-coloring rules of one run's partial coloring, as closures over
+    its state: nbrs[v] and rows[v] are v's neighbour tuple and mask, a[v] its
+    color (-1 uncolored), color_masks[c] the vertex mask of class c and sat[v]
+    the mask of the colors on v's colored neighbours.
+
+    forbidden(u) is the mask of the colors an uncolored u cannot take: the
+    colors next to it, and the colors that close a bicolored 4-vertex path,
+    which is exactly the star condition on pairs of classes. frontier(v, c),
+    asked once v is colored c, is the mask of the vertices whose forbidden
+    colors that coloring can change: the neighbours of v, the neighbours of
+    each colored neighbour x of v (x's saturation grew, and v may now close a
+    path through x), and, when x now has exactly two c-neighbours v and w, the
+    neighbours u of w (u-w-x-v now forbids u the color of x)."""
+
+    def forbidden(u):
+        f = sat[u]
+        for x in nbrs[u]:
+            cx = a[x]
+            if cx < 0:
+                continue
+            same = color_masks[cx]
+            xbit = 1 << x
+            if rows[u] & same != xbit:
+                # x-u-y-d with col(y) == col(x): every color next to x is out
+                f |= sat[x]
+            for y in nbrs[x]:
+                cy = a[y]
+                if cy >= 0 and rows[y] & same != xbit:
+                    # u-x-y-d with col(d) == col(x): col(y) is out
+                    f |= 1 << cy
+        return f
+
+    def frontier(v, c):
+        front = rows[v]
+        others = color_masks[c] ^ 1 << v
+        for x in nbrs[v]:
+            if a[x] >= 0:
+                front |= rows[x]
+                twin = rows[x] & others
+                if twin and not twin & (twin - 1):
+                    front |= rows[twin.bit_length() - 1]
+        return front
+
+    return forbidden, frontier
+
+
 class _ColoringSearch:
     """Backtracking search for depth-p colorings of one graph, any mask, p and k.
 
     Built once per graph and read by every question asked of it: neighbour
-    tuples, degree order and degree masks, distance-3 balls, one
-    TreedepthSolver, whose memo every run and tree_depth share, and
-    `colorings`: per component mask, its least depth-p coloring for each p
-    asked, found once. The shallow-minor climbs read the neighbour tuples,
-    degree masks and balls too. A run colors one vertex
-    mask, a component, and its state is bitmasks: one vertex mask per color
-    class, the mask of uncolored vertices, and per vertex the mask of colors
-    on its colored neighbours (its saturation). `_forbidden` turns them into
-    the colors a vertex cannot take: p = 1 forbids neighbour colors, p >= 2
-    also colors that close a bicolored 4-vertex path, which is exactly the
-    condition on pairs of classes; p >= 3 adds tree-depth checks on every
-    color subset of size 3..p that includes the color just placed, each on
-    the component of the subset's union that holds the vertex just placed.
+    tuples, degree order and degree masks, one TreedepthSolver, whose memo
+    every run and tree_depth share, and `colorings`: per component mask, its
+    least depth-p coloring for each p asked, found once. The shallow-minor
+    climbs read the neighbour tuples and degree masks too, and
+    find_topo_embedding the distance balls, built on its first read. A run
+    above the tree-depth range is one call of `_solve`, whose state is the
+    color of each vertex, one vertex mask per color class, per vertex the mask
+    of colors on its colored neighbours (its saturation), and the mask of
+    uncolored vertices, passed down the recursion. p = 1 forbids neighbour
+    colors, p >= 2 also the colors of `_star_rules`; p >= 3 adds tree-depth
+    checks on every color subset of size 3..p that includes the color just
+    placed, each on the component of the subset's union that holds the vertex
+    just placed.
     """
 
     def __init__(self, g):
@@ -190,22 +239,15 @@ class _ColoringSearch:
         for d in range(g.n - 1, -1, -1):
             self.at_least[d] |= self.at_least[d + 1]
         self.nodes = 0
-        # per radius 0..3 and vertex v, the vertices within that distance of v
-        self.balls = distance_balls(g, 3)
-        # the vertices within distance 3 of v, whose forbidden colors can
-        # change when v is colored
-        self.near = [ball & ~(1 << v) for v, ball in enumerate(self.balls[-1])]
         self.td = TreedepthSolver(g)
         # component mask -> {p: least depth-p coloring of that component}
         self.colorings = {}
 
-    def _reset(self, comp, k, p):
-        self.k = k
-        self.p = p
-        self.assignment = [-1] * self.n
-        self.color_masks = [0] * k
-        self.uncolored = comp
-        self.sat_mask = [0] * self.n
+    @cached_property
+    def balls(self):
+        """Per radius 0..3 and vertex v, the vertices within that distance of
+        v: find_topo_embedding's candidate balls up to depth r = 2."""
+        return distance_balls(self.g, 3)
 
     def run(self, comp, k, p):
         """A depth-p k-coloring of comp, its colors in vertex order, or None.
@@ -215,8 +257,7 @@ class _ColoringSearch:
             ok = self.td.td_at_most(comp, k)
             colors = depth_coloring(self.td.forest(comp)) if ok else None
         else:
-            self._reset(comp, k, p)
-            colors = self.assignment if self._extend(0) else None
+            colors = self._solve(comp, k, p)
         return None if colors is None else tuple(colors[v] for v in bits(comp))
 
     def least(self, comp, k, p):
@@ -227,61 +268,83 @@ class _ColoringSearch:
                 return found
         raise AssertionError("upper bound for coloring search was not valid")
 
-    def _select(self, max_used):
-        """The uncolored vertex of most colored-neighbour colors, first in order."""
-        best, best_sat = -1, -1
-        uncolored = self.uncolored
-        for v in self.order:
-            if uncolored >> v & 1:
-                sat = self.sat_mask[v].bit_count()
-                if sat > best_sat:
-                    best, best_sat = v, sat
-                    if sat == max_used:
-                        break
-        return best
+    def _solve(self, comp, k, p):
+        """The first depth-p k-coloring of comp, as a color per vertex, or None.
 
-    def _forbidden(self, u):
-        """Mask of the colors u cannot take next to the colored vertices."""
-        sat = self.sat_mask
-        forbidden = sat[u]
-        if self.p == 1:
-            return forbidden
-        a = self.assignment
-        bits = self.nbr_bits
-        for x in self.nbrs[u]:
-            cx = a[x]
-            if cx < 0:
-                continue
-            same = self.color_masks[cx]
-            xbit = 1 << x
-            if bits[u] & same != xbit:
-                # x-u-y-d with col(y) == col(x): every color next to x is out
-                forbidden |= sat[x]
-            for y in self.nbrs[x]:
-                cy = a[y]
-                if cy >= 0 and bits[y] & same != xbit:
-                    # u-x-y-d with col(d) == col(x): col(y) is out
-                    forbidden |= 1 << cy
-        return forbidden
+        Each node colors the uncolored vertex of most colored-neighbour colors
+        (first in degree order) with each allowed color in ascending order, up
+        to one past the colors in use (first-use symmetry breaking). At p >= 2,
+        once all k colors are in use, it forward checks: it skips the subtree
+        when a vertex of the change frontier is left with every color
+        forbidden. No uncolored vertex had every color forbidden before
+        (colors not yet in use are free, and every later coloring is checked),
+        and only frontier vertices' forbidden colors change, so this cuts every
+        subtree a check of all uncolored vertices would. Forbidden colors only
+        grow as vertices get colored, so such a subtree holds no coloring, and
+        the search still reaches the same first coloring."""
+        nbrs, rows, order = self.nbrs, self.nbr_bits, self.order
+        a = [-1] * self.n
+        sat = [0] * self.n
+        color_masks = self.color_masks = [0] * k
+        self.p = p
+        star, deep = p >= 2, p >= 3
+        if star:
+            forbidden, frontier = _star_rules(nbrs, rows, a, color_masks, sat)
+        depth_ok = self._depth_ok
+        full = (1 << k) - 1
+        nodes = 0
 
-    def _extend(self, max_used):
-        self.nodes += 1
-        if not self.uncolored:
-            return True
-        v = self._select(max_used)
-        forbidden = self._forbidden(v)
-        for c in range(min(max_used + 1, self.k)):
-            if forbidden >> c & 1:
-                continue
-            if self.p >= 3 and not self._depth_ok(v, c, max_used):
-                continue
-            used = max(max_used, c + 1)
-            self._assign(v, c)
-            if not (self.p >= 2 and used == self.k and self._wiped_out(v)):
-                if self._extend(used):
+        def extend(uncolored, max_used):
+            nonlocal nodes
+            nodes += 1
+            if not uncolored:
+                return True
+            v, most = -1, -1
+            for u in order:
+                if uncolored >> u & 1:
+                    s = sat[u].bit_count()
+                    if s > most:
+                        v, most = u, s
+                        if s == max_used:
+                            break
+            taken = forbidden(v) if star else sat[v]
+            vbit = 1 << v
+            uncolored ^= vbit
+            row = nbrs[v]
+            for c in range(min(max_used + 1, k)):
+                if taken >> c & 1:
+                    continue
+                if deep and not depth_ok(v, c, max_used):
+                    continue
+                used = max_used if c < max_used else c + 1
+                cbit = 1 << c
+                a[v] = c
+                color_masks[c] |= vbit
+                for u in row:
+                    sat[u] |= cbit
+                wiped = 0
+                if star and used == k:
+                    wiped = frontier(v, c) & uncolored
+                    while wiped:
+                        low = wiped & -wiped
+                        if forbidden(low.bit_length() - 1) == full:
+                            break
+                        wiped ^= low
+                if not wiped and extend(uncolored, used):
                     return True
-            self._unassign(v, c)
-        return False
+                a[v] = -1
+                same = color_masks[c] = color_masks[c] ^ vbit
+                for u in row:
+                    if not rows[u] & same:
+                        sat[u] ^= cbit
+            return False
+
+        found = extend(comp, 0)
+        # the recursion refers to itself: break that cycle, so the search is
+        # freed as soon as the next graph takes its slot
+        del extend
+        self.nodes += nodes
+        return a if found else None
 
     def _depth_ok(self, v, c, max_used):
         """Tree-depth of every 3..p color subset with v in class c (colors in
@@ -302,37 +365,6 @@ class _ColoringSearch:
                 if row & mask and not self.td.component_td_at_most(mask, v, size):
                     return False
         return True
-
-    def _wiped_out(self, v):
-        """Forward check once all k colors are in use: is some uncolored vertex
-        near v left with no color? Colors only become forbidden as vertices get
-        colored, so a wiped-out vertex dooms the subtree, and skipping it keeps
-        the first coloring found."""
-        full = (1 << self.k) - 1
-        rest = self.near[v] & self.uncolored
-        while rest:
-            low = rest & -rest
-            if self._forbidden(low.bit_length() - 1) == full:
-                return True
-            rest ^= low
-        return False
-
-    def _assign(self, v, c):
-        self.assignment[v] = c
-        self.color_masks[c] |= 1 << v
-        self.uncolored &= ~(1 << v)
-        bit = 1 << c
-        for u in self.nbrs[v]:
-            self.sat_mask[u] |= bit
-
-    def _unassign(self, v, c):
-        self.assignment[v] = -1
-        self.color_masks[c] &= ~(1 << v)
-        self.uncolored |= 1 << v
-        same = self.color_masks[c]
-        for u in self.nbrs[v]:
-            if not self.nbr_bits[u] & same:
-                self.sat_mask[u] &= ~(1 << c)
 
 
 @lru_cache(maxsize=1)

@@ -12,8 +12,9 @@ distance-(r + 1) balls around its placed neighbours' images, tried in
 ascending order, and the smaller balls count the interior vertices the paths
 must use at least. It reads the degree masks, balls and neighbour tuples of
 the host's one coloring search (coloring._search), which every pattern tried
-on that host shares; omega_TM and chi_TM share one climb, _climb, on the
-same search.
+on that host shares; the balls are built on the first read, so a host whose
+climb stops before any placement builds none. omega_TM and chi_TM share one
+climb, _climb, on the same search.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def find_topo_embedding(pattern, g, r):
     check_cap("tm_host", g.n)
     search = _search(g)
     # balls[i][x]: the vertices within distance i of x, for i = 0..r + 1; the
-    # search's own reach radius 3
+    # search builds radius 0..3 on the first read of any host, enough for r <= 2
     balls = search.balls[: r + 2] if r <= 2 else distance_balls(g, r + 1)
     h = pattern
     if h.n > g.n:

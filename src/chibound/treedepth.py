@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import is_int
 from .graphs import bits, component_masks, component_of
 
 
@@ -60,6 +61,8 @@ class EliminationForest:
 def validate_elimination_forest(g, forest, claimed_height=None):
     """Structural check: parents are vertices or -1, acyclic parents, edges
     ancestor-descendant, height match."""
+    if claimed_height is not None and not is_int(claimed_height):
+        return False, f"claimed height {claimed_height!r} is not an int"
     parent = forest.parent
     if len(parent) != g.n:
         return False, "parent array size mismatch"

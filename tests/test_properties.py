@@ -11,8 +11,8 @@ from chibound.codec import (
     serialize_graph,
 )
 from chibound.coloring import (
-    _ColoringSearch,
     _normalize,
+    _star_rules,
     chi_p,
     chromatic_at_least,
     chromatic_number,
@@ -262,34 +262,81 @@ def test_components_color_as_their_own_graphs(g):
             assert _normalize(colors[v] for v in verts) == _normalize(own)
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(max_n=7), st.integers(min_value=1, max_value=5), st.data())
-def test_forbidden_colors_are_the_star_violations(g, k, data):
-    # a random star-valid partial coloring: each vertex in a random order gets
-    # a drawn color, or none, and keeps it only if the colored part stays valid
+def _star_partial(g, k, data):
+    """A random star-valid partial coloring with colors 0..k-1 (-1 uncolored):
+    each vertex in a random order gets a drawn color, or none, and keeps it
+    only if the colored part stays valid."""
     colors = [-1] * g.n
-    order = data.draw(st.permutations(range(g.n)))
-    for v in order:
+    for v in data.draw(st.permutations(range(g.n))):
         c = data.draw(st.integers(min_value=-1, max_value=k - 1))
         if c < 0:
             continue
         colors[v] = c
         if not _star_valid(g, colors, [u for u in range(g.n) if colors[u] >= 0]):
             colors[v] = -1
-    search = _ColoringSearch(g)
-    search._reset((1 << g.n) - 1, k, 2)
-    for v in order:
-        if colors[v] >= 0:
-            search._assign(v, colors[v])
+    return colors
+
+
+class _RunState:
+    """The state a coloring run keeps for a partial coloring, with the star
+    rules the search reads over it."""
+
+    def __init__(self, g, colors, k):
+        self.nbrs = [g.neighbors(v) for v in range(g.n)]
+        self.a = [-1] * g.n
+        self.color_masks = [0] * k
+        self.sat = [0] * g.n
+        self.forbidden, self.frontier = _star_rules(
+            self.nbrs, g.adj_bits, self.a, self.color_masks, self.sat
+        )
+        for v, c in enumerate(colors):
+            if c >= 0:
+                self.color(v, c)
+
+    def color(self, v, c):
+        self.a[v] = c
+        self.color_masks[c] |= 1 << v
+        for u in self.nbrs[v]:
+            self.sat[u] |= 1 << c
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7), st.integers(min_value=1, max_value=5), st.data())
+def test_forbidden_colors_are_the_star_violations(g, k, data):
+    colors = _star_partial(g, k, data)
+    forbidden = _RunState(g, colors, k).forbidden
     colored = [v for v in range(g.n) if colors[v] >= 0]
     for u in range(g.n):
         if colors[u] >= 0:
             continue
-        forbidden = search._forbidden(u)
+        taken = forbidden(u)
         for c in range(k):
             colors[u] = c
-            assert (forbidden >> c & 1) == (not _star_valid(g, colors, colored + [u]))
+            assert (taken >> c & 1) == (not _star_valid(g, colors, colored + [u]))
         colors[u] = -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=7), st.integers(min_value=1, max_value=5), st.data())
+def test_coloring_a_vertex_changes_forbidden_colors_only_on_its_frontier(g, k, data):
+    # the forward check looks at the frontier of the vertex just colored
+    # only, so every other uncolored vertex must keep its forbidden colors;
+    # the rare case is a path u-w-y-v whose w and v share a color, where
+    # coloring v changes u's forbidden colors, hence the larger example count
+    colors = _star_partial(g, k, data)
+    uncolored = [v for v in range(g.n) if colors[v] < 0]
+    forbidden = _RunState(g, colors, k).forbidden
+    before = {u: forbidden(u) for u in uncolored}
+    balls = distance_balls(g, 3)[-1]
+    for v in uncolored:
+        for c in range(k):
+            state = _RunState(g, colors, k)
+            state.color(v, c)
+            front = state.frontier(v, c)
+            assert not front & ~balls[v]
+            for u in uncolored:
+                if u != v and not front >> u & 1:
+                    assert state.forbidden(u) == before[u]
 
 
 @settings(max_examples=40, deadline=None)

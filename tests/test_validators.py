@@ -144,6 +144,10 @@ CASES = {
         lambda: validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 3),
         "height 2 != claimed 3",
     ),
+    "forest.claim_not_an_int": (
+        lambda: validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 2.0),
+        "claimed height 2.0 is not an int",
+    ),
     "degeneracy.not_a_permutation": (
         lambda: validate_degeneracy_order(C7, 2, (0, 1, 2, 3, 4, 5, 5)),
         "order is not a vertex permutation",
