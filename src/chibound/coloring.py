@@ -23,9 +23,9 @@ on the change frontier of the one just colored (the only vertices whose
 forbidden colors that coloring can change) has every color forbidden.
 Forbidden colors only grow as vertices get colored, so such a subtree holds no
 coloring, and the depth-first search still reaches the same first coloring:
-forward checking saves nodes and never changes a witness. Validators re-check
-certificates by brute enumeration of the defining property and share none of
-the search pruning.
+forward checking saves nodes and never changes a witness. validate_coloring
+checks every union of 2..p classes by one definitional rule, `_td_at_most`,
+which shares no code with the tree-depth engine or the search it checks.
 
 Definitions in force:
 - depth-p coloring (chi_p): every union of at most p color classes induces a
@@ -94,6 +94,8 @@ def _check_structure(g, coloring):
         raise ValidationError("colors must be ints")
     if coloring.p is not None and not is_int(coloring.p):
         raise ValidationError(f"p must be an int, got {coloring.p!r}")
+    if not is_int(coloring.num_colors):
+        raise ValidationError(f"num_colors must be an int, got {coloring.num_colors!r}")
     if set(coloring.assignment) != set(range(coloring.num_colors)):
         raise ValidationError("colors must be 0..num_colors-1 with every color used")
 
@@ -126,37 +128,35 @@ def validate_coloring(g, coloring):
     masks = [0] * coloring.num_colors
     for v, c in enumerate(colors):
         masks[c] |= 1 << v
-    if p >= 2:
-        pair = _first_bicolored_p4_pair(g, masks)
-        if pair is not None:
-            return False, ("subset_treedepth", pair)
-    if p >= 3:
-        solver = TreedepthSolver(g)
-        for size in range(3, min(p, coloring.num_colors) + 1):
-            for subset in combinations(range(coloring.num_colors), size):
-                mask = 0
-                for c in subset:
-                    mask |= masks[c]
-                if not solver.td_at_most(mask, size):
-                    return False, ("subset_treedepth", subset)
+    for size in range(2, min(p, coloring.num_colors) + 1):
+        for subset in combinations(range(coloring.num_colors), size):
+            mask = 0
+            for c in subset:
+                mask |= masks[c]
+            if not _td_at_most(g.adj_bits, mask, size):
+                return False, ("subset_treedepth", subset)
     return True, None
 
 
-def _first_bicolored_p4_pair(g, masks):
-    """The first color pair, in combinations order, whose union holds a
-    4-vertex path, or None. In a proper coloring that path alternates: an edge
-    xy with colors a and b, a second b-neighbour at x and a second
-    a-neighbour at y. A union of two classes has tree-depth at most 2 exactly
-    when it has no such path, so no tree-depth is computed."""
-    adj = g.adj_bits
-    for a, b in combinations(range(len(masks)), 2):
-        for x in bits(masks[a]):
-            ys = adj[x] & masks[b]
-            if ys & (ys - 1) and any(
-                (adj[y] & masks[a]).bit_count() >= 2 for y in bits(ys)
-            ):
-                return (a, b)
-    return None
+def _td_at_most(rows, mask, k):
+    """Whether G[mask] has tree-depth at most k >= 2, by the definition, with
+    no memo. At k = 2: a star forest, so no two adjacent vertices each have
+    two or more neighbours in mask. Above: every component has at most k
+    vertices or a vertex whose removal leaves tree-depth k - 1."""
+    if k == 2:
+        hubs = 0
+        for v in bits(mask):
+            row = rows[v] & mask
+            if row & (row - 1):
+                if row & hubs:
+                    return False
+                hubs |= 1 << v
+        return True
+    return all(
+        comp.bit_count() <= k
+        or any(_td_at_most(rows, comp ^ 1 << v, k - 1) for v in bits(comp))
+        for comp in component_masks(rows, mask)
+    )
 
 
 def _star_rules(nbrs, rows, a, color_masks, sat):
@@ -206,6 +206,34 @@ def _star_rules(nbrs, rows, a, color_masks, sat):
     return forbidden, frontier
 
 
+def _depth_rule(rows, td, color_masks, p):
+    """The tree-depth rule of one p >= 3 run, as a closure over its state:
+    rows[v] is v's neighbour mask, td the graph's TreedepthSolver and
+    color_masks[c] the vertex mask of class c.
+
+    depth_ok(v, c, max_used) decides every 3..p color subset with v in class c
+    (colors in use are exactly 0..max_used-1 by first-use symmetry breaking).
+    Before v is placed every subset meets its bound, and the components of a
+    union that miss v are components of the union without v, so only the
+    component holding v is decided. A subset none of whose other colors is on
+    a neighbour of v leaves v alone in its component, so it is skipped."""
+
+    def depth_ok(v, c, max_used):
+        others = [i for i in range(max_used) if i != c]
+        new_mask = color_masks[c] | 1 << v
+        row = rows[v]
+        for size in range(3, min(p, len(others) + 1) + 1):
+            for rest in combinations(others, size - 1):
+                mask = new_mask
+                for i in rest:
+                    mask |= color_masks[i]
+                if row & mask and not td.component_td_at_most(mask, v, size):
+                    return False
+        return True
+
+    return depth_ok
+
+
 class _ColoringSearch:
     """Backtracking search for depth-p colorings of one graph, any mask, p and k.
 
@@ -219,10 +247,11 @@ class _ColoringSearch:
     color of each vertex, one vertex mask per color class, per vertex the mask
     of colors on its colored neighbours (its saturation), and the mask of
     uncolored vertices, passed down the recursion. p = 1 forbids neighbour
-    colors, p >= 2 also the colors of `_star_rules`; p >= 3 adds tree-depth
-    checks on every color subset of size 3..p that includes the color just
-    placed, each on the component of the subset's union that holds the vertex
-    just placed.
+    colors, p >= 2 also the colors of `_star_rules`; p >= 3 adds the
+    `_depth_rule` tree-depth checks on every color subset of size 3..p that
+    includes the color just placed, each on the component of the subset's
+    union that holds the vertex just placed. A run's state lives in the
+    local variables of `_solve`, which writes back only its node count.
     """
 
     def __init__(self, g):
@@ -285,12 +314,12 @@ class _ColoringSearch:
         nbrs, rows, order = self.nbrs, self.nbr_bits, self.order
         a = [-1] * self.n
         sat = [0] * self.n
-        color_masks = self.color_masks = [0] * k
-        self.p = p
+        color_masks = [0] * k
         star, deep = p >= 2, p >= 3
         if star:
             forbidden, frontier = _star_rules(nbrs, rows, a, color_masks, sat)
-        depth_ok = self._depth_ok
+        if deep:
+            depth_ok = _depth_rule(rows, self.td, color_masks, p)
         full = (1 << k) - 1
         nodes = 0
 
@@ -345,27 +374,6 @@ class _ColoringSearch:
         del extend
         self.nodes += nodes
         return a if found else None
-
-    def _depth_ok(self, v, c, max_used):
-        """Tree-depth of every 3..p color subset with v in class c (colors in
-        use are exactly 0..max_used-1 by first-use symmetry breaking). Before
-        v is placed every subset meets its bound, and the components of a
-        union that miss v are components of the union without v, so only the
-        component holding v is decided. A subset none of whose other colors
-        is on a neighbour of v leaves v alone in its component, so it is
-        skipped."""
-        others = [i for i in range(max_used) if i != c]
-        new_mask = self.color_masks[c] | 1 << v
-        row = self.nbr_bits[v]
-        for size in range(3, min(self.p, len(others) + 1) + 1):
-            for rest in combinations(others, size - 1):
-                mask = new_mask
-                for i in rest:
-                    mask |= self.color_masks[i]
-                if row & mask and not self.td.component_td_at_most(mask, v, size):
-                    return False
-        return True
-
 
 @lru_cache(maxsize=1)
 def _search(g):

@@ -114,6 +114,26 @@ def _record(graph6, params, measured, expected, ok, witness=None):
     return rec
 
 
+def _params(spec, **defaults):
+    """The suite's parameters, spec.params over its defaults; a name the suite
+    does not take raises ParameterError."""
+    unknown = sorted(set(spec.params) - set(defaults))
+    if unknown:
+        raise ParameterError(
+            f"{spec.claim} takes no parameter {unknown[0]!r}; known: {sorted(defaults)}"
+        )
+    return {**defaults, **spec.params}
+
+
+def _sequence(name, value, length=None):
+    """value when it is a list or tuple, of `length` items when given; else
+    ParameterError naming the parameter."""
+    if isinstance(value, (list, tuple)) and length in (None, len(value)):
+        return value
+    shape = "a list" if length is None else f"a list of {length} items"
+    raise ParameterError(f"{name} must be {shape}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # S1: exact values on subdivided cliques
 
@@ -154,8 +174,9 @@ def _check_s1(payload):
 
 
 def _instances_s1(spec):
-    ps = [check_int("p", p, 1) for p in spec.params.get("ps", (1, 2, 3))]
-    ns = [check_int("n", n, 2) for n in spec.params.get("ns", (3, 4, 5))]
+    params = _params(spec, ps=(1, 2, 3), ns=(3, 4, 5))
+    ps = [check_int("p", p, 1) for p in _sequence("ps", params["ps"])]
+    ns = [check_int("n", n, 2) for n in _sequence("ns", params["ns"])]
     return [{"n": n, "p": p} for p in ps for n in ns]
 
 
@@ -178,8 +199,9 @@ def _check_s2(payload):
 
 
 def _instances_s2(spec):
-    max_n = check_int("max_n", spec.params.get("max_n", 7), 0)
-    random_count = check_int("random_count", spec.params.get("random_count", 20), 0)
+    params = _params(spec, max_n=7, random_count=20)
+    max_n = check_int("max_n", params["max_n"], 0)
+    random_count = check_int("random_count", params["random_count"], 0)
     tasks = [
         {"graph6": graph_to_graph6(g)} for g in corpus.connected_corpus(max_n)
     ]
@@ -227,8 +249,9 @@ def _check_s3(payload):
 
 
 def _instances_s3(spec):
-    max_n = check_int("max_n", spec.params.get("max_n", 5), 0)
-    ps = [check_int("p", p, 0) for p in spec.params.get("ps", (1, 2))]
+    params = _params(spec, max_n=5, ps=(1, 2))
+    max_n = check_int("max_n", params["max_n"], 0)
+    ps = [check_int("p", p, 0) for p in _sequence("ps", params["ps"])]
     return [
         {"graph6": graph_to_graph6(g), "p": p}
         for p in ps
@@ -256,7 +279,9 @@ def _check_s4(payload):
 
 
 def _instances_s4(spec):
-    limits = spec.params.get("limits", {2: 8, 3: 7})
+    limits = _params(spec, limits={2: 8, 3: 7})["limits"]
+    if not isinstance(limits, dict):
+        raise ParameterError(f"limits must be an object, got {limits!r}")
     # JSON object keys arrive as strings
     limits = {
         check_int("p", int(p) if isinstance(p, str) and p.isdecimal() else p, 1):
@@ -324,10 +349,11 @@ def _check_s5(payload):
 
 
 def _instances_s5(spec):
-    per_t = check_int("per_t", spec.params.get("per_t", 100), 0)
+    params = _params(spec, per_t=100, ts=(3, 4))
+    per_t = check_int("per_t", params["per_t"], 0)
     tasks = []
     # t = 1 asks for edgeless graphs, which the sampler never draws
-    ts = [check_int("t", t, 2) for t in spec.params.get("ts", (3, 4))]
+    ts = [check_int("t", t, 2) for t in _sequence("ts", params["ts"])]
     for t in ts:
         rng = SplitMix64(spec.seed).split(f"s5-t{t}")
         for g in _sample_k1t_free(t, per_t, rng):
@@ -361,8 +387,9 @@ def _check_s6(payload):
 
 
 def _instances_s6(spec):
-    smax = check_int("max_s", spec.params.get("max_s", 4), 0)
-    tmax = check_int("max_t", spec.params.get("max_t", 5), 0)
+    params = _params(spec, max_s=4, max_t=5)
+    smax = check_int("max_s", params["max_s"], 0)
+    tmax = check_int("max_t", params["max_t"], 0)
     return [
         {"s": s, "t": t} for s in range(1, smax + 1) for t in range(s, tmax + 1)
     ]
@@ -391,16 +418,20 @@ def _check_s7(payload):
 
 
 def _instances_s7(spec):
-    grid = spec.params.get(
-        "grid",
-        [
+    grid = _params(
+        spec,
+        grid=[
             {"g": gl, "omega": om, "copies": c}
             for gl in (5, 7)
             for om in (2, 4)
             for c in (1, 2, 3)
         ],
-    )
-    for cell in grid:
+    )["grid"]
+    for cell in _sequence("grid", grid):
+        if not isinstance(cell, dict) or set(cell) != {"g", "omega", "copies"}:
+            raise ParameterError(
+                f"grid cell must be an object with the keys g, omega and copies, got {cell!r}"
+            )
         for key, least in (("g", 5), ("omega", 2), ("copies", 1)):
             check_int(key, cell[key], least)
     return list(grid)
@@ -450,8 +481,9 @@ def _check_s8(payload):
 
 
 def _instances_s8(spec):
-    max_n = check_int("max_n", spec.params.get("max_n", 6), 0)
-    p = check_int("p", spec.params.get("p", 2), 1)
+    params = _params(spec, max_n=6, p=2)
+    max_n = check_int("max_n", params["max_n"], 0)
+    p = check_int("p", params["p"], 1)
     return [
         {"graph6": graph_to_graph6(g), "p": p}
         for g in corpus.connected_corpus(max_n)
@@ -492,8 +524,9 @@ def _check_s9(payload):
 
 
 def _instances_s9(spec):
-    max_n = check_int("max_n", spec.params.get("max_n", 4), 0)
-    ks = [check_int("k", k, 1) for k in spec.params.get("ks", (1, 2, 3))]
+    params = _params(spec, max_n=4, ks=(1, 2, 3))
+    max_n = check_int("max_n", params["max_n"], 0)
+    ks = [check_int("k", k, 1) for k in _sequence("ks", params["ks"])]
     return [{"k": k, "max_n": max_n} for k in ks]
 
 
@@ -517,11 +550,12 @@ def _check_s10(payload):
 
 
 def _instances_s10(spec):
-    grid = spec.params.get(
-        "grid", [(8, 3, 5), (12, 3, 5), (12, 3, 6), (16, 3, 6), (12, 4, 5)]
-    )
+    grid = _params(
+        spec, grid=[(8, 3, 5), (12, 3, 5), (12, 3, 6), (16, 3, 6), (12, 4, 5)]
+    )["grid"]
     tasks = []
-    for idx, (n, d, girth_target) in enumerate(grid):
+    for idx, cell in enumerate(_sequence("grid", grid)):
+        n, d, girth_target = _sequence("grid cell", cell, 3)
         g = generate("high_girth", {"n": n, "d": d, "g": girth_target}, spec.seed + idx)
         tasks.append(
             {
@@ -587,8 +621,9 @@ def _check_s11(payload):
 
 
 def _instances_s11(spec):
-    max_n = check_int("max_n", spec.params.get("max_n", 7), 0)
-    random_count = check_int("random_count", spec.params.get("random_count", 500), 0)
+    params = _params(spec, max_n=7, random_count=500)
+    max_n = check_int("max_n", params["max_n"], 0)
+    random_count = check_int("random_count", params["random_count"], 0)
     tasks = [
         {"graph6": graph_to_graph6(g)} for g in corpus.connected_corpus(max_n)
     ]

@@ -301,13 +301,25 @@ def test_verify_rejects_malformed_suite_params(tmp_path, capsys, param, shown):
      ("S7", 'grid=[{"g": 5, "omega": 2.5, "copies": 1}]',
       "omega must be an int >= 2, got 2.5"),
      ("S9", "ks=[1.5]", "k must be an int >= 1, got 1.5"),
-     ("S10", "grid=[[8, 3, 5.5]]", "g must be an int >= 3, got 5.5")],
+     ("S10", "grid=[[8, 3, 5.5]]", "g must be an int >= 3, got 5.5"),
+     ("S7", 'grid=[{"g": 5}]', "grid cell must be an object with the keys g, omega and copies"),
+     ("S10", "grid=[[8, 3]]", "grid cell must be a list of 3 items, got [8, 3]"),
+     ("S4", "limits=5", "limits must be an object, got 5"),
+     ("S1", "ps=5", "ps must be a list, got 5")],
 )
 def test_verify_rejects_malformed_suite_list_params(tmp_path, capsys, claim, param, shown):
     code, out, err = run_cli(capsys, "verify", claim, "--param", param,
                              "--out", str(tmp_path))
     assert code == EXIT_USAGE
     assert shown in err and out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_rejects_an_unknown_suite_param(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "S1", "--param", "nss=3",
+                             "--out", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert "S1 takes no parameter 'nss'" in err and out == ""
     assert not list(tmp_path.iterdir())
 
 

@@ -115,6 +115,7 @@ def test_validate_coloring_structure_errors():
         (path(5), Coloring((0, 1, 0, 1, 2.0), 3, "proper")),
         (path(4), Coloring((0, True, 0, 1), 2, "proper")),
         (path(4), Coloring((0, 1, 0, 1), 2, "chi_p", p=True)),
+        (path(2), Coloring((0, 1), 2.0, "proper")),
     ],
 )
 def test_validate_coloring_rejects_non_int_colors_and_p(g, coloring):

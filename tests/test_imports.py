@@ -5,7 +5,8 @@ same path, so a module loads only what it imports itself. No module imports
 inside a function or class body, where an import cycle could hide. Engines a
 module shares with another are imported by public names; the private names
 one module takes from another are listed here, and a new one fails. The
-search engines are built only in the places listed here too."""
+search engines are built only in the places listed here too, and no
+validator names one."""
 
 import ast
 import subprocess
@@ -90,14 +91,12 @@ def test_private_names_cross_modules_only_where_listed():
 
 
 # caller -> constructor for every place in the package that builds a search
-# engine: the solve context (`_search` and the search's own solver), the
-# chi check whose search must leave that context alone, and the coloring
-# validator
+# engine: the solve context (`_search` and the search's own solver) and the
+# chi check whose search must leave that context alone
 ENGINE_BUILDS = {
     "coloring._search -> _ColoringSearch",
     "coloring._ColoringSearch.__init__ -> TreedepthSolver",
     "coloring.chromatic_at_least -> _ColoringSearch",
-    "coloring.validate_coloring -> TreedepthSolver",
 }
 
 
@@ -119,3 +118,29 @@ def test_engines_are_built_only_by_the_solve_context():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == ENGINE_BUILDS
+
+
+# the search engines and their deciders; a validator re-checks a certificate
+# by its definition, so it shares no search code with the solver it checks
+ENGINES = {
+    "TreedepthSolver",
+    "_ColoringSearch",
+    "_search",
+    "map_search",
+    "chromatic_at_least",
+    "td_at_most",
+    "component_td_at_most",
+}
+
+
+def test_validators_name_no_engine():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("validate_"):
+                for inner in ast.walk(node):
+                    name = inner.attr if isinstance(inner, ast.Attribute) else getattr(inner, "id", None)
+                    if name in ENGINES:
+                        found.add(f"{path.stem}.{node.name} -> {name}")
+    assert found == set()

@@ -13,6 +13,7 @@ from chibound.codec import (
 from chibound.coloring import (
     _normalize,
     _star_rules,
+    _td_at_most,
     chi_p,
     chromatic_at_least,
     chromatic_number,
@@ -460,6 +461,17 @@ def test_degeneracy_bounds_tree_depth(g, data):
         mask = data.draw(_nonzero_masks(g))
         sub, _ = induced_subgraph(g, list(bits(mask)))
         assert _degeneracy(g.adj_bits, mask) == degeneracy(sub)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_the_validators_tree_depth_check_agrees_with_the_engine(g, data):
+    # validate_coloring decides its color unions by the definition, with no
+    # engine code, and answers as the engine does
+    for _ in range(4):
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+        k = data.draw(st.integers(min_value=2, max_value=4))
+        assert _td_at_most(g.adj_bits, mask, k) == TreedepthSolver(g).td_at_most(mask, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,22 @@
 """Every rejection branch of the certificate validators fires: one hand-made
-bad certificate per branch, each with the reason it must be rejected for."""
+bad certificate per branch, each with the reason it must be rejected for. The
+verdicts do not rest on the search engines: with the tree-depth engine made
+to answer wrongly, every verdict stays the same."""
 
 import pytest
 
-from chibound.coloring import Coloring, validate_coloring
-from chibound.generators import complete, complete_bipartite, cycle, path, star
+from chibound import treedepth
+from chibound.coloring import (
+    Coloring,
+    chi_p,
+    chromatic_number,
+    subdivision_chi_p_coloring,
+    tree_depth,
+    uniform_subdivision_coloring,
+    validate_coloring,
+)
+from chibound.generators import complete, complete_bipartite, cycle, mycielskian, path, star
+from chibound.graphs import subdivide_exact
 from chibound.holes import Hole, validate_hole
 from chibound.homomorphism import (
     HomMapping,
@@ -14,7 +26,7 @@ from chibound.homomorphism import (
 )
 from chibound.invariants import validate_biclique, validate_clique, validate_degeneracy_order
 from chibound.minors import TopoMinorEmbedding, validate_topo_embedding
-from chibound.treedepth import EliminationForest, validate_elimination_forest
+from chibound.treedepth import EliminationForest, TreedepthSolver, validate_elimination_forest
 
 K3 = complete(3)
 C4 = cycle(4)
@@ -205,3 +217,34 @@ def test_the_hand_made_certificates_differ_from_valid_ones_only_in_the_fault():
     assert validate_degeneracy_order(C7, 2, tuple(range(7))) == (True, None)
     assert validate_homomorphism(DP3, T3, HomMapping((0, 1, 2))) == (True, None)
     assert validate_coloring(path(8), Coloring((0, 1, 2, 0, 1, 2, 0, 1), 3, "chi_p", 2)) == (True, None)
+
+
+def _solved_certificates():
+    """Validator calls, one per certificate the solvers and constructions
+    build, each of which accepts its certificate."""
+    calls = []
+    for g in (path(8), cycle(7), complete_bipartite(2, 3), mycielskian(cycle(5))):
+        for p in (1, 2, 3, 4):
+            coloring = chi_p(g, p).certificate
+            calls.append(lambda g=g, c=coloring: validate_coloring(g, c))
+        td = tree_depth(g)
+        calls.append(lambda g=g, td=td: validate_elimination_forest(g, td.certificate, td.value))
+    k4 = complete(4)
+    base = chromatic_number(k4).certificate
+    for p in (1, 2, 3):
+        gs = subdivide_exact(k4, p)
+        for coloring in (uniform_subdivision_coloring(k4, p), subdivision_chi_p_coloring(k4, p, base)):
+            calls.append(lambda gs=gs, c=coloring: validate_coloring(gs, c))
+    return calls
+
+
+@pytest.mark.parametrize("answer, hubs", [(True, 0), (False, None)], ids=["yes", "no"])
+def test_verdicts_stand_when_the_engine_answers_wrongly(monkeypatch, answer, hubs):
+    calls = _solved_certificates()
+    monkeypatch.setattr(TreedepthSolver, "td_at_most", lambda self, mask, k: answer)
+    monkeypatch.setattr(TreedepthSolver, "_td_conn_at_most", lambda self, comp, k: answer)
+    monkeypatch.setattr(treedepth, "_star_hubs", lambda rows, mask: hubs)
+    for case, (call, reason) in CASES.items():
+        assert call() == (False, reason), case
+    for call in calls:
+        assert call() == (True, None)
