@@ -23,9 +23,13 @@ on the change frontier of the one just colored (the only vertices whose
 forbidden colors that coloring can change) has every color forbidden.
 Forbidden colors only grow as vertices get colored, so such a subtree holds no
 coloring, and the depth-first search still reaches the same first coloring:
-forward checking saves nodes and never changes a witness. validate_coloring
-checks every union of 2..p classes by one definitional rule, `_td_at_most`,
-which shares no code with the tree-depth engine or the search it checks.
+forward checking saves nodes and never changes a witness. At p >= 3 every
+coloring of a run keeps each union of i <= p classes at tree-depth at most i,
+so a vertex that opens a new class needs no depth check, and a union's answer
+depends only on its vertex mask and size and is decided once per run.
+validate_coloring checks every union of 2..p classes by one definitional rule,
+`_td_at_most`, which shares no code with the tree-depth engine or the search
+it checks.
 
 Definitions in force:
 - depth-p coloring (chi_p): every union of at most p color classes induces a
@@ -213,22 +217,35 @@ def _depth_rule(rows, td, color_masks, p):
 
     depth_ok(v, c, max_used) decides every 3..p color subset with v in class c
     (colors in use are exactly 0..max_used-1 by first-use symmetry breaking).
-    Before v is placed every subset meets its bound, and the components of a
-    union that miss v are components of the union without v, so only the
-    component holding v is decided. A subset none of whose other colors is on
-    a neighbour of v leaves v alone in its component, so it is skipped."""
+    The run keeps an invariant: before v is placed every union of i <= p
+    classes has tree-depth at most i. So the components of a union that miss
+    v are components of the union without v and meet the bound, and only the
+    component holding v is decided; its answer is then whether the whole
+    union M of s classes has td <= s, which depends on M and s alone, so it is
+    decided once per run and kept in decided[s][M]. A subset none of whose
+    other colors is on a neighbour of v leaves v alone in its component, so it
+    is skipped. _solve asks only when c is already in use: a vertex that opens
+    class c joins s - 1 classes of tree-depth at most s - 1 (by the star rules
+    at s = 3, by the invariant above), and one vertex adds at most one level."""
+    # subset size -> {union mask: whether its tree-depth is at most that size}
+    decided = {}
 
     def depth_ok(v, c, max_used):
-        others = [i for i in range(max_used) if i != c]
+        others = [color_masks[i] for i in range(max_used) if i != c]
         new_mask = color_masks[c] | 1 << v
         row = rows[v]
         for size in range(3, min(p, len(others) + 1) + 1):
+            known = decided.setdefault(size, {})
             for rest in combinations(others, size - 1):
                 mask = new_mask
-                for i in rest:
-                    mask |= color_masks[i]
-                if row & mask and not td.component_td_at_most(mask, v, size):
-                    return False
+                for m in rest:
+                    mask |= m
+                if row & mask:
+                    ok = known.get(mask)
+                    if ok is None:
+                        ok = known[mask] = td.component_td_at_most(mask, v, size)
+                    if not ok:
+                        return False
         return True
 
     return depth_ok
@@ -249,8 +266,9 @@ class _ColoringSearch:
     uncolored vertices, passed down the recursion. p = 1 forbids neighbour
     colors, p >= 2 also the colors of `_star_rules`; p >= 3 adds the
     `_depth_rule` tree-depth checks on every color subset of size 3..p that
-    includes the color just placed, each on the component of the subset's
-    union that holds the vertex just placed. A run's state lives in the
+    includes the color just placed, when that color is already in use: each
+    decides the component of the subset's union that holds the vertex just
+    placed, once per union mask and size in the run. A run's state lives in the
     local variables of `_solve`, which writes back only its node count.
     """
 
@@ -343,7 +361,7 @@ class _ColoringSearch:
             for c in range(min(max_used + 1, k)):
                 if taken >> c & 1:
                     continue
-                if deep and not depth_ok(v, c, max_used):
+                if deep and c < max_used and not depth_ok(v, c, max_used):
                     continue
                 used = max_used if c < max_used else c + 1
                 cbit = 1 << c
@@ -421,6 +439,7 @@ def chromatic_at_least(g, chi):
     own that leaves the slot of `_search` alone: the critical-pattern
     catalogue colors patterns in the middle of a host's shallow-minor climb,
     and S11 re-checks a witness subgraph of the graph it has just solved."""
+    check_int("chi", chi, 1)
     search = _ColoringSearch(g)
     comps = component_masks(g.adj_bits, (1 << g.n) - 1)
     return any(search.run(comp, chi - 1, 1) is None for comp in comps)

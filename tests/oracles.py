@@ -96,6 +96,39 @@ def naive_treedepth(g, vertices=None, memo=None):
     return memo[vertices]
 
 
+def naive_chi_p(g, p):
+    """Least number of classes of a vertex partition in which every union of
+    i <= p classes has tree-depth at most i; tries every set partition."""
+    memo = {}
+    best = g.n  # all singletons: a union of i classes has i vertices
+    for labels in _set_partitions(g.n):
+        k = max(labels, default=-1) + 1
+        if k >= best:
+            continue
+        classes = [frozenset(v for v in range(g.n) if labels[v] == c) for c in range(k)]
+        if all(
+            naive_treedepth(g, frozenset().union(*subset), memo) <= size
+            for size in range(1, min(p, k) + 1)
+            for subset in combinations(classes, size)
+        ):
+            best = k
+    return best
+
+
+def _set_partitions(n):
+    """Every set partition of range(n) as a restricted growth string: labels
+    with labels[0] == 0 and each label at most one above all before it."""
+
+    def grow(labels, top):
+        if len(labels) == n:
+            yield tuple(labels)
+            return
+        for c in range(top + 2):
+            yield from grow(labels + [c], max(top, c))
+
+    yield from grow([], -1)
+
+
 def _components_of(g, vertices):
     remaining = set(vertices)
     comps = []

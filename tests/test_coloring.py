@@ -33,7 +33,7 @@ from chibound.graphs import Graph, disjoint_union, induced_subgraph, subdivide_e
 from chibound.minors import chi_TM, find_topo_embedding, omega_TM
 from chibound.suites import build_sub_colorings
 from chibound.treedepth import TreedepthSolver
-from oracles import naive_chromatic, naive_is_star_coloring, naive_star_chromatic
+from oracles import naive_chi_p, naive_chromatic, naive_is_star_coloring, naive_star_chromatic
 
 PETERSEN = Graph(
     10,
@@ -159,9 +159,10 @@ def test_star_search_node_count():
 
 
 def test_depth_search_query_count(monkeypatch):
-    # the p = 3 subset checks decide only the component of the union that
-    # holds the vertex just placed: 22,375 connected tree-depth queries here,
-    # against 30,878 when every component of every union is decided
+    # the p = 3 subset checks decide each union once per run, only on the
+    # component that holds the vertex just placed, and never for a vertex that
+    # opens a new class: 1,258 connected tree-depth queries over the 1,483
+    # nodes here, against 6,660 when every check asks the engine
     queries = 0
     decide = TreedepthSolver._td_conn_at_most
 
@@ -174,7 +175,34 @@ def test_depth_search_query_count(monkeypatch):
     g = subdivide_exact(complete(5), 1)
     search = _ColoringSearch(g)
     found = search.least((1 << g.n) - 1, 3, 3)
-    assert max(found) + 1 == 5 and queries <= 23000
+    assert max(found) + 1 == 5 and search.nodes == 1483
+    assert queries <= 1300
+
+
+def test_depth_rule_keeps_its_answers_per_subset_size():
+    # the 8-vertex path has tree-depth 4: as the union of three classes it
+    # breaks the rule, as the union of four it meets it, within one run
+    g = path(8)
+    masks = [0] * 4
+    depth_ok = coloring._depth_rule(g.adj_bits, TreedepthSolver(g), masks, 4)
+
+    def color(pattern):
+        masks[:] = [0] * 4
+        for v, c in enumerate(pattern):
+            masks[c] |= 1 << v
+
+    color((0, 1, 2, 0, 1, 2, 0))
+    assert not depth_ok(7, 1, 3)
+    color((0, 1, 2, 3, 0, 1, 2))
+    assert depth_ok(7, 3, 4)
+
+
+def test_chi_p_at_p_3_and_4_against_the_partition_oracle(small_connected):
+    # no pin reaches p = 4: this holds the values of the depth rule to the
+    # definition
+    for g in small_connected:
+        for p in (3, 4):
+            assert chi_p(g, p).value == naive_chi_p(g, p)
 
 
 def test_one_search_per_graph(monkeypatch):

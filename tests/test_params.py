@@ -11,6 +11,7 @@ import pytest
 import chibound
 from chibound.coloring import (
     chi_p,
+    chromatic_at_least,
     product_chi_p_coloring,
     subdivision_chi_p_coloring,
     tree_depth,
@@ -65,6 +66,7 @@ D2 = Digraph(2, [(0, 1)])
 ENTRIES = {
     "chi_p.p": (lambda v: chi_p(C5, v), 1),
     "chi_p.cap": (lambda v: chi_p(C5, 2, cap=v), 0),
+    "chromatic_at_least.chi": (lambda v: chromatic_at_least(C5, v), 1),
     "uniform_subdivision_coloring.p": (lambda v: uniform_subdivision_coloring(C5, v), 1),
     "subdivision_chi_p_coloring.p": (lambda v: subdivision_chi_p_coloring(C5, v, None), 0),
     "product_chi_p_coloring.p": (lambda v: product_chi_p_coloring(C5, v, None, {}), 1),
@@ -123,6 +125,7 @@ BEFORE_CHECK = {
     "check_cap",
     "chi_p",
     "_least_assignment",
+    "chromatic_at_least",
     "uniform_subdivision_coloring",
     "subdivision_chi_p_coloring",
     "product_chi_p_coloring",

@@ -49,6 +49,7 @@ from chibound.treedepth import (
 from oracles import (
     _components_of,
     naive_canonical_form,
+    naive_chi_p,
     naive_chromatic,
     naive_is_star_coloring,
     naive_star_chromatic,
@@ -238,6 +239,17 @@ def test_chi_2_is_the_star_chromatic_number(g):
     res = chi_p(g, 2)
     assert res.value == naive_star_chromatic(g)
     assert naive_is_star_coloring(g, res.certificate.assignment)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.builds(lambda a, b: disjoint_union([a, b]), graphs(max_n=4), graphs(max_n=3)),
+    st.integers(min_value=3, max_value=4),
+)
+def test_chi_p_of_a_disjoint_union_is_its_least_partition(g, p):
+    res = chi_p(g, p)
+    assert res.value == naive_chi_p(g, p)
+    assert validate_coloring(g, res.certificate)[0]
 
 
 def _star_valid(g, colors, vertices):
