@@ -546,3 +546,32 @@ def test_search_runs_are_pinned(monkeypatch):
         chi_p(subdivide_exact(g, 1), 2, cap=44)
     assert runs == 540
     assert h.hexdigest() == SEARCH_SHA256
+
+
+# SHA-256 of every p = 4 coloring search run above the tree-depth range
+# (k > 4) of chi_p(g, 4) over the connected graphs on up to seven vertices:
+# its component mask, k, the coloring returned and the nodes it took
+SEARCH_P4_SHA256 = "f9f138bb7e436795996f9e021fd6879695c56e70581bf626f6eb43b6bcbe52c6"
+
+
+def test_p_4_search_runs_are_pinned(monkeypatch):
+    h = hashlib.sha256()
+    runs = refuting = 0
+    run = _ColoringSearch.run
+
+    def recording_run(self, comp, k, p):
+        nonlocal runs, refuting
+        before = self.nodes
+        found = run(self, comp, k, p)
+        if p == 4 and k > 4:
+            runs += 1
+            refuting += found is None
+            h.update(f"{comp} {k} {found} {self.nodes - before}\n".encode())
+        return found
+
+    monkeypatch.setattr(_ColoringSearch, "run", recording_run)
+    coloring._search.cache_clear()
+    for g in connected_corpus(7):
+        chi_p(g, 4)
+    assert (runs, refuting) == (474, 41)
+    assert h.hexdigest() == SEARCH_P4_SHA256
