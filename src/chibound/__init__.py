@@ -6,6 +6,7 @@ Library layers:
   small-graph enumeration
 - invariants / treedepth / coloring: exact solvers with independently
   checkable certificates
+- certify: the certificate validators, which import no solver
 - minors / holes / homomorphism: shallow topological minors, chordless-cycle
   machinery, digraph homomorphism dualities
 - suites / cli: the claim-verification harness and its command-line front end
@@ -48,7 +49,7 @@ from .invariants import (
     degeneracy,
     max_degree,
 )
-from .treedepth import EliminationForest, validate_elimination_forest
+from .treedepth import EliminationForest
 from .coloring import (
     Coloring,
     chi_p,
@@ -58,7 +59,6 @@ from .coloring import (
     tree_depth,
     tree_depth_at_most,
     uniform_subdivision_coloring,
-    validate_coloring,
 )
 from .minors import (
     TopoMinorEmbedding,
@@ -68,7 +68,6 @@ from .minors import (
     find_topo_embedding,
     is_induced_exact_subdivision,
     omega_TM,
-    validate_topo_embedding,
 )
 from .holes import (
     Hole,
@@ -85,6 +84,11 @@ from .homomorphism import (
     transitive_tournament,
     verify_restricted_dual,
     walk_power,
+)
+from .certify import (
+    validate_coloring,
+    validate_elimination_forest,
+    validate_topo_embedding,
 )
 from .suites import SuiteSpec, VerificationReport, run_all, run_suite
 

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+from .certify import validate_homomorphism
 from .codec import (
     _load_json,
     parse_digraph,
@@ -27,7 +28,6 @@ from .holes import count_holes, enumerate_holes, is_even_hole_free
 from .homomorphism import (
     homomorphism,
     symmetric_digraph,
-    validate_homomorphism,
     verify_restricted_dual,
 )
 from .invariants import (

@@ -1,4 +1,4 @@
-"""Exact coloring solvers, tree-depth, and their certificate checkers.
+"""Exact coloring solvers and tree-depth.
 
 Every solver is the depth-p chromatic number chi_p for some p: proper coloring
 is p = 1 (chromatic_number) and star coloring is p = 2. One search object per
@@ -27,9 +27,6 @@ forward checking saves nodes and never changes a witness. At p >= 3 every
 coloring of a run keeps each union of i <= p classes at tree-depth at most i,
 so a vertex that opens a new class needs no depth check, and a union's answer
 depends only on its vertex mask and size and is decided once per run.
-validate_coloring checks every union of 2..p classes by one definitional rule,
-`_td_at_most`, which shares no code with the tree-depth engine or the search
-it checks.
 
 Definitions in force:
 - depth-p coloring (chi_p): every union of at most p color classes induces a
@@ -44,7 +41,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .errors import ValidationError, check_cap, check_int, is_int
+from .certify import validate_coloring
+from .errors import ValidationError, check_cap, check_int
 from .graphs import (
     bits,
     component_masks,
@@ -89,78 +87,6 @@ def _normalize(assignment):
 def make_coloring(assignment, kind, p=None):
     norm, k = _normalize(tuple(assignment))
     return Coloring(norm, k, kind, p)
-
-
-def _check_structure(g, coloring):
-    if len(coloring.assignment) != g.n:
-        raise ValidationError("assignment must cover every vertex")
-    if not all(map(is_int, coloring.assignment)):
-        raise ValidationError("colors must be ints")
-    if coloring.p is not None and not is_int(coloring.p):
-        raise ValidationError(f"p must be an int, got {coloring.p!r}")
-    if not is_int(coloring.num_colors):
-        raise ValidationError(f"num_colors must be an int, got {coloring.num_colors!r}")
-    if set(coloring.assignment) != set(range(coloring.num_colors)):
-        raise ValidationError("colors must be 0..num_colors-1 with every color used")
-
-
-def _first_monochromatic_edge(g, colors):
-    for u, v in g.sorted_edges():
-        if colors[u] == colors[v]:
-            return (u, v)
-    return None
-
-
-def validate_coloring(g, coloring):
-    """Check a coloring against its declared kind.
-
-    Returns (True, None) or (False, witness); the witness names the violating
-    edge or color subset.
-    """
-    _check_structure(g, coloring)
-    colors = coloring.assignment
-    edge = _first_monochromatic_edge(g, colors)
-    if edge is not None:
-        return False, ("monochromatic_edge", edge)
-    if coloring.kind == "proper":
-        return True, None
-    if coloring.kind != "chi_p":
-        raise ValidationError(f"unknown coloring kind {coloring.kind!r}")
-    p = coloring.p
-    if p is None or p < 1:
-        raise ValidationError("chi_p coloring needs its parameter p")
-    masks = [0] * coloring.num_colors
-    for v, c in enumerate(colors):
-        masks[c] |= 1 << v
-    for size in range(2, min(p, coloring.num_colors) + 1):
-        for subset in combinations(range(coloring.num_colors), size):
-            mask = 0
-            for c in subset:
-                mask |= masks[c]
-            if not _td_at_most(g.adj_bits, mask, size):
-                return False, ("subset_treedepth", subset)
-    return True, None
-
-
-def _td_at_most(rows, mask, k):
-    """Whether G[mask] has tree-depth at most k >= 2, by the definition, with
-    no memo. At k = 2: a star forest, so no two adjacent vertices each have
-    two or more neighbours in mask. Above: every component has at most k
-    vertices or a vertex whose removal leaves tree-depth k - 1."""
-    if k == 2:
-        hubs = 0
-        for v in bits(mask):
-            row = rows[v] & mask
-            if row & (row - 1):
-                if row & hubs:
-                    return False
-                hubs |= 1 << v
-        return True
-    return all(
-        comp.bit_count() <= k
-        or any(_td_at_most(rows, comp ^ 1 << v, k - 1) for v in bits(comp))
-        for comp in component_masks(rows, mask)
-    )
 
 
 def _star_rules(nbrs, rows, a, color_masks, sat):
@@ -437,8 +363,7 @@ def chromatic_number_value(g):
 def chromatic_at_least(g, chi):
     """Whether g has no proper coloring with chi - 1 colors, on a search of its
     own that leaves the slot of `_search` alone: the critical-pattern
-    catalogue colors patterns in the middle of a host's shallow-minor climb,
-    and S11 re-checks a witness subgraph of the graph it has just solved."""
+    catalogue colors patterns in the middle of a host's shallow-minor climb."""
     check_int("chi", chi, 1)
     search = _ColoringSearch(g)
     comps = component_masks(g.adj_bits, (1 << g.n) - 1)

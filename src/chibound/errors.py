@@ -55,6 +55,7 @@ CAPS = {
     "pattern": (8, "vertices"),  # subdivided-clique and ITM patterns
     "itm_host": (24, "vertices"),  # ITM enumeration host
     "critical_catalogue": (8, "vertices"),  # critical patterns at chi >= 4
+    "chi_witness": (16, "vertices"),  # inclusion-exclusion check of a chi witness
 }
 
 

@@ -31,25 +31,6 @@ class Hole:
         return list(self.vertices)
 
 
-def validate_hole(g, hole):
-    vs = hole.vertices
-    for v in vs:
-        if not g.has_vertex(v):
-            return False, f"{v!r} is not a vertex"
-    if len(vs) < 4 or len(set(vs)) != len(vs):
-        return False, "not a simple cycle of length >= 4"
-    k = len(vs)
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(vs[i], vs[j])
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if consecutive and not adjacent:
-                return False, f"missing cycle edge ({vs[i]}, {vs[j]})"
-            if not consecutive and adjacent:
-                return False, f"chord ({vs[i]}, {vs[j]})"
-    return True, None
-
-
 def _iter_holes(g, max_len):
     """Yield each hole once: DFS over chordless paths anchored at the least vertex.
 

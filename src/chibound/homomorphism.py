@@ -36,16 +36,6 @@ def symmetric_digraph(g):
     return Digraph(g.n, arcs)
 
 
-def validate_homomorphism(f, g, hom):
-    m = hom.mapping
-    if len(m) != f.n or not all(g.has_vertex(x) for x in m):
-        return False, "mapping is not a function into the target"
-    for u, v in f.sorted_arcs():
-        if not g.has_arc(m[u], m[v]):
-            return False, f"arc ({u}, {v}) maps to non-arc ({m[u]}, {m[v]})"
-    return True, None
-
-
 def map_search(order, arcs, domains, budget):
     """The first vertex map found by backtracking, as one single-image domain
     mask per source vertex, or None after a complete search.

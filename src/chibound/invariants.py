@@ -1,7 +1,7 @@
 """Exact solvers for clique number, biclique number, degeneracy, and degrees.
 
 Every solver returns an InvariantResult whose certificate can be re-checked by
-a validator that knows nothing about the search that produced it.
+a validator in certify that knows nothing about the search that produced it.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .errors import check_cap, is_int
+from .errors import check_cap
 from .graphs import bits
 
 
@@ -95,20 +95,6 @@ def clique_number(g, cap=None):
     return InvariantResult("clique_number", len(verts), certificate=verts)
 
 
-def validate_clique(g, vertices):
-    verts = list(vertices)
-    for v in verts:
-        if not g.has_vertex(v):
-            return False, f"{v!r} is not a vertex"
-    if len(set(verts)) != len(verts):
-        return False, "repeated vertex"
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            if not g.has_edge(u, v):
-                return False, f"missing edge ({u}, {v})"
-    return True, None
-
-
 def biclique_number(g, cap=None):
     """Largest r with K_{r,r} as a (not necessarily induced) subgraph, with witness."""
     check_cap("biclique", g.n, cap)
@@ -139,24 +125,6 @@ def biclique_number(g, cap=None):
     return InvariantResult("biclique_number", value, certificate=witness)
 
 
-def validate_biclique(g, pair):
-    a, b = pair
-    for v in (*a, *b):
-        if not g.has_vertex(v):
-            return False, f"{v!r} is not a vertex"
-    if set(a) & set(b):
-        return False, "sides are not disjoint"
-    if len(set(a)) != len(a) or len(set(b)) != len(b):
-        return False, "repeated vertex"
-    if len(a) != len(b):
-        return False, "sides differ in size"
-    for u in a:
-        for v in b:
-            if not g.has_edge(u, v):
-                return False, f"missing cross edge ({u}, {v})"
-    return True, None
-
-
 def degeneracy(g):
     """Min-degree peeling: (degeneracy value, elimination order)."""
     remaining = set(range(g.n))
@@ -172,22 +140,6 @@ def degeneracy(g):
             if u in remaining:
                 deg[u] -= 1
     return value, tuple(order)
-
-
-def validate_degeneracy_order(g, value, order):
-    if not is_int(value):
-        return False, f"claimed value {value!r} is not an int"
-    if not all(g.has_vertex(v) for v in order) or sorted(order) != list(range(g.n)):
-        return False, "order is not a vertex permutation"
-    seen = 0
-    worst = 0
-    for v in reversed(order):
-        back = (g.adj_bits[v] & seen).bit_count()
-        worst = max(worst, back)
-        seen |= 1 << v
-    if worst != value:
-        return False, f"max back-degree {worst} != claimed {value}"
-    return True, None
 
 
 def degeneracy_result(g):

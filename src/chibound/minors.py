@@ -28,7 +28,6 @@ from .graphs import (
     Graph,
     bits,
     distance_balls,
-    induced_subgraph,
     subdivide_exact,
     subdivision_internal_vertices,
 )
@@ -49,55 +48,6 @@ class TopoMinorEmbedding:
             "branch_map": list(self.branch_map),
             "paths": {f"{u},{v}": list(p) for (u, v), p in sorted(self.paths.items())},
         }
-
-
-def validate_topo_embedding(g, emb, r, exact=False, induced=False):
-    """Re-check an embedding: injectivity, endpoints, lengths, disjointness,
-    and (for the induced variant) the absence of extra edges."""
-    h = emb.pattern
-    branch = emb.branch_map
-    if len(branch) != h.n or len(set(branch)) != h.n:
-        return False, "branch map is not injective"
-    if not all(g.has_vertex(b) for b in branch):
-        return False, "branch vertex outside host"
-    if set(emb.paths) != h.edges:
-        return False, "paths do not cover the pattern edge set"
-    interiors = []
-    for (u, v), p in sorted(emb.paths.items()):
-        if not all(g.has_vertex(x) for x in p):
-            return False, f"path for ({u}, {v}) leaves the host"
-        if p[0] != branch[u] or p[-1] != branch[v]:
-            return False, f"path for ({u}, {v}) joins the wrong branch vertices"
-        inner = list(p[1:-1])
-        if exact and len(inner) != r:
-            return False, f"path for ({u}, {v}) has {len(inner)} internal vertices, not {r}"
-        if not exact and len(inner) > r:
-            return False, f"path for ({u}, {v}) exceeds {r} internal vertices"
-        for a, b in zip(p, p[1:]):
-            if not g.has_edge(a, b):
-                return False, f"({a}, {b}) along path ({u}, {v}) is not a host edge"
-        if len(set(p)) != len(p):
-            return False, f"path for ({u}, {v}) repeats a vertex"
-        interiors.append(set(inner))
-    branch_set = set(branch)
-    seen = set()
-    for inner in interiors:
-        if inner & branch_set:
-            return False, "path interior touches a branch vertex"
-        if inner & seen:
-            return False, "paths share an interior vertex"
-        seen |= inner
-    if induced:
-        used = sorted(branch_set | seen)
-        sub, verts = induced_subgraph(g, used)
-        path_edges = set()
-        for p in emb.paths.values():
-            for a, b in zip(p, p[1:]):
-                path_edges.add((min(a, b), max(a, b)))
-        host_edges = {(verts[a], verts[b]) for a, b in sub.sorted_edges()}
-        if host_edges != path_edges:
-            return False, "embedded subdivision is not induced (extra host edges)"
-    return True, None
 
 
 def _paths_up_to(nbrs, source, target, max_edges, blocked):

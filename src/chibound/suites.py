@@ -18,10 +18,17 @@ from itertools import combinations
 from math import comb
 
 from . import corpus
+from .certify import (
+    validate_biclique,
+    validate_chi_lower_bound,
+    validate_clique,
+    validate_coloring,
+    validate_degeneracy_order,
+    validate_elimination_forest,
+)
 from .codec import graph_from_graph6, graph_to_graph6
 from .coloring import (
     chi_p,
-    chromatic_at_least,
     chromatic_number,
     chromatic_number_value,
     product_chi_p_coloring,
@@ -29,7 +36,6 @@ from .coloring import (
     tree_depth,
     tree_depth_at_most,
     uniform_subdivision_coloring,
-    validate_coloring,
 )
 from .errors import CAPS, ParameterError, check_int
 from .generators import SplitMix64, complete, random_gnp, generate
@@ -46,12 +52,8 @@ from .invariants import (
     clique_number,
     degeneracy,
     max_degree,
-    validate_biclique,
-    validate_clique,
-    validate_degeneracy_order,
 )
 from .minors import chi_TM, omega_TM
-from .treedepth import validate_elimination_forest
 
 
 @dataclass(frozen=True)
@@ -591,15 +593,10 @@ def _check_s11(payload):
         "clique": validate_clique(g, om_res.certificate)[0],
         "biclique": validate_biclique(g, bw_res.certificate)[0],
         "degeneracy": validate_degeneracy_order(g, deg_val, deg_order)[0],
+        "chi_lower_bound": validate_chi_lower_bound(
+            g, chi_res.lower_bound, chi_res.value
+        )[0],
     }
-    lb_kind, lb_verts = chi_res.lower_bound
-    if lb_kind == "clique":
-        revalidations["chi_lower_bound"] = (
-            validate_clique(g, lb_verts)[0] and len(lb_verts) == chi_res.value
-        )
-    else:
-        sub, _ = induced_subgraph(g, lb_verts)
-        revalidations["chi_lower_bound"] = chromatic_at_least(sub, chi_res.value)
 
     chain_ok = chi_res.value <= star_res.value <= chi3_res.value <= td_res.value
     floor_ok = bw_res.value >= om_res.value // 2

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import is_int
 from .graphs import bits, component_masks, component_of
 
 
@@ -56,42 +55,6 @@ class EliminationForest:
 
     def to_jsonable(self):
         return {"parent": list(self.parent), "height": self.height}
-
-
-def validate_elimination_forest(g, forest, claimed_height=None):
-    """Structural check: parents are vertices or -1, acyclic parents, edges
-    ancestor-descendant, height match."""
-    if claimed_height is not None and not is_int(claimed_height):
-        return False, f"claimed height {claimed_height!r} is not an int"
-    parent = forest.parent
-    if len(parent) != g.n:
-        return False, "parent array size mismatch"
-    for v, p in enumerate(parent):
-        if p != -1 and not g.has_vertex(p):
-            return False, f"parent {p!r} of vertex {v} is not a vertex"
-    for v in range(g.n):
-        seen = {v}
-        x = parent[v]
-        while x != -1:
-            if x in seen:
-                return False, f"parent cycle through vertex {x}"
-            seen.add(x)
-            x = parent[x]
-
-    def ancestors(v):
-        out = set()
-        x = parent[v]
-        while x != -1:
-            out.add(x)
-            x = parent[x]
-        return out
-
-    for u, v in g.sorted_edges():
-        if u not in ancestors(v) and v not in ancestors(u):
-            return False, f"edge ({u}, {v}) is not ancestor-descendant"
-    if claimed_height is not None and forest.height != claimed_height:
-        return False, f"height {forest.height} != claimed {claimed_height}"
-    return True, None
 
 
 def _degeneracy(rows, mask):

@@ -9,6 +9,7 @@ import time
 
 import conftest
 from chibound import corpus
+from chibound.certify import validate_topo_embedding
 from chibound.coloring import chromatic_number
 from chibound.errors import WalkLoopError
 from chibound.generators import SplitMix64
@@ -19,7 +20,6 @@ from chibound.minors import (
     find_subdivided_clique,
     is_induced_exact_subdivision,
     omega_TM,
-    validate_topo_embedding,
 )
 from chibound.suites import SuiteSpec, run_suite
 from oracles import naive_chromatic, walk_count_matrix

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import chibound
+from chibound.certify import validate_chi_lower_bound
 from chibound.coloring import chi_p, tree_depth
 from chibound.errors import CAPS, SizeCapError, check_cap
 from chibound.generators import path
@@ -40,6 +41,7 @@ PINNED = {
     "pattern": (8, "vertices"),
     "itm_host": (24, "vertices"),
     "critical_catalogue": (8, "vertices"),
+    "chi_witness": (16, "vertices"),
 }
 
 # row -> size -> the calls (entry point, args) with the input one size over the row
@@ -61,6 +63,9 @@ CASES = {
     "pattern": lambda s: [(find_subdivided_clique, (Graph(1), s, 1))],
     "itm_host": lambda s: [(enumerate_ITM_exact, (Graph(s), 1, 2))],
     "critical_catalogue": lambda s: [(critical_patterns, (4, s))],
+    "chi_witness": lambda s: [
+        (validate_chi_lower_bound, (Graph(s), ("critical_subgraph", tuple(range(s))), 2))
+    ],
 }
 
 # the entry points above and the functions they pass through to the check
@@ -85,6 +90,7 @@ BEFORE_SEARCH = {
     "chi_TM",
     "enumerate_ITM_exact",
     "critical_patterns",
+    "validate_chi_lower_bound",
 }
 
 

@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from chibound import coloring, minors
+from chibound.certify import validate_coloring
 from chibound.codec import graph_to_graph6
 from chibound.coloring import (
     Coloring,
@@ -17,7 +18,6 @@ from chibound.coloring import (
     subdivision_chi_p_coloring,
     tree_depth,
     uniform_subdivision_coloring,
-    validate_coloring,
 )
 from chibound.corpus import all_graphs, connected_corpus, connected_graphs
 from chibound.errors import ParameterError, SizeCapError, ValidationError

@@ -1,5 +1,6 @@
 import pytest
 
+from chibound.certify import validate_hole
 from chibound.errors import ParameterError, SizeCapError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp
 from chibound.graphs import blow_up, disjoint_union
@@ -9,7 +10,6 @@ from chibound.holes import (
     count_holes,
     enumerate_holes,
     is_even_hole_free,
-    validate_hole,
     verify_hole_density,
 )
 from chibound.invariants import clique_number

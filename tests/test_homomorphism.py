@@ -4,6 +4,7 @@ import json
 import pytest
 
 from chibound import corpus
+from chibound.certify import validate_homomorphism
 from chibound.codec import digraph_to_digraph6
 from chibound.errors import BudgetError, SizeCapError, WalkLoopError
 from chibound.generators import SplitMix64
@@ -16,7 +17,6 @@ from chibound.homomorphism import (
     homomorphism,
     longest_directed_path_order,
     transitive_tournament,
-    validate_homomorphism,
     verify_restricted_dual,
     walk_power,
 )

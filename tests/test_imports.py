@@ -6,7 +6,8 @@ inside a function or class body, where an import cycle could hide. Engines a
 module shares with another are imported by public names; the private names
 one module takes from another are listed here, and a new one fails. The
 search engines are built only in the places listed here too, and no
-validator names one."""
+validator names one: every validator sits in certify, which loads no engine
+module."""
 
 import ast
 import subprocess
@@ -42,6 +43,17 @@ def test_module_imports_alone(module):
     )
     assert done.returncode == 0, done.stderr
     assert f"chibound.{module}" in done.stdout.split()
+
+
+def test_certify_loads_no_engine():
+    done = subprocess.run(
+        [sys.executable, "-c", ALONE.format(path=str(PACKAGE), module="certify")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["chibound.certify", "chibound.errors", "chibound.graphs"]
 
 
 def test_imports_sit_at_module_level():
@@ -144,3 +156,17 @@ def test_validators_name_no_engine():
                     if name in ENGINES:
                         found.add(f"{path.stem}.{node.name} -> {name}")
     assert found == set()
+
+
+def test_validators_sit_in_certify_only():
+    # every top-level validator, and the tree-depth rule validate_coloring
+    # decides its color unions by
+    placed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and (
+                node.name.startswith("validate_") or node.name == "_td_at_most"
+            ):
+                placed.add((path.stem, node.name))
+    assert {module for module, _ in placed} == {"certify"}
+    assert ("certify", "_td_at_most") in placed

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chibound.certify import validate_biclique, validate_clique, validate_degeneracy_order
 from chibound.codec import graph_to_graph6
 from chibound.corpus import connected_corpus
 from chibound.errors import SizeCapError
@@ -23,9 +24,6 @@ from chibound.invariants import (
     clique_number,
     degeneracy,
     max_degree,
-    validate_biclique,
-    validate_clique,
-    validate_degeneracy_order,
 )
 from oracles import naive_max_biclique, naive_max_clique
 

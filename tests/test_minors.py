@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from chibound import corpus, graphs
+from chibound.certify import validate_topo_embedding
 from chibound.codec import graph_to_graph6
 from chibound.corpus import connected_graphs
 from chibound.errors import SizeCapError
@@ -21,7 +22,6 @@ from chibound.minors import (
     find_topo_embedding,
     is_induced_exact_subdivision,
     omega_TM,
-    validate_topo_embedding,
 )
 from oracles import are_isomorphic
 

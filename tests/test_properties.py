@@ -4,6 +4,12 @@ on every graph, not just the worked examples."""
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
+from chibound.certify import (
+    _td_at_most,
+    validate_coloring,
+    validate_elimination_forest,
+    validate_topo_embedding,
+)
 from chibound.codec import (
     graph_from_graph6,
     graph_to_graph6,
@@ -13,14 +19,12 @@ from chibound.codec import (
 from chibound.coloring import (
     _normalize,
     _star_rules,
-    _td_at_most,
     chi_p,
     chromatic_at_least,
     chromatic_number,
     make_coloring,
     tree_depth,
     tree_depth_at_most,
-    validate_coloring,
 )
 from chibound.corpus import canonical_form
 from chibound.generators import complete, cycle
@@ -39,12 +43,11 @@ from chibound.graphs import (
     walk_masks,
 )
 from chibound.invariants import biclique_number, clique_number, degeneracy
-from chibound.minors import critical_patterns, find_topo_embedding, validate_topo_embedding
+from chibound.minors import critical_patterns, find_topo_embedding
 from chibound.treedepth import (
     TreedepthSolver,
     _degeneracy,
     _star_hubs,
-    validate_elimination_forest,
 )
 from oracles import (
     _components_of,

@@ -31,11 +31,11 @@ ROOTS = {
 UNREACHED = {
     "minors.enumerate_ITM_exact": "checked by acceptance criterion C9c",
     "minors.is_induced_exact_subdivision": "checked by acceptance criterion C9c",
-    "minors.validate_topo_embedding": "checked by acceptance criterion C9c",
+    "certify.validate_topo_embedding": "checked by acceptance criterion C9c",
     "homomorphism.walk_power": "checked by acceptance criterion C9d",
     "errors.WalkLoopError": "checked by acceptance criterion C9d",
     "corpus.canonical_form": "traced by name in perfbench/tracing.py",
-    "holes.validate_hole": "the hole certificate check a hole suite will use",
+    "certify.validate_hole": "the hole certificate check a hole suite will use",
     "homomorphism.directed_cycle": "a digraph test family",
     "graphs.Digraph.is_oriented": "a digraph test family property",
 }
@@ -49,8 +49,8 @@ UNPASSED = {
     "invariants.biclique_number.cap": "passed through cli._INVARIANTS from --cap-n",
     "coloring.tree_depth.cap": "passed through cli._INVARIANTS from --cap-n",
     "homomorphism.homomorphism.budget": "a node budget on every search (ROADMAP aim 3)",
-    "minors.validate_topo_embedding.exact": "checked by acceptance criterion C9c",
-    "minors.validate_topo_embedding.induced": "checked by acceptance criterion C9c",
+    "certify.validate_topo_embedding.exact": "checked by acceptance criterion C9c",
+    "certify.validate_topo_embedding.induced": "checked by acceptance criterion C9c",
 }
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from chibound.certify import validate_elimination_forest
 from chibound.codec import graph_to_graph6
 from chibound.coloring import tree_depth, tree_depth_at_most
 from chibound.corpus import all_graphs
@@ -13,7 +14,6 @@ from chibound.treedepth import (
     EliminationForest,
     TreedepthSolver,
     depth_coloring,
-    validate_elimination_forest,
 )
 from oracles import naive_treedepth
 

@@ -1,41 +1,51 @@
 """Every rejection branch of the certificate validators fires: one hand-made
 bad certificate per branch, each with the reason it must be rejected for. The
-verdicts do not rest on the search engines: with the tree-depth engine made
-to answer wrongly, every verdict stays the same."""
+verdicts do not rest on the search engines: with the tree-depth engine and
+the coloring search made to answer wrongly, every verdict stays the same."""
 
 import pytest
 
 from chibound import treedepth
+from chibound.certify import (
+    validate_biclique,
+    validate_chi_lower_bound,
+    validate_clique,
+    validate_coloring,
+    validate_degeneracy_order,
+    validate_elimination_forest,
+    validate_hole,
+    validate_homomorphism,
+    validate_topo_embedding,
+)
+from chibound.codec import graph_from_graph6
 from chibound.coloring import (
     Coloring,
+    _ColoringSearch,
     chi_p,
     chromatic_number,
     subdivision_chi_p_coloring,
     tree_depth,
     uniform_subdivision_coloring,
-    validate_coloring,
 )
 from chibound.generators import complete, complete_bipartite, cycle, mycielskian, path, star
 from chibound.graphs import subdivide_exact
-from chibound.holes import Hole, validate_hole
-from chibound.homomorphism import (
-    HomMapping,
-    directed_path,
-    transitive_tournament,
-    validate_homomorphism,
-)
-from chibound.invariants import validate_biclique, validate_clique, validate_degeneracy_order
-from chibound.minors import TopoMinorEmbedding, validate_topo_embedding
-from chibound.treedepth import EliminationForest, TreedepthSolver, validate_elimination_forest
+from chibound.holes import Hole
+from chibound.homomorphism import HomMapping, directed_path, transitive_tournament
+from chibound.minors import TopoMinorEmbedding
+from chibound.suites import SuiteSpec, _instances_s11
+from chibound.treedepth import EliminationForest, TreedepthSolver
 
 K3 = complete(3)
 C4 = cycle(4)
+C5 = cycle(5)
 C7 = cycle(7)
 P3 = path(3)
 DP3 = directed_path(3)
 T3 = transitive_tournament(3)
 # K3 in C4 at depth 1: the edge (0, 2) runs through 3
 K3_PATHS = {(0, 1): (0, 1), (1, 2): (1, 2), (0, 2): (0, 3, 2)}
+# K3 in C5 at depth 2: the edge (0, 2) runs through 4 and 3
+K3_IN_C5 = TopoMinorEmbedding(K3, (0, 1, 2), {**K3_PATHS, (0, 2): (0, 4, 3, 2)})
 
 
 def _k3_in_c4(branch=(0, 1, 2), edits=None):
@@ -93,6 +103,16 @@ CASES = {
         ),
         "paths share an interior vertex",
     ),
+    "topo.empty_path": (
+        lambda: validate_topo_embedding(
+            C4, TopoMinorEmbedding(K3, (0, 1, 2), {**K3_PATHS, (0, 2): ()}), 1
+        ),
+        "path for (0, 2) joins the wrong branch vertices",
+    ),
+    "topo.depth_not_an_int": (
+        lambda: validate_topo_embedding(C5, K3_IN_C5, 2.5),
+        "depth 2.5 is not an int",
+    ),
     "topo.not_induced": (
         lambda: validate_topo_embedding(
             K3, TopoMinorEmbedding(P3, (0, 1, 2), {(0, 1): (0, 1), (1, 2): (1, 2)}), 0,
@@ -144,6 +164,10 @@ CASES = {
         lambda: validate_elimination_forest(P3, EliminationForest((-1, 0, 9))),
         "parent 9 of vertex 2 is not a vertex",
     ),
+    "forest.float_root_marker": (
+        lambda: validate_elimination_forest(P3, EliminationForest((1, -1.0, 1)), 2),
+        "parent -1.0 of vertex 1 is not a vertex",
+    ),
     "forest.parent_cycle": (
         lambda: validate_elimination_forest(P3, EliminationForest((1, 0, -1))),
         "parent cycle through vertex 0",
@@ -191,6 +215,34 @@ CASES = {
         lambda: validate_coloring(path(4), Coloring((0, 1, 0, 1), 2, "chi_p", 2)),
         ("subset_treedepth", (0, 1)),
     ),
+    "chi_lower_bound.claim_not_an_int": (
+        lambda: validate_chi_lower_bound(C5, ("critical_subgraph", (0, 1, 2, 3, 4)), 3.0),
+        "claimed value 3.0 is not an int",
+    ),
+    "chi_lower_bound.clique_size": (
+        lambda: validate_chi_lower_bound(K3, ("clique", (0, 1)), 3),
+        "clique has 2 vertices, not 3",
+    ),
+    "chi_lower_bound.not_a_clique": (
+        lambda: validate_chi_lower_bound(P3, ("clique", (0, 1, 2)), 3),
+        "missing edge (0, 2)",
+    ),
+    "chi_lower_bound.unknown_kind": (
+        lambda: validate_chi_lower_bound(C5, ("hole", (0, 1, 2, 3, 4)), 3),
+        "unknown witness kind 'hole'",
+    ),
+    "chi_lower_bound.not_a_vertex": (
+        lambda: validate_chi_lower_bound(C5, ("critical_subgraph", (0, 1, 9)), 3),
+        "9 is not a vertex",
+    ),
+    "chi_lower_bound.repeated_vertex": (
+        lambda: validate_chi_lower_bound(C5, ("critical_subgraph", (0, 1, 2, 3, 4, 4)), 3),
+        "repeated vertex",
+    ),
+    "chi_lower_bound.colorable": (
+        lambda: validate_chi_lower_bound(C5, ("critical_subgraph", (0, 1, 2, 3)), 3),
+        "the subgraph on (0, 1, 2, 3) is 2-colorable",
+    ),
     # every color pair of P8 colored a, b, c, a, b, c, a, b spans a matching,
     # but the three classes together are P8, of tree-depth 4
     "coloring.three_classes": (
@@ -210,10 +262,13 @@ def test_validator_rejects_with_its_reason(case):
 
 def test_the_hand_made_certificates_differ_from_valid_ones_only_in_the_fault():
     assert validate_topo_embedding(C4, _k3_in_c4(), 1) == (True, None)
+    assert validate_topo_embedding(C5, K3_IN_C5, 2) == (True, None)
     assert validate_biclique(complete_bipartite(2, 2), ((0, 1), (2, 3))) == (True, None)
     assert validate_hole(cycle(5), Hole((0, 1, 2, 3, 4))) == (True, None)
     assert validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 2) == (True, None)
     assert validate_clique(K3, (0, 1, 2)) == (True, None)
+    assert validate_chi_lower_bound(K3, ("clique", (0, 1, 2)), 3) == (True, None)
+    assert validate_chi_lower_bound(C5, ("critical_subgraph", (0, 1, 2, 3, 4)), 3) == (True, None)
     assert validate_degeneracy_order(C7, 2, tuple(range(7))) == (True, None)
     assert validate_homomorphism(DP3, T3, HomMapping((0, 1, 2))) == (True, None)
     assert validate_coloring(path(8), Coloring((0, 1, 2, 0, 1, 2, 0, 1), 3, "chi_p", 2)) == (True, None)
@@ -229,6 +284,8 @@ def _solved_certificates():
             calls.append(lambda g=g, c=coloring: validate_coloring(g, c))
         td = tree_depth(g)
         calls.append(lambda g=g, td=td: validate_elimination_forest(g, td.certificate, td.value))
+        chi = chromatic_number(g)
+        calls.append(lambda g=g, chi=chi: validate_chi_lower_bound(g, chi.lower_bound, chi.value))
     k4 = complete(4)
     base = chromatic_number(k4).certificate
     for p in (1, 2, 3):
@@ -244,7 +301,28 @@ def test_verdicts_stand_when_the_engine_answers_wrongly(monkeypatch, answer, hub
     monkeypatch.setattr(TreedepthSolver, "td_at_most", lambda self, mask, k: answer)
     monkeypatch.setattr(TreedepthSolver, "_td_conn_at_most", lambda self, comp, k: answer)
     monkeypatch.setattr(treedepth, "_star_hubs", lambda rows, mask: hubs)
+    monkeypatch.setattr(
+        _ColoringSearch, "run", lambda self, comp, k, p: [0] * comp.bit_count() if answer else None
+    )
     for case, (call, reason) in CASES.items():
         assert call() == (False, reason), case
     for call in calls:
         assert call() == (True, None)
+
+
+def test_chi_witness_check_rejects_each_s11_critical_witness_less_a_vertex():
+    # the critical-subgraph witnesses of the seed-0 S11 graphs are minimal:
+    # each passes, and each with one vertex removed is (chi - 1)-colorable
+    witnesses = []
+    for task in _instances_s11(SuiteSpec(claim="S11")):
+        g = graph_from_graph6(task["graph6"])
+        chi = chromatic_number(g)
+        if chi.lower_bound[0] == "critical_subgraph":
+            witnesses.append((g, chi.lower_bound[1], chi.value))
+    assert len(witnesses) == 51
+    for g, verts, value in witnesses:
+        assert validate_chi_lower_bound(g, ("critical_subgraph", verts), value) == (True, None)
+        for v in verts:
+            rest = tuple(u for u in verts if u != v)
+            ok, why = validate_chi_lower_bound(g, ("critical_subgraph", rest), value)
+            assert not ok and why == f"the subgraph on {rest} is {value - 1}-colorable"
