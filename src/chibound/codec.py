@@ -166,6 +166,7 @@ def _from_json(text, cls, key):
         raise ParseError(f'JSON {cls.__name__.lower()} requires "n" and "{key}" fields')
     if not is_int(data["n"]):
         raise ParseError('"n" must be an integer')
+    check_cap("json", data["n"], _MAX_LONG_N)
     return cls(data["n"], _check_pairs(data[key], key))
 
 

@@ -9,8 +9,7 @@ embedded subdivision appear with no extra edges.
 find_topo_embedding places branch vertices on bitmasks. The candidates for a
 pattern vertex are the unused host vertices of large enough degree inside the
 distance-(r + 1) balls around its placed neighbours' images, tried in
-ascending order, and the smaller balls count the interior vertices the paths
-must use at least. It reads the degree masks, balls and neighbour tuples of
+ascending order. It reads the degree masks, balls and neighbour tuples of
 the host's one coloring search (coloring._search), which every pattern tried
 on that host shares; the balls are built on the first read, so a host whose
 climb stops before any placement builds none. omega_TM and chi_TM share one
@@ -73,57 +72,40 @@ def find_topo_embedding(pattern, g, r):
     check_int("r", r, 0)
     check_cap("tm_host", g.n)
     search = _search(g)
-    # balls[i][x]: the vertices within distance i of x, for i = 0..r + 1; the
-    # search builds radius 0..3 on the first read of any host, enough for r <= 2
-    balls = search.balls[: r + 2] if r <= 2 else distance_balls(g, r + 1)
+    # far[x]: the vertices within distance r + 1 of x. The search builds radius
+    # 0..3 (r <= 2); take the last ball, as distance_balls clamps the radius at n
+    far = (search.balls[: r + 2] if r <= 2 else distance_balls(g, r + 1))[-1]
     h = pattern
     if h.n > g.n:
         return None
     hdeg = [h.degree(v) for v in range(h.n)]
     at_least = search.at_least
-    if not all(at_least[d] for d in hdeg):
-        return None
     order = sorted(range(h.n), key=lambda v: (-hdeg[v], v))
     edges = h.sorted_edges()
     pattern_nbrs = [h.neighbors(v) for v in range(h.n)]
-    far = balls[-1]
-    # the balls of radius 1..r: a placed neighbour's image at host distance
-    # d <= r + 1 from x lies outside exactly d - 1 of them
-    inner_balls = balls[1:-1]
     # a complete pattern is vertex-transitive: fix ascending branch images
     symmetric = all(d == h.n - 1 for d in hdeg)
 
     branch = {}
-    interior_budget = g.n - h.n
 
-    def place(idx, used, interior_demand):
-        # used: the mask of the branch images; interior_demand: sum over placed
-        # pattern edges of (host distance - 1), a lower bound on the interior
-        # vertices the disjoint paths must use
+    def place(idx, used):
+        # used: the mask of the branch images
         if idx == len(order):
             if r == 1:
-                return _route_depth1(g, h, branch)
+                return _route_depth1(g.adj_bits, edges, branch, used)
             return route(0, frozenset(branch.values()), {})
         v = order[idx]
         cands = at_least[hdeg[v]] & ~used
         if symmetric:
             cands &= -1 << used.bit_length()
-        targets = 0
         for w in pattern_nbrs[v]:
             if w in branch:
                 cands &= far[branch[w]]
-                targets |= 1 << branch[w]
         while cands:
             low = cands & -cands
             cands ^= low
-            x = low.bit_length() - 1
-            demand = interior_demand
-            for ball in inner_balls:
-                demand += (targets & ~ball[x]).bit_count()
-            if demand > interior_budget:
-                continue
-            branch[v] = x
-            result = place(idx + 1, used | low, demand)
+            branch[v] = low.bit_length() - 1
+            result = place(idx + 1, used | low)
             if result is not None:
                 return result
             del branch[v]
@@ -144,7 +126,7 @@ def find_topo_embedding(pattern, g, r):
             del paths[(u, v)]
         return None
 
-    found = place(0, 0, 0)
+    found = place(0, 0)
     if found is None:
         return None
     return TopoMinorEmbedding(
@@ -154,19 +136,19 @@ def find_topo_embedding(pattern, g, r):
     )
 
 
-def _route_depth1(g, h, branch):
-    """Exact routing for depth 1: host-adjacent pairs take the direct edge
-    (never worse: it consumes no interior vertex), every other pattern edge
-    needs its own middle vertex, which is a bipartite matching problem."""
-    branch_mask = sum(1 << b for b in branch.values())
+def _route_depth1(rows, edges, branch, used):
+    """Exact routing for depth 1 on host rows, with used the mask of the branch
+    images: host-adjacent pairs take the direct edge (never worse: it consumes
+    no interior vertex), every other pattern edge needs its own middle vertex,
+    which is a bipartite matching problem."""
     paths = {}
     need = []
-    for u, v in h.sorted_edges():
+    for u, v in edges:
         su, sv = branch[u], branch[v]
-        if g.has_edge(su, sv):
+        if rows[su] >> sv & 1:
             paths[(u, v)] = (su, sv)
         else:
-            cands = list(bits(g.adj_bits[su] & g.adj_bits[sv] & ~branch_mask))
+            cands = list(bits(rows[su] & rows[sv] & ~used))
             if not cands:
                 return None
             need.append(((u, v), cands))

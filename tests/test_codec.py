@@ -86,6 +86,13 @@ def test_long_form_header_and_large_n():
         graph_to_graph6(Graph(1 << 18))
 
 
+@pytest.mark.parametrize("parse", [parse_graph, parse_digraph])
+def test_json_vertex_count_has_the_graph6_cap(parse):
+    # one past the long-form graph6 limit; an unbounded n would build the graph
+    with pytest.raises(SizeCapError):
+        parse('{"n": 262144, "edges": [], "arcs": []}')
+
+
 def test_optional_header_accepted():
     assert graph_from_graph6(">>graph6<<Bw") == complete(3)
 

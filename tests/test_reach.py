@@ -34,7 +34,10 @@ UNREACHED = {
     "certify.validate_topo_embedding": "checked by acceptance criterion C9c",
     "homomorphism.walk_power": "checked by acceptance criterion C9d",
     "errors.WalkLoopError": "checked by acceptance criterion C9d",
-    "corpus.canonical_form": "traced by name in perfbench/tracing.py",
+    "corpus.canonical_form": (
+        "the reference of the tests' isomorphism helpers (oracles.canonical_graph,"
+        " oracles.are_isomorphic) and of test_fresh_corpus_is_canonically_labeled"
+    ),
     "certify.validate_hole": "the hole certificate check a hole suite will use",
     "homomorphism.directed_cycle": "a digraph test family",
     "graphs.Digraph.is_oriented": "a digraph test family property",
