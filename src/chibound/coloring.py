@@ -7,8 +7,8 @@ component, p and k whether a depth-p k-coloring exists (by tree-depth at
 k <= p), and `_least_assignment` climbs k component by component. Only the
 last graph asked keeps its search, so the questions asked of one graph in a
 row (chi, then chi_p at several p, then tree_depth, and the shallow-minor
-climbs and find_topo_embedding, which read its degree masks, balls and
-neighbour tuples) share it and record each component's least depth-p
+climbs and find_topo_embedding, which read its degree masks, neighbour tuples
+and per-radius ball tables) share it and record each component's least depth-p
 coloring once per p. A depth-p coloring is a depth-p' coloring for every
 p' < p, and an optimal elimination forest colored by depth is one for every
 p, so chi <= chi_2 <= chi_3 <= td: each climb at p starts at the colors of the
@@ -38,7 +38,7 @@ Definitions in force:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 from .certify import validate_coloring
@@ -185,7 +185,7 @@ class _ColoringSearch:
     every run and tree_depth share, and `colorings`: per component mask, its
     least depth-p coloring for each p asked, found once. The shallow-minor
     climbs read the neighbour tuples and degree masks too, and
-    find_topo_embedding the distance balls, built on its first read. A run
+    find_topo_embedding one ball table per radius, built on first read. A run
     above the tree-depth range is one call of `_solve`, whose state is the
     color of each vertex, one vertex mask per color class, per vertex the mask
     of colors on its colored neighbours (its saturation), and the mask of
@@ -215,12 +215,13 @@ class _ColoringSearch:
         self.td = TreedepthSolver(g)
         # component mask -> {p: least depth-p coloring of that component}
         self.colorings = {}
+        self.balls = {}  # radius -> ball(radius)
 
-    @cached_property
-    def balls(self):
-        """Per radius 0..3 and vertex v, the vertices within that distance of
-        v: find_topo_embedding's candidate balls up to depth r = 2."""
-        return distance_balls(self.g, 3)
+    def ball(self, radius):
+        """Per vertex, the mask of the vertices within distance radius of it."""
+        if radius not in self.balls:
+            self.balls[radius] = distance_balls(self.g, radius)[-1]
+        return self.balls[radius]
 
     def run(self, comp, k, p):
         """A depth-p k-coloring of comp, its colors in vertex order, or None.

@@ -150,11 +150,14 @@ def high_girth(n, d, g, rng):
 
 
 def _mycielski_family(params, rng):
+    """The family's base is None (an edge), a Graph, or graph text."""
     base = params.get("base")
     if base is None:
         base = complete(2)
     elif isinstance(base, str):
         base = parse_graph(base)
+    elif not isinstance(base, Graph):
+        raise ParameterError(f"base must be a graph or graph text, got {base!r}")
     return mycielski_iterate(base, params["k"])
 
 

@@ -9,11 +9,11 @@ embedded subdivision appear with no extra edges.
 find_topo_embedding places branch vertices on bitmasks. The candidates for a
 pattern vertex are the unused host vertices of large enough degree inside the
 distance-(r + 1) balls around its placed neighbours' images, tried in
-ascending order. It reads the degree masks, balls and neighbour tuples of
-the host's one coloring search (coloring._search), which every pattern tried
-on that host shares; the balls are built on the first read, so a host whose
-climb stops before any placement builds none. omega_TM and chi_TM share one
-climb, _climb, on the same search.
+ascending order. It reads the degree masks, neighbour tuples and one ball
+table per radius of the host's one coloring search (coloring._search), each
+table built on its first read and shared by every pattern tried on that host;
+a climb that stops before any placement builds none. omega_TM, chi_TM (one
+climb, _climb) and is_induced_exact_subdivision read the same search.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .generators import complete, cycle
 from .graphs import (
     Graph,
     bits,
-    distance_balls,
     subdivide_exact,
     subdivision_internal_vertices,
 )
@@ -71,13 +70,11 @@ def find_topo_embedding(pattern, g, r):
     """An embedding witnessing pattern in TM_r(g), or None (complete search)."""
     check_int("r", r, 0)
     check_cap("tm_host", g.n)
-    search = _search(g)
-    # far[x]: the vertices within distance r + 1 of x. The search builds radius
-    # 0..3 (r <= 2); take the last ball, as distance_balls clamps the radius at n
-    far = (search.balls[: r + 2] if r <= 2 else distance_balls(g, r + 1))[-1]
     h = pattern
     if h.n > g.n:
         return None
+    search = _search(g)
+    far = search.ball(r + 1)
     hdeg = [h.degree(v) for v in range(h.n)]
     at_least = search.at_least
     order = sorted(range(h.n), key=lambda v: (-hdeg[v], v))
@@ -216,9 +213,9 @@ def is_induced_exact_subdivision(h, r, g):
     """
     check_int("r", r, 0)
     check_cap("tm_host", g.n)
-    sub = subdivide_exact(h, r)
-    if sub.n > g.n:
+    if h.n + r * h.m > g.n:
         return None
+    sub = subdivide_exact(h, r)
     srows = sub.adj_bits
     sdeg = [row.bit_count() for row in srows]
     order = []
@@ -236,7 +233,8 @@ def is_induced_exact_subdivision(h, r, g):
         [(w, rows if srows[v] >> w & 1 else apart) for w in range(sub.n) if w != v]
         for v in range(sub.n)
     ]
-    domains = [sum(1 << x for x, row in enumerate(rows) if row.bit_count() >= d) for d in sdeg]
+    at_least = _search(g).at_least
+    domains = [at_least[d] for d in sdeg]
     found = map_search(order, arcs, domains, None)
     if found is None:
         return None
@@ -295,11 +293,13 @@ def critical_patterns(chi, max_size):
     as a subgraph, so these are the only patterns a chi-level TM query must try.
 
     Levels 1..3 have closed forms (a vertex, an edge, the odd cycles); level 4
-    and up filters the corpus, which caps their size at 8 vertices. Each
-    (chi, size) list is built once and shared by every max_size.
+    and up filters the corpus, which caps their size at 8 vertices. At every
+    level max_size is capped like a tm_host, since no larger pattern embeds in
+    a host. Each (chi, size) list is built once and shared by every max_size.
     """
     check_int("chi", chi, 1)
     check_int("max_size", max_size, 0)
+    check_cap("tm_host", max_size)
     if chi >= 4:
         check_cap("critical_catalogue", max_size)
     out = []

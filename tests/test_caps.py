@@ -59,6 +59,7 @@ CASES = {
     "tm_host": lambda s: [
         (find_topo_embedding, (Graph(1), Graph(s), 1)),
         (chi_TM, (Graph(s), 1)),
+        (critical_patterns, (3, s)),
     ],
     "pattern": lambda s: [(find_subdivided_clique, (Graph(1), s, 1))],
     "itm_host": lambda s: [(enumerate_ITM_exact, (Graph(s), 1, 2))],

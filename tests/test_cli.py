@@ -33,6 +33,14 @@ def test_generate_rejects_malformed_params(capsys, argv):
     assert code == EXIT_USAGE and not out and "must be" in err
 
 
+@pytest.mark.parametrize("base", ["5", "[0, 1]", '{"n": 2}'])
+def test_generate_rejects_a_mycielski_base_that_is_not_a_graph(capsys, base):
+    code, out, err = run_cli(capsys, "generate", "mycielski_iterate", "--param", "k=1",
+                             "--param", f"base={base}")
+    assert code == EXIT_USAGE and not out
+    assert err.startswith("error: base must be a graph or graph text, got ")
+
+
 def test_generate_and_transform(tmp_path, capsys):
     k4 = tmp_path / "k4.g6"
     code, out, _ = run_cli(capsys, "generate", "complete", "--param", "n=4",

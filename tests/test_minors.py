@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from chibound import corpus, graphs
+from chibound import corpus, graphs, minors
 from chibound.certify import validate_topo_embedding
 from chibound.codec import graph_to_graph6
 from chibound.corpus import connected_graphs
@@ -90,6 +90,15 @@ def test_itm_embeddings_are_pinned():
                 found += emb is not None
     assert (count, found) == (5148, 2717)
     assert h.hexdigest() == ITM_SHA256
+
+
+def test_itm_pattern_too_large_for_the_host_is_never_built(monkeypatch):
+    # the exact 2000-subdivision of K_3 has 6003 vertices, far more than C_5
+    def refuse(h, r):
+        raise AssertionError("built a subdivision larger than the host")
+
+    monkeypatch.setattr(minors, "subdivide_exact", refuse)
+    assert is_induced_exact_subdivision(complete(3), 2000, cycle(5)) is None
 
 
 def test_induced_exact_subdivision():
@@ -182,6 +191,12 @@ def test_one_ball_build_per_host(monkeypatch):
         placed += len(built)
         built.clear()
     assert (placed, len(hosts)) == (472, 853)
+    # past depth 2 too, every level of a climb reads the host's one table
+    assert omega_TM(subdivide_exact(complete(4), 3), 3) == 4
+    assert len(built) == 1
+    # a pattern larger than the host is refused before any table is built
+    assert find_topo_embedding(complete(6), cycle(5), 1) is None
+    assert len(built) == 1
 
 
 def test_downward_closure_of_embeddings(small_connected):
