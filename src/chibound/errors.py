@@ -56,6 +56,7 @@ CAPS = {
     "itm_host": (24, "vertices"),  # ITM enumeration host
     "critical_catalogue": (8, "vertices"),  # critical patterns at chi >= 4
     "chi_witness": (16, "vertices"),  # inclusion-exclusion check of a chi witness
+    "generate": (1024, "vertices"),  # every generator family, before it builds
 }
 
 

@@ -2,13 +2,15 @@
 
 All randomness flows through SplitMix64, a fixed 64-bit PRNG, so identical
 (seed, family, parameters) triples rebuild bit-identical graphs on any
-platform. Seeds are surfaced in every report that consumed them.
+platform. Seeds are surfaced in every report that consumed them. Every
+family checks the vertex count it would build against the `generate` cap
+before it builds anything.
 """
 
 from __future__ import annotations
 
 from .codec import parse_graph
-from .errors import ParameterError, check_int, is_int
+from .errors import ParameterError, check_cap, check_int, is_int
 from .graphs import Graph, shortest_cycle
 
 _MASK64 = (1 << 64) - 1
@@ -56,34 +58,36 @@ class SplitMix64:
 
 
 def complete(n):
-    check_int("n", n, 0)
+    check_cap("generate", check_int("n", n, 0))
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(s, t):
     check_int("s", s, 0)
     check_int("t", t, 0)
+    check_cap("generate", s + t)
     return Graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])
 
 
 def cycle(n):
-    check_int("n", n, 3)
+    check_cap("generate", check_int("n", n, 3))
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n):
-    check_int("n", n, 1)
+    check_cap("generate", check_int("n", n, 1))
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star(t):
-    check_int("t", t, 0)
+    check_cap("generate", check_int("t", t, 0) + 1)
     return Graph(t + 1, [(0, i + 1) for i in range(t)])
 
 
 def mycielskian(g):
     """Mycielski construction: raises the chromatic number by one, keeps it triangle-free."""
     n = g.n
+    check_cap("generate", 2 * n + 1)
     edges = list(g.sorted_edges())
     for u, v in g.sorted_edges():
         edges.append((u, n + v))
@@ -102,7 +106,7 @@ def mycielski_iterate(base, k):
 
 
 def random_gnp(n, p, rng):
-    check_int("n", n, 0)
+    check_cap("generate", check_int("n", n, 0))
     if not (is_int(p) or isinstance(p, float)) or not 0 <= p <= 1:
         raise ParameterError(f"p must be a number in [0, 1], got {p!r}")
     edges = [
@@ -122,7 +126,7 @@ def high_girth(n, d, g, rng):
     largest edge. The loop exits on a graph whose shortest cycle has at
     least g vertices, or on a forest.
     """
-    check_int("n", n, 1)
+    check_cap("generate", check_int("n", n, 1))
     check_int("d", d, 0)
     check_int("g", g, 3)
     if d >= n:

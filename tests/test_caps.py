@@ -11,7 +11,18 @@ import chibound
 from chibound.certify import validate_chi_lower_bound
 from chibound.coloring import chi_p, tree_depth
 from chibound.errors import CAPS, SizeCapError, check_cap
-from chibound.generators import path
+from chibound.generators import (
+    SplitMix64,
+    complete,
+    complete_bipartite,
+    cycle,
+    generate,
+    high_girth,
+    mycielskian,
+    path,
+    random_gnp,
+    star,
+)
 from chibound.graphs import Digraph, Graph, orientations
 from chibound.holes import enumerate_holes
 from chibound.homomorphism import homomorphism
@@ -42,6 +53,7 @@ PINNED = {
     "itm_host": (24, "vertices"),
     "critical_catalogue": (8, "vertices"),
     "chi_witness": (16, "vertices"),
+    "generate": (1024, "vertices"),
 }
 
 # row -> size -> the calls (entry point, args) with the input one size over the row
@@ -66,6 +78,17 @@ CASES = {
     "critical_catalogue": lambda s: [(critical_patterns, (4, s))],
     "chi_witness": lambda s: [
         (validate_chi_lower_bound, (Graph(s), ("critical_subgraph", tuple(range(s))), 2))
+    ],
+    "generate": lambda s: [
+        (complete, (s,)),
+        (complete_bipartite, (s - 1, 1)),
+        (cycle, (s,)),
+        (path, (s,)),
+        (star, (s - 1,)),
+        (mycielskian, (Graph((s - 1) // 2),)),
+        (random_gnp, (s, 0.5, SplitMix64(0))),
+        (high_girth, (s, 2, 3, SplitMix64(0))),
+        (generate, ("mycielski_iterate", {"k": 1, "base": Graph((s - 1) // 2)})),
     ],
 }
 
@@ -92,6 +115,22 @@ BEFORE_SEARCH = {
     "enumerate_ITM_exact",
     "critical_patterns",
     "validate_chi_lower_bound",
+    "generate",
+    "generate.<locals>.<listcomp>",
+    "SplitMix64.__init__",
+    "SplitMix64.split",
+    "SplitMix64.next_u64",
+    "_fnv1a64",
+    "_mycielski_family",
+    "mycielski_iterate",
+    "mycielskian",
+    "complete",
+    "complete_bipartite",
+    "cycle",
+    "path",
+    "star",
+    "random_gnp",
+    "high_girth",
 }
 
 

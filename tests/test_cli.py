@@ -41,6 +41,13 @@ def test_generate_rejects_a_mycielski_base_that_is_not_a_graph(capsys, base):
     assert err.startswith("error: base must be a graph or graph text, got ")
 
 
+def test_generate_over_the_vertex_cap_exits_3(capsys):
+    # the ninth Mycielski step from an edge would build 1,535 vertices
+    code, out, err = run_cli(capsys, "generate", "mycielski_iterate", "--param", "k=12")
+    assert code == EXIT_CAP and not out
+    assert "generate is capped at 1024 vertices, got 1535" in err
+
+
 def test_generate_and_transform(tmp_path, capsys):
     k4 = tmp_path / "k4.g6"
     code, out, _ = run_cli(capsys, "generate", "complete", "--param", "n=4",

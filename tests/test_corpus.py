@@ -35,32 +35,108 @@ CORPUS_SHA256 = "04d989f68cc2fc4d28697c9b3f69b858c8c375c3ec8ea0c19cc80439c4c14dd
 FRESH_FILES = [f"all_{n}.g6" for n in range(1, 8)] + ["connected_7.g6"]
 
 
-@pytest.fixture(scope="module")
-def fresh_cache(tmp_path_factory):
-    """An empty cache filled by all_graphs(1..7) and connected_graphs(7)."""
-    directory = tmp_path_factory.mktemp("fresh-corpus")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("CHIBOUND_CACHE_DIR", str(directory))
+def _fill(directory, mp):
+    """all_graphs(1..7) and connected_graphs(7), built into an empty cache."""
+    mp.setenv("CHIBOUND_CACHE_DIR", str(directory))
+    corpus._memory_cache.clear()
+    try:
+        return {n: corpus.all_graphs(n) for n in range(1, 8)}, corpus.connected_graphs(7)
+    finally:
         corpus._memory_cache.clear()
-        try:
-            graphs = {n: corpus.all_graphs(n) for n in range(1, 8)}
-            connected = corpus.connected_graphs(7)
-        finally:
-            corpus._memory_cache.clear()
-    return directory, graphs, connected
 
 
-def test_fresh_corpus_bytes_are_pinned(fresh_cache):
-    directory, _, _ = fresh_cache
+def _files_digest(directory):
     assert sorted(f.name for f in directory.iterdir()) == sorted(FRESH_FILES)
     h = hashlib.sha256()
     for name in FRESH_FILES:
         h.update(name.encode() + b"\0" + (directory / name).read_bytes())
-    assert h.hexdigest() == CORPUS_SHA256
+    return h.hexdigest()
+
+
+def _record_pools(mp):
+    """[max_workers, bases mapped] of each pool the corpus build starts."""
+    pools = []
+
+    class RecordingPool(corpus.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.record = [max_workers]
+            pools.append(self.record)
+
+        def map(self, fn, bases, chunksize):
+            self.record.append(len(bases))
+            return super().map(fn, bases, chunksize=chunksize)
+
+    mp.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+@pytest.fixture(scope="module")
+def fresh_cache(tmp_path_factory):
+    """An empty cache filled by all_graphs(1..7) and connected_graphs(7), with
+    the pools the build started and the child processes alive after it."""
+    directory = tmp_path_factory.mktemp("fresh-corpus")
+    with pytest.MonkeyPatch.context() as mp:
+        pools = _record_pools(mp)
+        graphs, connected = _fill(directory, mp)
+        left = multiprocessing.active_children()
+    return directory, graphs, connected, pools, left
+
+
+def test_fresh_corpus_bytes_are_pinned(fresh_cache):
+    directory, *_ = fresh_cache
+    assert _files_digest(directory) == CORPUS_SHA256
+
+
+def test_fresh_corpus_level_7_is_built_by_a_pool(fresh_cache):
+    # the 156 classes on 6 vertices are split over a process per core, and
+    # every process has ended when all_graphs returns
+    *_, pools, left = fresh_cache
+    workers = min(os.cpu_count() or 1, 156)
+    assert pools == ([[workers, 156]] if workers > 1 else [])
+    assert left == []
+
+
+def test_serial_build_matches_the_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    pools = _record_pools(monkeypatch)
+    _fill(tmp_path, monkeypatch)
+    assert pools == []
+    assert _files_digest(tmp_path) == CORPUS_SHA256
+
+
+def _extension(rows, last):
+    """The rows of a class with one vertex added, and their own columns."""
+    top = 1 << len(rows)
+    adj = [row | top if last >> i & 1 else row for i, row in enumerate(rows)] + [last]
+    return adj, [adj[j] & ((1 << j) - 1) for j in range(1, len(adj))]
+
+
+def test_prefilter_skips_only_extensions_the_canonicity_test_rejects(monkeypatch):
+    least_columns = corpus._least_columns
+    tried = []
+
+    def recording(adj, best, stop_below):
+        tried.append(best[-1])
+        return least_columns(adj, best, stop_below)
+
+    monkeypatch.setattr(corpus, "_least_columns", recording)
+    skipped = {}
+    for n in range(1, 7):
+        skipped[n] = 0
+        for base in corpus.all_graphs(n):
+            tried.clear()
+            corpus._extend(base.adj_bits)
+            for last in sorted(set(range(1 << n)) - set(tried)):
+                adj, columns = _extension(base.adj_bits, last)
+                assert not least_columns(adj, columns, stop_below=True), (base, last)
+                skipped[n] += 1
+    # the 156 classes on 6 vertices have 9,984 extensions
+    assert (skipped[6], corpus.CLASS_COUNTS["all"][6] * 64) == (7222, 9984)
 
 
 def test_fresh_corpus_counts(fresh_cache):
-    _, graphs, connected = fresh_cache
+    _, graphs, connected, *_ = fresh_cache
     for n in range(1, 8):
         assert corpus.CLASS_COUNTS["all"][n] == ALL_COUNTS[n] == len(graphs[n])
         assert corpus.CLASS_COUNTS["connected"][n] == CONNECTED_COUNTS[n]
@@ -69,7 +145,7 @@ def test_fresh_corpus_counts(fresh_cache):
 
 
 def test_fresh_corpus_is_canonically_labeled(fresh_cache):
-    _, graphs, _ = fresh_cache
+    _, graphs, *_ = fresh_cache
     for n in range(1, 8):
         for g in graphs[n]:
             assert canonical_graph(g) == g
@@ -83,7 +159,7 @@ def _graph_of_columns(form):
 def test_orderly_generation_matches_extend_and_dedupe(fresh_cache):
     # every neighborhood of a new vertex on every class, deduplicated by the
     # brute-force canonical form
-    _, graphs, _ = fresh_cache
+    _, graphs, *_ = fresh_cache
     forms = {naive_canonical_form(Graph(1))}
     for n in range(2, 6):
         extended = set()
