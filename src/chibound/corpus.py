@@ -11,17 +11,19 @@ test, an O(n) prefilter drops a last column that sees less of the first j
 positions than position j does, since moving the new vertex to position j
 would give a smaller tuple; at n = 7 it drops 7,222 of the 9,984 candidates.
 Each class on n vertices comes out exactly once, already canonically labeled,
-with no deduplication. From n = 7 on, the classes of the level below are split
-over a process per core. The classes are cached on disk as sorted graph6
-lines, so repeated runs are byte-identical on any number of cores and cheap,
-and the number of classes read or built is checked against the classical
-counts.
+with no deduplication. From n = 7 on, pool_map splits the level below over a
+process per core. The classes are cached on disk as sorted graph6 lines, so
+runs are byte-identical on any number of cores and cheap. A list read or built
+must hold the classical count, and a file read strictly ascending lines, each
+a graph on n vertices.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import tempfile
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -107,7 +109,10 @@ def _load_cached(name):
     path = _cache_dir() / name
     if not path.is_file():
         return None
-    return [graph_from_graph6(line) for line in path.read_text().splitlines() if line]
+    lines = [line for line in path.read_text().splitlines() if line]
+    if any(a >= b for a, b in zip(lines, lines[1:])):
+        raise ValidationError(f"{path}: read lines not in strictly ascending order")
+    return [graph_from_graph6(line) for line in lines]
 
 
 def _store_cached(name, graphs):
@@ -115,16 +120,21 @@ def _store_cached(name, graphs):
     directory.mkdir(parents=True, exist_ok=True)
     # a temp file per writer, so concurrent writers never rename each other's
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
-    with os.fdopen(fd, "w") as f:
-        f.write("".join(graph_to_graph6(g) + "\n" for g in graphs))
-    os.replace(tmp, directory / name)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write("".join(graph_to_graph6(g) + "\n" for g in graphs))
+        os.replace(tmp, directory / name)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _corpus(kind, n, build):
     """The graphs of kind on n vertices: from memory, the disk cache or build(n).
 
-    A list read or built with other than CLASS_COUNTS[kind][n] classes raises
-    ValidationError, and a built one is stored only after that check.
+    A list read or built with other than CLASS_COUNTS[kind][n] classes, or read
+    with a graph not on n vertices, raises ValidationError, and a built one is
+    stored only after that check.
     """
     check_int("n", n, 1)
     check_cap("corpus", n, len(CLASS_COUNTS[kind]) - 1)
@@ -143,6 +153,8 @@ def _corpus(kind, n, build):
             )
         if built:
             _store_cached(name, graphs)
+        elif any(g.n != n for g in graphs):
+            raise ValidationError(f"{_cache_dir() / name}: read a graph not on {n} vertices")
         _memory_cache[key] = graphs
     return _memory_cache[key]
 
@@ -171,26 +183,31 @@ def _extend(rows):
     return out
 
 
+def pool_map(fn, items, workers):
+    """[fn(x) for x in items] over up to workers processes, never more than the
+    cores or the items. They fork, so a calling script needs no __main__ guard;
+    where fork is no start method (Windows) or a second thread runs, which a
+    fork could deadlock, the items run serially."""
+    workers = min(workers, os.cpu_count() or 1, len(items))
+    forks = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    if workers < 2 or not forks:
+        return [fn(x) for x in items]
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8))))
+
+
 def _orderly_extensions(n):
     """Every class on n vertices, from the canonical classes on n - 1.
 
-    From n = 7 on, the classes on n - 1 are split over a process per core
-    (the n = 6 level takes less time than starting the pool), and the classes
-    are sorted by graph6, so the bytes do not depend on the number of cores.
+    From n = 7 on, pool_map splits the classes on n - 1 over a process per
+    core (the n = 6 level takes less time than starting the pool), and the
+    classes are sorted by graph6, so the bytes do not depend on how they ran.
     """
     if n == 1:
         return [Graph(1)]
     bases = [g.adj_bits for g in all_graphs(n - 1)]
-    workers = min(os.cpu_count() or 1, len(bases))
-    if n >= 7 and workers > 1:
-        # the default start method, as in run_suite: a spawned worker re-runs
-        # the caller's main module, which a script without a __main__ guard
-        # cannot allow
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(bases) // (workers * 8))
-            per_base = list(pool.map(_extend, bases, chunksize=chunk))
-    else:
-        per_base = map(_extend, bases)
+    per_base = pool_map(_extend, bases, len(bases) if n >= 7 else 1)
     result = [_graph_of_form(form) for forms in per_base for form in forms]
     result.sort(key=graph_to_graph6)
     return result

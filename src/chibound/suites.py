@@ -10,9 +10,7 @@ byte-identical contract.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -708,11 +706,6 @@ SUITES = {
     ),
 }
 
-def _pool_run(args):
-    claim, payload = args
-    return SUITES[claim][3](payload)
-
-
 def run_suite(spec):
     """Execute one registered suite and assemble its report."""
     check_int("seed", spec.seed, 0)
@@ -721,20 +714,7 @@ def run_suite(spec):
         raise ParameterError(f"unknown claim id {spec.claim!r}; known: {sorted(SUITES)}")
     title, anchor, instance_fn, check_fn = SUITES[spec.claim]
     start = time.monotonic()
-    payloads = instance_fn(spec)
-    # every worker forks at the first submit, so never more than the cores
-    workers = min(spec.jobs, os.cpu_count() or 1, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            instances = list(
-                pool.map(
-                    _pool_run,
-                    [(spec.claim, p) for p in payloads],
-                    chunksize=max(1, len(payloads) // (workers * 8)),
-                )
-            )
-    else:
-        instances = [check_fn(p) for p in payloads]
+    instances = corpus.pool_map(check_fn, instance_fn(spec), spec.jobs)
     elapsed = int((time.monotonic() - start) * 1000)
     passed = all(rec["pass"] for rec in instances)
     return VerificationReport(

@@ -28,6 +28,26 @@ def report_digest(report):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def record_pools(monkeypatch):
+    """(workers, items mapped) of each pool that corpus.pool_map starts; the
+    pools run their processes as before."""
+    from chibound import corpus
+
+    pools = []
+
+    class RecordingPool(corpus.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            super().__init__(max_workers, **kw)
+            self.workers = max_workers
+
+        def map(self, fn, items, **kw):
+            pools.append((self.workers, len(items)))
+            return super().map(fn, items, **kw)
+
+    monkeypatch.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
 def pytest_configure(config):
     # share one corpus cache across runs without touching the user cache
     if "CHIBOUND_CACHE_DIR" not in os.environ:

@@ -1,6 +1,9 @@
 import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from chibound.codec import graph_to_graph6
 from chibound.errors import SizeCapError, ValidationError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp
 from chibound.graphs import Graph, is_connected
+from conftest import record_pools
 from oracles import are_isomorphic, canonical_graph, naive_canonical_form
 
 
@@ -53,31 +57,13 @@ def _files_digest(directory):
     return h.hexdigest()
 
 
-def _record_pools(mp):
-    """[max_workers, bases mapped] of each pool the corpus build starts."""
-    pools = []
-
-    class RecordingPool(corpus.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            self.record = [max_workers]
-            pools.append(self.record)
-
-        def map(self, fn, bases, chunksize):
-            self.record.append(len(bases))
-            return super().map(fn, bases, chunksize=chunksize)
-
-    mp.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
-    return pools
-
-
 @pytest.fixture(scope="module")
 def fresh_cache(tmp_path_factory):
     """An empty cache filled by all_graphs(1..7) and connected_graphs(7), with
     the pools the build started and the child processes alive after it."""
     directory = tmp_path_factory.mktemp("fresh-corpus")
     with pytest.MonkeyPatch.context() as mp:
-        pools = _record_pools(mp)
+        pools = record_pools(mp)
         graphs, connected = _fill(directory, mp)
         left = multiprocessing.active_children()
     return directory, graphs, connected, pools, left
@@ -93,16 +79,49 @@ def test_fresh_corpus_level_7_is_built_by_a_pool(fresh_cache):
     # every process has ended when all_graphs returns
     *_, pools, left = fresh_cache
     workers = min(os.cpu_count() or 1, 156)
-    assert pools == ([[workers, 156]] if workers > 1 else [])
+    assert pools == ([(workers, 156)] if workers > 1 else [])
     assert left == []
 
 
 def test_serial_build_matches_the_pinned_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    pools = _record_pools(monkeypatch)
+    pools = record_pools(monkeypatch)
     _fill(tmp_path, monkeypatch)
     assert pools == []
     assert _files_digest(tmp_path) == CORPUS_SHA256
+
+
+def test_build_without_fork_runs_serially_with_the_pinned_bytes(tmp_path, monkeypatch):
+    # as on Windows, where fork is not a start method
+    methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    pools = record_pools(monkeypatch)
+    _fill(tmp_path, monkeypatch)
+    assert pools == []
+    assert _files_digest(tmp_path) == CORPUS_SHA256
+
+
+UNGUARDED_SCRIPT = """
+import multiprocessing
+multiprocessing.set_start_method("forkserver")
+from chibound import corpus
+from chibound.suites import SuiteSpec, run_suite
+assert len(corpus.all_graphs(7)) == 1044
+assert run_suite(SuiteSpec("S7", jobs=2)).passed
+"""
+
+
+def test_script_without_a_main_guard_builds_and_runs_under_forkserver(tmp_path):
+    # a spawned or forkserver worker would re-run this script's top level
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT)
+    src = Path(corpus.__file__).resolve().parents[1]
+    env = {**os.environ, "CHIBOUND_CACHE_DIR": str(tmp_path / "cache"), "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(os.listdir(tmp_path / "cache")) == 7
 
 
 def _extension(rows, last):
@@ -185,6 +204,57 @@ def test_truncated_cache_file_is_refused(tmp_path, monkeypatch):
             corpus.all_graphs(4)
     finally:
         corpus._memory_cache.clear()
+
+
+def _rewrite_cache_file(tmp_path, monkeypatch, edit):
+    """all_4.g6 built into tmp_path, with its lines replaced by edit(lines)."""
+    monkeypatch.setenv("CHIBOUND_CACHE_DIR", str(tmp_path))
+    corpus._memory_cache.clear()
+    try:
+        corpus.all_graphs(4)
+    finally:
+        corpus._memory_cache.clear()
+    path = tmp_path / "all_4.g6"
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+
+
+def test_cache_file_of_repeated_lines_is_refused(tmp_path, monkeypatch):
+    # eleven lines, so the count alone would pass
+    _rewrite_cache_file(tmp_path, monkeypatch, lambda lines: lines[:1] * 11)
+    try:
+        with pytest.raises(ValidationError, match=r"all_4\.g6: read lines not in strictly ascending"):
+            corpus.all_graphs(4)
+    finally:
+        corpus._memory_cache.clear()
+
+
+def test_cache_file_with_a_graph_of_the_wrong_order_is_refused(tmp_path, monkeypatch):
+    # a 5-vertex line sorts after every 4-vertex line, so the order holds
+    five = graph_to_graph6(Graph(5)) + "\n"
+    _rewrite_cache_file(tmp_path, monkeypatch, lambda lines: lines[:-1] + [five])
+    try:
+        with pytest.raises(ValidationError, match=r"all_4\.g6: read a graph not on 4 vertices"):
+            corpus.all_graphs(4)
+    finally:
+        corpus._memory_cache.clear()
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    graphs = corpus.all_graphs(4)
+    encode = corpus.graph_to_graph6
+    encoded = []
+
+    def failing(g):
+        if len(encoded) == 5:
+            raise OSError("disk full")
+        encoded.append(g)
+        return encode(g)
+
+    monkeypatch.setenv("CHIBOUND_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(corpus, "graph_to_graph6", failing)
+    with pytest.raises(OSError, match="disk full"):
+        corpus._store_cached("all_4.g6", graphs)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_miscounted_build_is_refused_and_not_stored(tmp_path, monkeypatch):

@@ -1,12 +1,13 @@
 import json
 import os
+import threading
 
 from chibound import coloring, suites
 from chibound.codec import graph_from_graph6
 from chibound.coloring import _ColoringSearch
 from chibound.suites import SUITES, SuiteSpec, run_suite
 from chibound.treedepth import TreedepthSolver
-from conftest import recorded_digests, report_digest
+from conftest import record_pools, recorded_digests, report_digest
 
 
 def test_registry_is_complete():
@@ -51,27 +52,27 @@ def test_seed0_reports_match_recorded_digests():
 
 
 def test_worker_pool_is_capped_by_the_cores(monkeypatch):
-    # a fake pool records its size and maps serially, so no process starts
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", SerialPool)
+    pools = record_pools(monkeypatch)
     report = run_suite(SuiteSpec(claim="S1", jobs=10_000))
-    assert all(size <= (os.cpu_count() or 1) for size in sizes)
+    workers = min(os.cpu_count() or 1, len(report.instances))
+    assert pools == ([(workers, len(report.instances))] if workers > 1 else [])
     assert report.config["jobs"] == 10_000
-    assert report_digest(report) == report_digest(run_suite(SuiteSpec(claim="S1", jobs=1)))
+    assert report_digest(report) == recorded_digests()["S1"]
+
+
+def test_jobs_run_serially_while_another_thread_runs(monkeypatch):
+    # forking a process with a second thread alive could deadlock
+    pools = record_pools(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        report = run_suite(SuiteSpec(claim="S1", jobs=2))
+    finally:
+        stop.set()
+        thread.join()
+    assert pools == []
+    assert report_digest(report) == recorded_digests()["S1"]
 
 
 def test_s1_passes_quickly():
