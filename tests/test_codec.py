@@ -134,3 +134,61 @@ def test_roundtrip_generated_families():
     for g in (complete(6), cycle(9), Graph(5)):
         for fmt in ("graph6", "json"):
             assert parse_graph(serialize_graph(g, fmt)) == g
+
+
+# The codec's error contract: input -> exact message and byte offset. Where an
+# input breaks two rules, the first check in the order truncated, invalid
+# byte, nonzero padding, trailing bytes (then, for digraph6, a loop) names it.
+GRAPH6_ERRORS = [
+    ("", "truncated input: missing vertex count", 0),
+    ("~~??????", "8-byte vertex counts exceed the supported cap of 262143", 0),
+    ("~??", "truncated long-form vertex count", 0),
+    ("~?!?", "invalid graph6 byte '!'", 2),
+    ("!", "invalid graph6 byte '!'", 0),
+    ("C", "truncated adjacency data: need 1 bytes, have 0", 1),
+    ("D?", "truncated adjacency data: need 2 bytes, have 1", 1),
+    ("D!", "truncated adjacency data: need 2 bytes, have 1", 1),
+    ("B!", "invalid graph6 byte '!'", 1),
+    ("D?\x7f", "invalid graph6 byte '\\x7f'", 2),
+    ("D!A", "invalid graph6 byte '!'", 1),
+    ("A`", "nonzero padding bits", 1),
+    ("D?A", "nonzero padding bits", 2),
+    ("A`?", "nonzero padding bits", 1),
+    ("Bw?", "trailing bytes after adjacency data", 2),
+    ("@?", "trailing bytes after adjacency data", 1),
+    (">>graph6<<C", "truncated adjacency data: need 1 bytes, have 0", 1),
+]
+
+DIGRAPH6_ERRORS = [
+    ("", "digraph6 input must start with '&'", 0),
+    ("AO", "digraph6 input must start with '&'", 0),
+    ("&", "truncated input: missing vertex count", 1),
+    ("&~~??????", "8-byte vertex counts exceed the supported cap of 262143", 1),
+    ("&~?", "truncated long-form vertex count", 1),
+    ("&A", "truncated adjacency data: need 1 bytes, have 0", 2),
+    ("&Bo", "truncated adjacency data: need 2 bytes, have 1", 2),
+    ("&B!", "truncated adjacency data: need 2 bytes, have 1", 2),
+    ("&A!", "invalid graph6 byte '!'", 2),
+    ("&B!A", "invalid graph6 byte '!'", 2),
+    ("&AP", "nonzero padding bits", 2),
+    ("&A`", "nonzero padding bits", 2),
+    ("&AP?", "nonzero padding bits", 2),
+    ("&AO?", "trailing bytes after adjacency data", 3),
+    ("&A_?", "trailing bytes after adjacency data", 3),
+    ("&A_", "digraph6 encodes a loop at vertex 0", 2),
+    ("&BA?", "digraph6 encodes a loop at vertex 1", 2),
+    ("&Bo?", "digraph6 encodes a loop at vertex 0", 2),
+    (">>digraph6<<&A_", "digraph6 encodes a loop at vertex 0", 2),
+]
+
+
+@pytest.mark.parametrize(
+    ("parse", "text", "message", "offset"),
+    [(graph_from_graph6, *case) for case in GRAPH6_ERRORS]
+    + [(digraph_from_digraph6, *case) for case in DIGRAPH6_ERRORS],
+)
+def test_parse_error_contract(parse, text, message, offset):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (byte offset {offset})"
+    assert info.value.offset == offset
