@@ -1,9 +1,10 @@
 """graph6/digraph6 and edge-list JSON codecs.
 
-graph6 and digraph6 follow McKay's bit-exact formats: N(n) followed by the
-packed upper triangle (column order) for graphs, or by the packed full
-adjacency matrix (row order, '&' header) for digraphs. The long form is
-supported up to 2^18 - 1 vertices, far beyond desk scale.
+graph6 and digraph6 follow McKay's bit-exact formats: N(n), then a stream of
+vertex masks, each from bit 0 up, six bits to a character (the first highest),
+zero-padded. graph6 streams the columns (for j = 1..n-1, the vertices i < j
+adjacent to j, the canonical form's order), digraph6 the rows after an '&' (the
+out-neighbours of each vertex). N(n) reaches 2^18 - 1, far beyond desk scale.
 """
 
 from __future__ import annotations
@@ -11,11 +12,14 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError, ValidationError, check_cap, is_int
-from .graphs import Digraph, Graph
+from .graphs import Digraph, Graph, bits, graph_of_columns
 
 _GRAPH6_HEADER = ">>graph6<<"
 _DIGRAPH6_HEADER = ">>digraph6<<"
 _MAX_LONG_N = (1 << 18) - 1
+# six stream bits, the first lowest, to their character (the first highest), and back
+_CHAR = [chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64)]
+_SIX = {c: v for v, c in enumerate(_CHAR)}
 
 
 def _encode_n(n):
@@ -48,90 +52,76 @@ def _decode_n(text, pos):
     return n, pos + 4
 
 
-def _pack_bits(bits):
-    out = []
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        out.append(chr(val + 63))
+def _pack(n, words):
+    """N(n), then the stream of the (mask, width) words."""
+    out = [_encode_n(n)]  # checks the size cap before any bit packing
+    acc = k = 0  # the k stream bits not yet written, the first lowest
+    for mask, width in words:
+        acc |= mask << k
+        k += width
+        while k >= 6:
+            out.append(_CHAR[acc & 63])
+            acc >>= 6
+            k -= 6
+    if k:
+        out.append(_CHAR[acc])
     return "".join(out)
 
 
-def _unpack_bits(text, pos, count):
-    bits = []
-    needed = (count + 5) // 6
+def _unpack(text, pos, widths):
+    """The masks of the given widths streamed in text from pos to its end;
+    checks enough bytes, each a graph6 byte, zero padding, then nothing after."""
+    needed = (sum(widths) + 5) // 6
     if len(text) - pos < needed:
         raise ParseError(
             f"truncated adjacency data: need {needed} bytes, have {len(text) - pos}",
             pos,
         )
-    for i in range(needed):
-        c = ord(text[pos + i]) - 63
-        if c < 0 or c > 63:
-            raise ParseError(f"invalid graph6 byte {text[pos + i]!r}", pos + i)
-        bits.extend((c >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    if any(bits[count:]):
+    sixes = [_SIX.get(c) for c in text[pos : pos + needed]]
+    if None in sixes:
+        i = sixes.index(None)
+        raise ParseError(f"invalid graph6 byte {text[pos + i]!r}", pos + i)
+    masks = []
+    acc = k = 0  # the k stream bits read and not yet returned, the first lowest
+    unread = iter(sixes)
+    for width in widths:
+        while k < width:
+            acc |= next(unread) << k
+            k += 6
+        masks.append(acc & ((1 << width) - 1))
+        acc >>= width
+        k -= width
+    if acc:
         raise ParseError("nonzero padding bits", pos + needed - 1)
     if len(text) > pos + needed:
         raise ParseError("trailing bytes after adjacency data", pos + needed)
-    return bits[:count]
+    return masks
 
 
 def graph_to_graph6(g):
-    head = _encode_n(g.n)  # checks the size cap before any bit packing
-    bits = []
-    for j in range(1, g.n):
-        col = g.adj_bits[j]
-        bits.extend((col >> i) & 1 for i in range(j))
-    return head + _pack_bits(bits)
+    return _pack(g.n, ((g.adj_bits[j] & ((1 << j) - 1), j) for j in range(1, g.n)))
 
 
 def graph_from_graph6(text):
-    text = text.strip()
-    if text.startswith(_GRAPH6_HEADER):
-        text = text[len(_GRAPH6_HEADER) :]
+    text = text.strip().removeprefix(_GRAPH6_HEADER)
     n, pos = _decode_n(text, 0)
-    bits = _unpack_bits(text, pos, n * (n - 1) // 2)
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+    return graph_of_columns(n, _unpack(text, pos, range(1, n)))
 
 
 def digraph_to_digraph6(d):
-    head = _encode_n(d.n)
-    bits = []
-    for u in range(d.n):
-        row = d.out_bits[u]
-        bits.extend((row >> v) & 1 for v in range(d.n))
-    return "&" + head + _pack_bits(bits)
+    return "&" + _pack(d.n, ((row, d.n) for row in d.out_bits))
 
 
 def digraph_from_digraph6(text):
-    text = text.strip()
-    if text.startswith(_DIGRAPH6_HEADER):
-        text = text[len(_DIGRAPH6_HEADER) :]
+    text = text.strip().removeprefix(_DIGRAPH6_HEADER)
     if not text or text[0] != "&":
         raise ParseError("digraph6 input must start with '&'", 0)
     n, pos = _decode_n(text, 1)
-    bits = _unpack_bits(text, pos, n * n)
-    arcs = []
-    k = 0
-    for u in range(n):
-        for v in range(n):
-            if bits[k]:
-                if u == v:
-                    raise ParseError(f"digraph6 encodes a loop at vertex {u}", pos)
-                arcs.append((u, v))
-            k += 1
-    return Digraph(n, arcs)
+    rows = _unpack(text, pos, [n] * n)
+    for u, row in enumerate(rows):
+        if row >> u & 1:
+            raise ParseError(f"digraph6 encodes a loop at vertex {u}", pos)
+    return Digraph(n, [(u, v) for u, row in enumerate(rows) for v in bits(row)])
 
 
 def _load_json(text):

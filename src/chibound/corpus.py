@@ -1,21 +1,21 @@
 """Canonical forms and the exhaustive small-graph corpus.
 
 A vertex order of a graph gives a column tuple: column j is the set of earlier
-positions adjacent to the vertex at position j, as a bit mask. The canonical
-form is the least column tuple over all orders. Dropping the last vertex of a
-canonical form leaves a canonical form, so the corpus is generated orderly
-(Read 1978; McKay 1998): every canonically labeled class on n - 1 vertices is
-extended by each possible last column, and an extension is kept when the
-canonicity test finds no vertex order with a smaller column tuple. Before that
-test, an O(n) prefilter drops a last column that sees less of the first j
-positions than position j does, since moving the new vertex to position j
-would give a smaller tuple; at n = 7 it drops 7,222 of the 9,984 candidates.
+positions adjacent to the vertex at position j, as a bit mask, in graph6's bit
+order. The canonical form is the least column tuple over all orders. Dropping
+the last vertex of a canonical form leaves a canonical form, so the corpus is
+generated orderly (Read 1978; McKay 1998): every canonically labeled class on
+n - 1 vertices is extended by each possible last column, and an extension is
+kept when the canonicity test finds no vertex order with a smaller column tuple.
+Before that test, an O(n) prefilter drops a last column that sees less of the
+first j positions than position j does, since moving the new vertex to position
+j would give a smaller tuple; at n = 7 it drops 7,222 of the 9,984 candidates.
 Each class on n vertices comes out exactly once, already canonically labeled,
 with no deduplication. From n = 7 on, pool_map splits the level below over a
 process per core. The classes are cached on disk as sorted graph6 lines, so
 runs are byte-identical on any number of cores and cheap. A list read or built
-must hold the classical count, and a file read strictly ascending lines, each
-a graph on n vertices.
+must hold the classical count, and a file read strictly ascending graph6 lines,
+each a graph on n vertices.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .codec import graph_from_graph6, graph_to_graph6
-from .errors import ValidationError, check_cap, check_int
-from .graphs import Graph, is_connected
+from .errors import ParseError, ValidationError, check_cap, check_int
+from .graphs import Graph, graph_of_columns, is_connected
 
 # Isomorphism classes on n = 0..9 vertices: all graphs (OEIS A000088) and
 # connected graphs (OEIS A001349). The corpus stops where the counts stop.
@@ -109,10 +109,17 @@ def _load_cached(name):
     path = _cache_dir() / name
     if not path.is_file():
         return None
-    lines = [line for line in path.read_text().splitlines() if line]
+    # latin-1 maps each byte to one character, so a byte outside graph6 fails its line
+    lines = path.read_bytes().decode("latin-1").splitlines()
     if any(a >= b for a, b in zip(lines, lines[1:])):
         raise ValidationError(f"{path}: read lines not in strictly ascending order")
-    return [graph_from_graph6(line) for line in lines]
+    graphs = []
+    for number, line in enumerate(lines, 1):
+        try:
+            graphs.append(graph_from_graph6(line))
+        except ParseError as exc:
+            raise ValidationError(f"{path}: line {number} is not graph6: {exc}") from exc
+    return graphs
 
 
 def _store_cached(name, graphs):
@@ -208,7 +215,7 @@ def _orderly_extensions(n):
         return [Graph(1)]
     bases = [g.adj_bits for g in all_graphs(n - 1)]
     per_base = pool_map(_extend, bases, len(bases) if n >= 7 else 1)
-    result = [_graph_of_form(form) for forms in per_base for form in forms]
+    result = [graph_of_columns(n, form[1:]) for forms in per_base for form in forms]
     result.sort(key=graph_to_graph6)
     return result
 
@@ -216,17 +223,6 @@ def _orderly_extensions(n):
 def all_graphs(n):
     """All graphs on exactly n vertices, one canonical representative per class."""
     return _corpus("all", n, _orderly_extensions)
-
-
-def _graph_of_form(form):
-    n = form[0]
-    edges = []
-    for j in range(1, n):
-        col = form[j]
-        for i in range(j):
-            if col >> i & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
 
 
 def connected_graphs(n):

@@ -71,8 +71,8 @@ class Graph:
         return is_int(v) and 0 <= v < self.n
 
     def has_edge(self, u, v):
-        """Whether uv is an edge; False when u or v lies outside 0..n-1."""
-        return 0 <= u < self.n and 0 <= v < self.n and self.adj_bits[u] >> v & 1 == 1
+        """Whether uv is an edge; False when u or v is not a vertex."""
+        return self.has_vertex(u) and self.has_vertex(v) and self.adj_bits[u] >> v & 1 == 1
 
     def degree(self, v):
         return self.adj_bits[v].bit_count()
@@ -138,8 +138,8 @@ class Digraph:
         return sum(row.bit_count() for row in self.out_bits)
 
     def has_arc(self, u, v):
-        """Whether uv is an arc; False when u or v lies outside 0..n-1."""
-        return 0 <= u < self.n and 0 <= v < self.n and self.out_bits[u] >> v & 1 == 1
+        """Whether uv is an arc; False when u or v is not a vertex."""
+        return self.has_vertex(u) and self.has_vertex(v) and self.out_bits[u] >> v & 1 == 1
 
     @property
     def is_oriented(self):
@@ -156,6 +156,21 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m})"
+
+
+def graph_of_columns(n, columns):
+    """The graph on n vertices whose column j, for j = 1..n-1, is the mask of
+    the vertices i < j adjacent to j: graph6's bit order, and a canonical form
+    (n, col_1, ..., col_{n-1}) is (n, *columns)."""
+    edges = []
+    for j, col in enumerate(columns, 1):
+        if col >> j:
+            raise ValidationError(f"column {j} has a vertex at or above {j}")
+        while col:
+            low = col & -col
+            edges.append((low.bit_length() - 1, j))
+            col ^= low
+    return Graph(n, edges)
 
 
 def induced_subgraph(g, vertices):

@@ -176,9 +176,9 @@ def _route_depth1(rows, edges, branch, used):
 def find_subdivided_clique(g, k, r):
     """Embedding of some (<= r)-subdivision of K_k in g, or None."""
     check_int("k", k, 0)
+    check_int("r", r, 0)
     check_cap("pattern", k)
-    pattern = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-    return find_topo_embedding(pattern, g, r)
+    return find_topo_embedding(complete(k), g, r)
 
 
 def _climb(g, value, reached):

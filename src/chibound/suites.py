@@ -302,14 +302,11 @@ def _instances_s4(spec):
 
 
 def _is_k1t_free(g, t):
+    rows = g.adj_bits
     for v in range(g.n):
-        nbrs = g.neighbors(v)
-        if len(nbrs) < t:
-            continue
-        for group in combinations(nbrs, t):
-            if all(
-                not g.has_edge(a, b) for a, b in combinations(group, 2)
-            ):
+        for group in combinations(g.neighbors(v), t):
+            mask = sum(1 << u for u in group)  # independent when no member's row meets it
+            if not any(rows[u] & mask for u in group):
                 return False
     return True
 

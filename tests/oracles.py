@@ -7,7 +7,8 @@ certificate never gets checked by the machinery that produced it.
 
 from itertools import combinations, permutations, product
 
-from chibound.corpus import _graph_of_form, canonical_form
+from chibound.corpus import canonical_form
+from chibound.graphs import graph_of_columns
 
 
 def naive_chromatic(g):
@@ -277,13 +278,47 @@ def naive_topo_embedding(h, g, r):
     return None
 
 
+def naive_graph6(g):
+    """graph6 by McKay's description: N(n), then the bits x(i, j) of the upper
+    triangle for j = 1..n-1 and i = 0..j-1 in that order."""
+    return _naive_n(g.n) + _naive_pack_bits(
+        [int(g.has_edge(i, j)) for j in range(1, g.n) for i in range(j)]
+    )
+
+
+def naive_digraph6(d):
+    """digraph6 by McKay's description: '&', N(n), then the bits x(u, v) of the
+    adjacency matrix row by row."""
+    return "&" + _naive_n(d.n) + _naive_pack_bits(
+        [int(d.has_arc(u, v)) for u in range(d.n) for v in range(d.n)]
+    )
+
+
+def _naive_n(n):
+    if n <= 62:
+        return chr(n + 63)
+    return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+
+
+def _naive_pack_bits(bits):
+    """Six bits to a byte, the first most significant, zero-padded, plus 63."""
+    bits = bits + [0] * (-len(bits) % 6)
+    out = []
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i : i + 6]:
+            val = val << 1 | b
+        out.append(chr(val + 63))
+    return "".join(out)
+
+
 # Test helpers over the package's canonical form, which naive_canonical_form
 # below checks independently.
 
 
 def canonical_graph(g):
     """A canonically labeled copy of g (same form for all isomorphic inputs)."""
-    return _graph_of_form(canonical_form(g))
+    return graph_of_columns(g.n, canonical_form(g)[1:])
 
 
 def are_isomorphic(g1, g2):

@@ -12,8 +12,10 @@ from chibound.codec import (
     serialize_graph,
 )
 from chibound.errors import ParseError, SizeCapError, ValidationError
+from chibound.corpus import all_graphs
 from chibound.generators import SplitMix64, complete, cycle, random_gnp
-from chibound.graphs import Digraph, Graph
+from chibound.graphs import Digraph, Graph, orientations
+from oracles import naive_digraph6, naive_graph6
 
 
 def test_known_graph6_values():
@@ -75,11 +77,35 @@ def test_roundtrip_against_networkx():
             assert graph_from_graph6(again) == g
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_graph6_matches_the_reference_on_every_graph(n):
+    for g in all_graphs(n):
+        text = naive_graph6(g)
+        assert graph_to_graph6(g) == text
+        assert graph_from_graph6(text) == g
+
+
+def test_digraph6_matches_the_reference_on_small_digraphs():
+    # every orientation of every graph on <= 4 vertices (S9's samples), and
+    # every digraph on <= 3 vertices, 2-cycles included
+    samples = [d for n in range(1, 5) for g in all_graphs(n) for d in orientations(g)]
+    for n in range(4):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for mask in range(1 << len(pairs)):
+            samples.append(Digraph(n, [a for i, a in enumerate(pairs) if mask >> i & 1]))
+    samples.append(Digraph(63, [(0, 62), (62, 1), (31, 30)]))  # long-form N(n)
+    for d in samples:
+        text = naive_digraph6(d)
+        assert digraph_to_digraph6(d) == text
+        assert digraph_from_digraph6(text) == d
+
+
 def test_long_form_header_and_large_n():
     g = Graph(63, [(0, 62)])
     text = graph_to_graph6(g)
     assert text.startswith("~")
     assert graph_from_graph6(text) == g
+    assert text == naive_graph6(g)
     back = nx.from_graph6_bytes(text.encode())
     assert {tuple(sorted(e)) for e in back.edges} == g.edges
     with pytest.raises(SizeCapError):

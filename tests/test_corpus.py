@@ -239,6 +239,36 @@ def test_cache_file_with_a_graph_of_the_wrong_order_is_refused(tmp_path, monkeyp
         corpus._memory_cache.clear()
 
 
+def test_cache_file_with_a_line_that_is_not_graph6_is_refused(tmp_path, monkeypatch):
+    # "C~~" sorts after the last line "C~" (K_4), so the order holds
+    _rewrite_cache_file(tmp_path, monkeypatch, lambda lines: lines[:-1] + ["C~~\n"])
+    try:
+        with pytest.raises(
+            ValidationError,
+            match=r"all_4\.g6: line 11 is not graph6: trailing bytes after adjacency data "
+            r"\(byte offset 2\)$",
+        ):
+            corpus.all_graphs(4)
+    finally:
+        corpus._memory_cache.clear()
+
+
+def test_cache_file_that_is_not_text_is_refused(tmp_path, monkeypatch):
+    _rewrite_cache_file(tmp_path, monkeypatch, lambda lines: lines)
+    path = tmp_path / "all_4.g6"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[-1] = b"C\xff\n"  # 0xff is in no UTF-8 text; it sorts last, so the order holds
+    path.write_bytes(b"".join(lines))
+    try:
+        with pytest.raises(
+            ValidationError,
+            match=r"all_4\.g6: line 11 is not graph6: invalid graph6 byte 'ÿ' \(byte offset 1\)$",
+        ):
+            corpus.all_graphs(4)
+    finally:
+        corpus._memory_cache.clear()
+
+
 def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
     graphs = corpus.all_graphs(4)
     encode = corpus.graph_to_graph6

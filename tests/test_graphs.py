@@ -12,6 +12,7 @@ from chibound.graphs import (
     blow_up,
     connected_components,
     disjoint_union,
+    graph_of_columns,
     induced_subgraph,
     orientations,
     power,
@@ -66,6 +67,25 @@ def test_original_vertices_keep_indices():
     g = subdivide_exact(path(3), 2)
     assert g.has_edge(0, 3) and g.has_edge(4, 1)
     assert not g.has_edge(0, 1)
+
+
+def test_edge_and_arc_queries_take_only_vertices():
+    # a bool or a float is no vertex, so no end of an edge or arc
+    g = path(3)
+    assert g.has_edge(0, 1) and not g.has_vertex(True)
+    assert not g.has_edge(True, 0) and not g.has_edge(0, True)
+    assert not g.has_edge(0.5, 1) and not g.has_edge(1, 2.0)
+    d = Digraph(2, [(0, 1)])
+    assert d.has_arc(0, 1)
+    assert not d.has_arc(0, 1.0) and not d.has_arc(False, 1) and not d.has_arc(0.5, 1)
+
+
+def test_graph_of_columns_reads_graph6_bit_order():
+    # column j holds the vertices i < j adjacent to j
+    assert graph_of_columns(4, [1, 0b11, 0b100]) == Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert graph_of_columns(0, []) == Graph(0) and graph_of_columns(1, []) == Graph(1)
+    with pytest.raises(ValidationError, match="^column 2 has a vertex at or above 2$"):
+        graph_of_columns(3, [1, 0b100])
 
 
 def test_blow_up():

@@ -151,7 +151,6 @@ BEFORE_CHECK = {
     "find_topo_embedding",
     "find_subdivided_clique",
     "Graph.__init__",
-    "find_subdivided_clique.<locals>.<listcomp>",
     "omega_TM",
     "chi_TM",
     "critical_patterns",
