@@ -11,8 +11,8 @@ from chibound.codec import (
     serialize_digraph,
     serialize_graph,
 )
-from chibound.errors import ParseError, SizeCapError, ValidationError
 from chibound.corpus import all_graphs
+from chibound.errors import ParseError, SizeCapError, ValidationError
 from chibound.generators import SplitMix64, complete, cycle, random_gnp
 from chibound.graphs import Digraph, Graph, orientations
 from oracles import naive_digraph6, naive_graph6
