@@ -4,12 +4,16 @@ graph6 and digraph6 follow McKay's bit-exact formats: N(n), then a stream of
 vertex masks, each from bit 0 up, six bits to a character (the first highest),
 zero-padded. graph6 streams the columns (for j = 1..n-1, the vertices i < j
 adjacent to j, the canonical form's order), digraph6 the rows after an '&' (the
-out-neighbours of each vertex). N(n) reaches 2^18 - 1, far beyond desk scale.
+out-neighbours of each vertex). N(n) reaches 2^18 - 1, far beyond desk scale;
+its long form is read only for n >= 63, where the format uses it, so each n has
+one N(n). A reader strips ASCII whitespace only. A file of graph6 lines is
+checked with no decode by one match of graph6_lines_pattern(n).
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import ParseError, ValidationError, check_cap, is_int
 from .graphs import Digraph, Graph, bits, graph_of_columns
@@ -20,6 +24,7 @@ _MAX_LONG_N = (1 << 18) - 1
 # six stream bits, the first lowest, to their character (the first highest), and back
 _CHAR = [chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64)]
 _SIX = {c: v for v, c in enumerate(_CHAR)}
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 
 def _encode_n(n):
@@ -49,6 +54,8 @@ def _decode_n(text, pos):
         if d < 0 or d > 63:
             raise ParseError(f"invalid graph6 byte {text[pos + i]!r}", pos + i)
         n = n << 6 | d
+    if n <= 62:
+        raise ParseError(f"long-form vertex count {n} is below 63", pos)
     return n, pos + 4
 
 
@@ -70,14 +77,15 @@ def _pack(n, words):
 
 def _unpack(text, pos, widths):
     """The masks of the given widths streamed in text from pos to its end;
-    checks enough bytes, each a graph6 byte, zero padding, then nothing after."""
+    checks enough bytes, every byte to the end a graph6 byte, zero padding,
+    then nothing after."""
     needed = (sum(widths) + 5) // 6
     if len(text) - pos < needed:
         raise ParseError(
             f"truncated adjacency data: need {needed} bytes, have {len(text) - pos}",
             pos,
         )
-    sixes = [_SIX.get(c) for c in text[pos : pos + needed]]
+    sixes = [_SIX.get(c) for c in text[pos:]]
     if None in sixes:
         i = sixes.index(None)
         raise ParseError(f"invalid graph6 byte {text[pos + i]!r}", pos + i)
@@ -98,12 +106,33 @@ def _unpack(text, pos, widths):
     return masks
 
 
+def columns_to_graph6(n, columns):
+    """The graph6 of the graph on n vertices whose column j, for j = 1..n-1,
+    is the mask of the vertices i < j adjacent to j: a canonical form
+    (n, *columns) is written with no Graph built."""
+    return _pack(n, zip(columns, range(1, n)))
+
+
 def graph_to_graph6(g):
-    return _pack(g.n, ((g.adj_bits[j] & ((1 << j) - 1), j) for j in range(1, g.n)))
+    return columns_to_graph6(g.n, (g.adj_bits[j] & ((1 << j) - 1) for j in range(1, g.n)))
+
+
+def graph6_lines_pattern(n):
+    """The regex of a text of graph6 lines on n vertices, each ended by a line
+    feed: N(n), then ceil(n(n - 1)/12) bytes in '?'..'~', the last with zero
+    padding bits. One full match checks the whole text; the re module keeps
+    the compiled pattern."""
+    size = (n * (n - 1) // 2 + 5) // 6
+    pad = 6 * size - n * (n - 1) // 2
+    body = ""
+    if size:
+        last = "".join(re.escape(chr(v + 63)) for v in range(0, 64, 1 << pad))
+        body = f"[?-~]{{{size - 1}}}[{last}]"
+    return re.compile(f"(?:{re.escape(_encode_n(n))}{body}\n)*")
 
 
 def graph_from_graph6(text):
-    text = text.strip().removeprefix(_GRAPH6_HEADER)
+    text = text.strip(_ASCII_SPACE).removeprefix(_GRAPH6_HEADER)
     n, pos = _decode_n(text, 0)
     return graph_of_columns(n, _unpack(text, pos, range(1, n)))
 
@@ -113,7 +142,7 @@ def digraph_to_digraph6(d):
 
 
 def digraph_from_digraph6(text):
-    text = text.strip().removeprefix(_DIGRAPH6_HEADER)
+    text = text.strip(_ASCII_SPACE).removeprefix(_DIGRAPH6_HEADER)
     if not text or text[0] != "&":
         raise ParseError("digraph6 input must start with '&'", 0)
     n, pos = _decode_n(text, 1)
@@ -167,7 +196,7 @@ def _to_json(n, key, pairs):
 
 def parse_graph(text):
     """Parse graph6 or edge-list JSON, dispatching on the leading character."""
-    stripped = text.strip()
+    stripped = text.strip(_ASCII_SPACE)
     if stripped.startswith("{"):
         return _from_json(stripped, Graph, "edges")
     return graph_from_graph6(stripped)
@@ -183,7 +212,7 @@ def serialize_graph(g, fmt="graph6"):
 
 def parse_digraph(text):
     """Parse digraph6 or arc-list JSON, dispatching on the leading character."""
-    stripped = text.strip()
+    stripped = text.strip(_ASCII_SPACE)
     if stripped.startswith("{"):
         return _from_json(stripped, Digraph, "arcs")
     return digraph_from_digraph6(stripped)

@@ -12,10 +12,15 @@ first j positions than position j does, since moving the new vertex to position
 j would give a smaller tuple; at n = 7 it drops 7,222 of the 9,984 candidates.
 Each class on n vertices comes out exactly once, already canonically labeled,
 with no deduplication. From n = 7 on, pool_map splits the level below over a
-process per core. The classes are cached on disk as sorted graph6 lines, so
-runs are byte-identical on any number of cores and cheap. A list read or built
-must hold the classical count, and a file read strictly ascending graph6 lines,
-each a graph on n vertices.
+process per core. Each class is written as a graph6 line straight from its
+canonical form, and the classes are cached on disk as sorted graph6 lines, so
+runs are byte-identical on any number of cores and cheap. Memory holds the
+lines too: a suite payload takes a line as it is, and all_graphs and
+connected_graphs decode them on each call. A list read or built must hold the
+classical count, and a file read strictly ascending lines, checked once by one
+regex match (codec.graph6_lines_pattern) to be graph6 lines of graphs on n
+vertices, each its graph's own encoding; only a file that fails the match is
+decoded line by line, to name its first bad line.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .codec import graph_from_graph6, graph_to_graph6
+from .codec import columns_to_graph6, graph6_lines_pattern, graph_from_graph6, graph_to_graph6
 from .errors import ParseError, ValidationError, check_cap, check_int
-from .graphs import Graph, graph_of_columns, is_connected
+from .graphs import is_connected
 
 # Isomorphism classes on n = 0..9 vertices: all graphs (OEIS A000088) and
 # connected graphs (OEIS A001349). The corpus stops where the counts stop.
@@ -106,30 +111,48 @@ def _cache_dir():
 
 
 def _load_cached(name):
+    """The lines of the cache file name ("<kind>_<n>.g6"), or None when it is
+    missing. One match of graph6_lines_pattern(n) checks the file's format;
+    only a file that fails it is decoded line by line, to name its fault."""
     path = _cache_dir() / name
     if not path.is_file():
         return None
+    n = int(name.removesuffix(".g6").rpartition("_")[2])
     # latin-1 maps each byte to one character, so a byte outside graph6 fails its line
-    lines = path.read_bytes().decode("latin-1").splitlines()
+    text = path.read_bytes().decode("latin-1")
+    lines = text.splitlines()
     if any(a >= b for a, b in zip(lines, lines[1:])):
         raise ValidationError(f"{path}: read lines not in strictly ascending order")
+    if not graph6_lines_pattern(n).fullmatch(text):
+        _refuse(path, lines, n)
+    return lines
+
+
+def _refuse(path, lines, n):
+    """Raise the ValidationError that names the first fault of lines, read from
+    path, that graph6_lines_pattern(n) refuses."""
     graphs = []
     for number, line in enumerate(lines, 1):
         try:
             graphs.append(graph_from_graph6(line))
         except ParseError as exc:
             raise ValidationError(f"{path}: line {number} is not graph6: {exc}") from exc
-    return graphs
+    if any(g.n != n for g in graphs):
+        raise ValidationError(f"{path}: read a graph not on {n} vertices")
+    for number, (line, g) in enumerate(zip(lines, graphs), 1):
+        if line != graph_to_graph6(g):
+            raise ValidationError(f"{path}: line {number} is not in graph6's own form")
+    raise ValidationError(f"{path}: read lines not each ended by one line feed")
 
 
-def _store_cached(name, graphs):
+def _store_cached(name, lines):
     directory = _cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     # a temp file per writer, so concurrent writers never rename each other's
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write("".join(graph_to_graph6(g) + "\n" for g in graphs))
+            f.write("".join(line + "\n" for line in lines))
         os.replace(tmp, directory / name)
     except BaseException:
         os.unlink(tmp)
@@ -137,32 +160,30 @@ def _store_cached(name, graphs):
 
 
 def _corpus(kind, n, build):
-    """The graphs of kind on n vertices: from memory, the disk cache or build(n).
+    """The graph6 lines of kind on n vertices: from memory, the disk cache or
+    build(n).
 
-    A list read or built with other than CLASS_COUNTS[kind][n] classes, or read
-    with a graph not on n vertices, raises ValidationError, and a built one is
-    stored only after that check.
+    A list read or built with other than CLASS_COUNTS[kind][n] classes raises
+    ValidationError, and a built one is stored only after that check.
     """
     check_int("n", n, 1)
     check_cap("corpus", n, len(CLASS_COUNTS[kind]) - 1)
     key = (kind, n)
     if key not in _memory_cache:
         name = f"{kind}_{n}.g6"
-        graphs = _load_cached(name)
-        built = graphs is None
+        lines = _load_cached(name)
+        built = lines is None
         if built:
-            graphs = build(n)
+            lines = build(n)
         expected = CLASS_COUNTS[kind][n]
-        if len(graphs) != expected:
+        if len(lines) != expected:
             raise ValidationError(
-                f"{_cache_dir() / name}: {'built' if built else 'read'} {len(graphs)} "
+                f"{_cache_dir() / name}: {'built' if built else 'read'} {len(lines)} "
                 f"classes of {kind} graphs on {n} vertices, expected {expected}"
             )
         if built:
-            _store_cached(name, graphs)
-        elif any(g.n != n for g in graphs):
-            raise ValidationError(f"{_cache_dir() / name}: read a graph not on {n} vertices")
-        _memory_cache[key] = graphs
+            _store_cached(name, lines)
+        _memory_cache[key] = lines
     return _memory_cache[key]
 
 
@@ -205,34 +226,42 @@ def pool_map(fn, items, workers):
 
 
 def _orderly_extensions(n):
-    """Every class on n vertices, from the canonical classes on n - 1.
+    """The graph6 lines of every class on n vertices, from the canonical
+    classes on n - 1.
 
     From n = 7 on, pool_map splits the classes on n - 1 over a process per
-    core (the n = 6 level takes less time than starting the pool), and the
-    classes are sorted by graph6, so the bytes do not depend on how they ran.
+    core (the n = 6 level takes less time than starting the pool). Each line
+    is written from its canonical form, and the lines are sorted, so the bytes
+    do not depend on how they ran.
     """
     if n == 1:
-        return [Graph(1)]
+        return [columns_to_graph6(1, ())]
     bases = [g.adj_bits for g in all_graphs(n - 1)]
     per_base = pool_map(_extend, bases, len(bases) if n >= 7 else 1)
-    result = [graph_of_columns(n, form[1:]) for forms in per_base for form in forms]
-    result.sort(key=graph_to_graph6)
-    return result
+    return sorted(columns_to_graph6(n, form[1:]) for forms in per_base for form in forms)
+
+
+def _keep_connected(n):
+    lines = _corpus("all", n, _orderly_extensions)
+    return [line for line in lines if is_connected(graph_from_graph6(line))]
 
 
 def all_graphs(n):
-    """All graphs on exactly n vertices, one canonical representative per class."""
-    return _corpus("all", n, _orderly_extensions)
+    """All graphs on exactly n vertices, one canonical representative per
+    class, decoded from the corpus lines on each call."""
+    return [graph_from_graph6(line) for line in _corpus("all", n, _orderly_extensions)]
 
 
 def connected_graphs(n):
-    """All connected graphs on exactly n vertices, up to isomorphism."""
-    return _corpus("connected", n, lambda n: [g for g in all_graphs(n) if is_connected(g)])
+    """All connected graphs on exactly n vertices, up to isomorphism, decoded
+    from the corpus lines on each call."""
+    return [graph_from_graph6(line) for line in _corpus("connected", n, _keep_connected)]
 
 
 def connected_corpus(max_n):
-    """Connected graphs on 1..max_n vertices, smallest first."""
+    """The graph6 lines of the connected graphs on 1..max_n vertices, smallest
+    first, as the cache holds them: a payload takes them with no decode."""
     out = []
     for n in range(1, max_n + 1):
-        out.extend(connected_graphs(n))
+        out.extend(_corpus("connected", n, _keep_connected))
     return out

@@ -161,16 +161,27 @@ class Digraph:
 def graph_of_columns(n, columns):
     """The graph on n vertices whose column j, for j = 1..n-1, is the mask of
     the vertices i < j adjacent to j: graph6's bit order, and a canonical form
-    (n, col_1, ..., col_{n-1}) is (n, *columns)."""
-    edges = []
+    (n, col_1, ..., col_{n-1}) is (n, *columns). Missing last columns are
+    empty. The rows are built directly, since a column rule admits no loop or
+    duplicate edge for the constructor to find."""
+    if not is_int(n) or n < 0:
+        raise ValidationError(f"vertex count must be a non-negative int, got {n!r}")
+    rows = [0] * n
     for j, col in enumerate(columns, 1):
+        if j >= n:
+            raise ValidationError(f"{n} vertices take at most {max(n - 1, 0)} columns")
         if col >> j:
             raise ValidationError(f"column {j} has a vertex at or above {j}")
+        rows[j] = col
+        bit = 1 << j
         while col:
             low = col & -col
-            edges.append((low.bit_length() - 1, j))
+            rows[low.bit_length() - 1] |= bit
             col ^= low
-    return Graph(n, edges)
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj_bits", tuple(rows))
+    return g
 
 
 def induced_subgraph(g, vertices):

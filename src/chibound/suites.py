@@ -204,9 +204,7 @@ def _instances_s2(spec):
     params = _params(spec, max_n=7, random_count=20)
     max_n = check_int("max_n", params["max_n"], 0)
     random_count = check_int("random_count", params["random_count"], 0)
-    tasks = [
-        {"graph6": graph_to_graph6(g)} for g in corpus.connected_corpus(max_n)
-    ]
+    tasks = [{"graph6": line} for line in corpus.connected_corpus(max_n)]
     rng = SplitMix64(spec.seed).split("s2-random")
     for i in range(random_count):
         n = 5 + int(rng.uniform() * 4)
@@ -255,9 +253,7 @@ def _instances_s3(spec):
     max_n = check_int("max_n", params["max_n"], 0)
     ps = [check_int("p", p, 0) for p in _sequence("ps", params["ps"])]
     return [
-        {"graph6": graph_to_graph6(g), "p": p}
-        for p in ps
-        for g in corpus.connected_corpus(max_n)
+        {"graph6": line, "p": p} for p in ps for line in corpus.connected_corpus(max_n)
     ]
 
 
@@ -292,8 +288,7 @@ def _instances_s4(spec):
     }
     tasks = []
     for p, max_n in sorted(limits.items()):
-        for g in corpus.connected_corpus(max_n):
-            tasks.append({"graph6": graph_to_graph6(g), "p": p})
+        tasks.extend({"graph6": line, "p": p} for line in corpus.connected_corpus(max_n))
     return tasks
 
 
@@ -483,10 +478,7 @@ def _instances_s8(spec):
     params = _params(spec, max_n=6, p=2)
     max_n = check_int("max_n", params["max_n"], 0)
     p = check_int("p", params["p"], 1)
-    return [
-        {"graph6": graph_to_graph6(g), "p": p}
-        for g in corpus.connected_corpus(max_n)
-    ]
+    return [{"graph6": line, "p": p} for line in corpus.connected_corpus(max_n)]
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +610,7 @@ def _instances_s11(spec):
     params = _params(spec, max_n=7, random_count=500)
     max_n = check_int("max_n", params["max_n"], 0)
     random_count = check_int("random_count", params["random_count"], 0)
-    tasks = [
-        {"graph6": graph_to_graph6(g)} for g in corpus.connected_corpus(max_n)
-    ]
+    tasks = [{"graph6": line} for line in corpus.connected_corpus(max_n)]
     rng = SplitMix64(spec.seed).split("s11-random")
     for i in range(random_count):
         n = 4 + int(rng.uniform() * 7)

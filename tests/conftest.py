@@ -48,6 +48,15 @@ def record_pools(monkeypatch):
     return pools
 
 
+def connected_corpus_graphs(max_n):
+    """corpus.connected_corpus(max_n) decoded: the connected graphs on
+    1..max_n vertices, smallest first."""
+    from chibound import corpus
+    from chibound.codec import graph_from_graph6
+
+    return [graph_from_graph6(line) for line in corpus.connected_corpus(max_n)]
+
+
 def pytest_configure(config):
     # share one corpus cache across runs without touching the user cache
     if "CHIBOUND_CACHE_DIR" not in os.environ:
@@ -64,6 +73,4 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def small_connected():
-    from chibound import corpus
-
-    return corpus.connected_corpus(6)
+    return connected_corpus_graphs(6)

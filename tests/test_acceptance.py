@@ -22,6 +22,7 @@ from chibound.minors import (
     omega_TM,
 )
 from chibound.suites import SuiteSpec, run_suite
+from conftest import connected_corpus_graphs
 from oracles import naive_chromatic, walk_count_matrix
 
 
@@ -109,7 +110,7 @@ def test_criterion_9_property_suites():
     # exact chromatic number agrees with the naive all-colorings oracle
     mismatch = [
         g
-        for g in corpus.connected_corpus(7)
+        for g in connected_corpus_graphs(7)
         if chromatic_number(g).value != naive_chromatic(g)
     ]
     ok = not mismatch
@@ -119,7 +120,7 @@ def test_criterion_9_property_suites():
     # embeddings re-validate on a corpus sample
     checked = 0
     bad = 0
-    sample = corpus.connected_corpus(7)[::10]
+    sample = connected_corpus_graphs(7)[::10]
     for g in sample:
         k = omega_TM(g, 1)
         emb = find_subdivided_clique(g, k, 1)

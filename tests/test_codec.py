@@ -51,7 +51,8 @@ def test_json_malformed():
 
 
 def test_graph6_parse_errors_carry_offset():
-    with pytest.raises(ParseError) as info:
+    # chr(30) is not ASCII whitespace, so it stays and is read as a byte
+    with pytest.raises(ParseError, match=r"^invalid graph6 byte '\\x1e' \(byte offset 1\)$") as info:
         graph_from_graph6("B" + chr(30))
     assert info.value.offset == 1
     with pytest.raises(ParseError):
@@ -170,6 +171,11 @@ GRAPH6_ERRORS = [
     ("~~??????", "8-byte vertex counts exceed the supported cap of 262143", 0),
     ("~??", "truncated long-form vertex count", 0),
     ("~?!?", "invalid graph6 byte '!'", 2),
+    # the long form of N(n) is for n >= 63 only
+    ("~??Bw", "long-form vertex count 3 is below 63", 0),
+    ("~???", "long-form vertex count 0 is below 63", 0),
+    ("~??}", "long-form vertex count 62 is below 63", 0),
+    ("~??~", "truncated adjacency data: need 326 bytes, have 0", 4),
     ("!", "invalid graph6 byte '!'", 0),
     ("C", "truncated adjacency data: need 1 bytes, have 0", 1),
     ("D?", "truncated adjacency data: need 2 bytes, have 1", 1),
@@ -181,6 +187,12 @@ GRAPH6_ERRORS = [
     ("D?A", "nonzero padding bits", 2),
     ("A`?", "nonzero padding bits", 1),
     ("Bw?", "trailing bytes after adjacency data", 2),
+    # every byte to the end is checked before the padding
+    ("A`!", "invalid graph6 byte '!'", 2),
+    # only ASCII whitespace is stripped
+    ("Bw\x1e", "invalid graph6 byte '\\x1e'", 2),
+    ("\x85Bw\xa0", "invalid graph6 byte '\\x85'", 0),
+    ("Bw\xa0", "invalid graph6 byte '\\xa0'", 2),
     ("@?", "trailing bytes after adjacency data", 1),
     (">>graph6<<C", "truncated adjacency data: need 1 bytes, have 0", 1),
 ]
@@ -191,6 +203,8 @@ DIGRAPH6_ERRORS = [
     ("&", "truncated input: missing vertex count", 1),
     ("&~~??????", "8-byte vertex counts exceed the supported cap of 262143", 1),
     ("&~?", "truncated long-form vertex count", 1),
+    ("&~??AO", "long-form vertex count 2 is below 63", 1),
+    ("&~??}", "long-form vertex count 62 is below 63", 1),
     ("&A", "truncated adjacency data: need 1 bytes, have 0", 2),
     ("&Bo", "truncated adjacency data: need 2 bytes, have 1", 2),
     ("&B!", "truncated adjacency data: need 2 bytes, have 1", 2),
@@ -200,6 +214,8 @@ DIGRAPH6_ERRORS = [
     ("&A`", "nonzero padding bits", 2),
     ("&AP?", "nonzero padding bits", 2),
     ("&AO?", "trailing bytes after adjacency data", 3),
+    ("&AO\x1e", "invalid graph6 byte '\\x1e'", 3),
+    ("\x85&AO", "digraph6 input must start with '&'", 0),
     ("&A_?", "trailing bytes after adjacency data", 3),
     ("&A_", "digraph6 encodes a loop at vertex 0", 2),
     ("&BA?", "digraph6 encodes a loop at vertex 1", 2),

@@ -19,7 +19,7 @@ from chibound.coloring import (
     tree_depth,
     uniform_subdivision_coloring,
 )
-from chibound.corpus import all_graphs, connected_corpus, connected_graphs
+from chibound.corpus import all_graphs, connected_graphs
 from chibound.errors import ParameterError, SizeCapError, ValidationError
 from chibound.generators import (
     SplitMix64,
@@ -33,6 +33,7 @@ from chibound.graphs import Graph, disjoint_union, induced_subgraph, subdivide_e
 from chibound.minors import chi_TM, find_topo_embedding, omega_TM
 from chibound.suites import build_sub_colorings
 from chibound.treedepth import TreedepthSolver
+from conftest import connected_corpus_graphs
 from oracles import naive_chi_p, naive_chromatic, naive_is_star_coloring, naive_star_chromatic
 
 PETERSEN = Graph(
@@ -506,7 +507,7 @@ def test_construction_bytes_are_pinned():
         text = json.dumps(col.to_jsonable(), sort_keys=True, separators=(",", ":"))
         h.update(f"{graph_to_graph6(g)} {name} {p} {text}\n".encode())
 
-    for g in connected_corpus(6):
+    for g in connected_corpus_graphs(6):
         base = chromatic_number(g).certificate
         for p in (2, 3):
             below += base.num_colors < p
@@ -539,10 +540,10 @@ def test_search_runs_are_pinned(monkeypatch):
 
     monkeypatch.setattr(_ColoringSearch, "run", recording_run)
     coloring._search.cache_clear()
-    for g in connected_corpus(6):
+    for g in connected_corpus_graphs(6):
         for p in (1, 2, 3):
             chi_p(g, p)
-    for g in connected_corpus(5):
+    for g in connected_corpus_graphs(5):
         chi_p(subdivide_exact(g, 1), 2, cap=44)
     assert runs == 540
     assert h.hexdigest() == SEARCH_SHA256
@@ -571,7 +572,7 @@ def test_p_4_search_runs_are_pinned(monkeypatch):
 
     monkeypatch.setattr(_ColoringSearch, "run", recording_run)
     coloring._search.cache_clear()
-    for g in connected_corpus(7):
+    for g in connected_corpus_graphs(7):
         chi_p(g, 4)
     assert (runs, refuting) == (474, 41)
     assert h.hexdigest() == SEARCH_P4_SHA256

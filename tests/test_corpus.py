@@ -269,21 +269,53 @@ def test_cache_file_that_is_not_text_is_refused(tmp_path, monkeypatch):
         corpus._memory_cache.clear()
 
 
-def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
-    graphs = corpus.all_graphs(4)
-    encode = corpus.graph_to_graph6
-    encoded = []
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        # every line decodes and re-encodes to itself, so only the ends are wrong
+        (lambda lines: [line[:-1] + "\r\n" for line in lines], "read lines not each ended by one line feed"),
+        (lambda lines: [line[:-1] + "\r" for line in lines], "read lines not each ended by one line feed"),
+        (lambda lines: lines[:-1] + [lines[-1][:-1]], "read lines not each ended by one line feed"),
+        # "C~ " sorts after "C~" (K_4) and reads as K_4, whose graph6 is "C~"
+        (lambda lines: lines[:-1] + ["C~ \n"], "line 11 is not in graph6's own form"),
+        (lambda lines: [">>graph6<<" + lines[0]] + lines[1:], "line 1 is not in graph6's own form"),
+    ],
+    ids=["crlf", "cr", "no-final-lf", "trailing-space", "header"],
+)
+def test_cache_file_of_lines_that_decode_but_are_not_their_graph6_is_refused(
+    tmp_path, monkeypatch, edit, message
+):
+    _rewrite_cache_file(tmp_path, monkeypatch, edit)
+    try:
+        with pytest.raises(ValidationError, match=rf"all_4\.g6: {message}$"):
+            corpus.all_graphs(4)
+    finally:
+        corpus._memory_cache.clear()
 
-    def failing(g):
-        if len(encoded) == 5:
+
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    lines = [graph_to_graph6(g) for g in corpus.all_graphs(4)]
+    fdopen = os.fdopen
+
+    class FullDisk:
+        """The temp file, opened as before, whose every write fails."""
+
+        def __init__(self, fd, mode):
+            self.file = fdopen(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, text):
             raise OSError("disk full")
-        encoded.append(g)
-        return encode(g)
 
     monkeypatch.setenv("CHIBOUND_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(corpus, "graph_to_graph6", failing)
+    monkeypatch.setattr(corpus.os, "fdopen", FullDisk)
     with pytest.raises(OSError, match="disk full"):
-        corpus._store_cached("all_4.g6", graphs)
+        corpus._store_cached("all_4.g6", lines)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -355,20 +387,20 @@ def test_cache_writers_leave_other_temp_files_alone(tmp_path, monkeypatch):
     assert names == ["all_1.g6", "all_2.g6", "all_3.g6", "all_3.g6.tmp"]
 
 
-def _store_many(directory, graphs, times, go):
+def _store_many(directory, lines, times, go):
     os.environ["CHIBOUND_CACHE_DIR"] = directory
     go.wait(60)
     for _ in range(times):
-        corpus._store_cached("race.g6", graphs)
+        corpus._store_cached("race.g6", lines)
 
 
 def test_concurrent_cache_writers_do_not_collide(tmp_path):
     # more writer processes than cores, all replacing the same cache file
-    graphs = corpus.all_graphs(4)
+    lines = [graph_to_graph6(g) for g in corpus.all_graphs(4)]
     ctx = multiprocessing.get_context("spawn")
     go = ctx.Event()
     workers = [
-        ctx.Process(target=_store_many, args=(str(tmp_path), graphs, 200, go))
+        ctx.Process(target=_store_many, args=(str(tmp_path), lines, 200, go))
         for _ in range(3)
     ]
     try:
@@ -383,7 +415,7 @@ def test_concurrent_cache_writers_do_not_collide(tmp_path):
             if w.is_alive():
                 w.kill()
     assert os.listdir(tmp_path) == ["race.g6"]
-    expected = "".join(graph_to_graph6(g) + "\n" for g in graphs)
+    expected = "".join(line + "\n" for line in lines)
     assert (tmp_path / "race.g6").read_text() == expected
 
 

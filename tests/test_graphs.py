@@ -86,6 +86,14 @@ def test_graph_of_columns_reads_graph6_bit_order():
     assert graph_of_columns(0, []) == Graph(0) and graph_of_columns(1, []) == Graph(1)
     with pytest.raises(ValidationError, match="^column 2 has a vertex at or above 2$"):
         graph_of_columns(3, [1, 0b100])
+    # an empty extra column adds no edge, and is refused all the same
+    with pytest.raises(ValidationError, match="^3 vertices take at most 2 columns$"):
+        graph_of_columns(3, [1, 0b11, 0])
+    with pytest.raises(ValidationError, match="^0 vertices take at most 0 columns$"):
+        graph_of_columns(0, [0])
+    with pytest.raises(ValidationError, match="^vertex count must be a non-negative int"):
+        graph_of_columns(-1, [])
+    assert graph_of_columns(3, [1]) == Graph(3, [(0, 1)])
 
 
 def test_blow_up():

@@ -13,6 +13,7 @@ from chibound.holes import (
     verify_hole_density,
 )
 from chibound.invariants import clique_number
+from conftest import connected_corpus_graphs
 from oracles import canonical_cycle, naive_holes
 
 
@@ -96,10 +97,8 @@ def test_canonical_cycle_normalizes_rotation_and_reflection():
 
 
 def test_enumerated_holes_are_already_least_rotations():
-    from chibound import corpus
-
     rng = SplitMix64(12)
-    graphs = corpus.connected_corpus(7) + [random_gnp(12, 0.3, rng) for _ in range(40)]
+    graphs = connected_corpus_graphs(7) + [random_gnp(12, 0.3, rng) for _ in range(40)]
     seen = 0
     for g in graphs:
         for hole in enumerate_holes(g, g.n):
@@ -118,11 +117,9 @@ def test_density_ratio_survey_reports():
     # even-hole-free graphs, with the blown-up-cycle family as the yardstick
     from fractions import Fraction
 
-    from chibound import corpus
-
     worst = Fraction(0)
     surveyed = 0
-    for g in corpus.connected_corpus(7):
+    for g in connected_corpus_graphs(7):
         free, _ = is_even_hole_free(g)
         if not free:
             continue

@@ -6,7 +6,6 @@ import pytest
 
 from chibound.certify import validate_biclique, validate_clique, validate_degeneracy_order
 from chibound.codec import graph_to_graph6
-from chibound.corpus import connected_corpus
 from chibound.errors import SizeCapError
 from chibound.generators import (
     SplitMix64,
@@ -25,6 +24,7 @@ from chibound.invariants import (
     degeneracy,
     max_degree,
 )
+from conftest import connected_corpus_graphs
 from oracles import naive_max_biclique, naive_max_clique
 
 
@@ -90,7 +90,7 @@ BICLIQUES_SHA256 = "109fa16e0d40579f5233b92795ba8cb20eef8e373a555595498e04a118dd
 
 def test_biclique_certificates_are_pinned():
     h = hashlib.sha256()
-    graphs = connected_corpus(7)
+    graphs = connected_corpus_graphs(7)
     for g in graphs:
         text = json.dumps(biclique_number(g).to_jsonable(), sort_keys=True, separators=(",", ":"))
         h.update(f"{graph_to_graph6(g)} {text}\n".encode())

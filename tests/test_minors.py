@@ -23,6 +23,7 @@ from chibound.minors import (
     is_induced_exact_subdivision,
     omega_TM,
 )
+from conftest import connected_corpus_graphs
 from oracles import are_isomorphic
 
 
@@ -79,7 +80,7 @@ def test_itm_embeddings_are_pinned():
     h = hashlib.sha256()
     patterns = [p for n in range(1, 5) for p in corpus.all_graphs(n)]
     count = found = 0
-    for g in corpus.connected_corpus(7)[::7]:
+    for g in connected_corpus_graphs(7)[::7]:
         for pattern in patterns:
             for r in range(2):
                 emb = is_induced_exact_subdivision(pattern, r, g)

@@ -11,6 +11,7 @@ from chibound.certify import (
     validate_topo_embedding,
 )
 from chibound.codec import (
+    graph6_lines_pattern,
     graph_from_graph6,
     graph_to_graph6,
     parse_graph,
@@ -27,6 +28,7 @@ from chibound.coloring import (
     tree_depth_at_most,
 )
 from chibound.corpus import canonical_form
+from chibound.errors import ParseError
 from chibound.generators import complete, cycle
 from chibound.graphs import (
     Digraph,
@@ -36,6 +38,7 @@ from chibound.graphs import (
     component_masks,
     disjoint_union,
     distance_balls,
+    graph_of_columns,
     induced_subgraph,
     orientations,
     shortest_cycle,
@@ -169,6 +172,52 @@ def test_walk_layers_match_the_oracles(case, data):
 def test_codec_roundtrip(g):
     assert graph_from_graph6(graph_to_graph6(g)) == g
     assert parse_graph(serialize_graph(g, "json")) == g
+
+
+@st.composite
+def graph6_lines(draw, n):
+    """The graph6 of a graph on n vertices, as it is or with one fault: a byte
+    changed, padding bits set, a wrong or long-form N(n), or a trailing
+    carriage return or space."""
+    pairs = n * (n - 1) // 2
+    mask = draw(st.integers(min_value=0, max_value=(1 << pairs) - 1))
+    columns = [(mask >> (j * (j - 1) // 2)) & ((1 << j) - 1) for j in range(1, n)]
+    line = graph_to_graph6(graph_of_columns(n, columns))
+    if draw(st.booleans()):
+        return line
+    fault = draw(st.sampled_from(["byte", "padding", "count", "long", "tail"]))
+    if fault == "byte":
+        i = draw(st.integers(min_value=0, max_value=len(line) - 1))
+        line = line[:i] + draw(st.characters(max_codepoint=255)) + line[i + 1 :]
+    elif fault == "padding":
+        pad = (-pairs) % 6
+        if pad:
+            raised = draw(st.integers(min_value=1, max_value=(1 << pad) - 1))
+            line = line[:-1] + chr(63 + ((ord(line[-1]) - 63) | raised))
+    elif fault == "count":
+        line = chr(63 + draw(st.integers(min_value=0, max_value=62))) + line[1:]
+    elif fault == "long":
+        line = "~??" + line
+    elif fault == "tail":
+        line += draw(st.sampled_from(["\r", " "]))
+    return line
+
+
+def _round_trips_on(line, n):
+    try:
+        g = graph_from_graph6(line)
+    except ParseError:
+        return False
+    return g.n == n and graph_to_graph6(g) == line
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=9), st.data())
+def test_graph6_lines_pattern_accepts_exactly_the_round_tripping_files(n, data):
+    text = "".join(line + "\n" for line in data.draw(st.lists(graph6_lines(n), max_size=4)))
+    # a changed byte may be a line feed, which splits its line in two
+    expected = all(_round_trips_on(line, n) for line in text.split("\n")[:-1])
+    assert (graph6_lines_pattern(n).fullmatch(text) is not None) == expected
 
 
 @common

@@ -51,6 +51,40 @@ def test_seed0_reports_match_recorded_digests():
         assert report_digest(report) == expected[claim], claim
 
 
+def test_corpus_payloads_are_the_cache_lines(monkeypatch):
+    # the seed-0 corpus instances read the cache's graph6 lines and carry them
+    # as they are: no graph is decoded and no line is written again
+    from chibound import codec, corpus, graphs
+
+    corpus.connected_corpus(8)  # the disk cache, warm
+    corpus._memory_cache.clear()
+    decoded = []
+
+    def recording(n, columns):
+        decoded.append(n)
+        return graphs.graph_of_columns(n, columns)
+
+    monkeypatch.setattr(codec, "graph_of_columns", recording)
+    tasks = {
+        claim: SUITES[claim][2](SuiteSpec(claim=claim))
+        for claim in ("S2", "S3", "S4", "S8", "S11")
+    }
+    assert decoded == []
+    cached = {id(line) for lines in corpus._memory_cache.values() for line in lines}
+    directory = corpus._cache_dir()
+    on_disk = {
+        line
+        for n in range(1, 9)
+        for line in (directory / f"connected_{n}.g6").read_text().splitlines()
+    }
+    for claim, claim_tasks in tasks.items():
+        # the random instances of S2 and S11 carry params
+        lines = [t["graph6"] for t in claim_tasks if "params" not in t]
+        assert lines, claim
+        assert all(id(line) in cached for line in lines), claim
+        assert set(lines) <= on_disk, claim
+
+
 def test_worker_pool_is_capped_by_the_cores(monkeypatch):
     pools = record_pools(monkeypatch)
     report = run_suite(SuiteSpec(claim="S1", jobs=10_000))
