@@ -243,3 +243,38 @@ def test_embedding_bytes_are_pinned():
                     found += emb is not None
     assert (count, found) == (996 * 12, 9683)
     assert h.hexdigest() == EMBEDDINGS_SHA256
+
+
+# the router's witnesses past the reach of EMBEDDINGS_SHA256: 8-vertex hosts,
+# two cubic hosts of 10 and 14 vertices, K_5 and depth 3
+WIDE_EMBEDDINGS_SHA256 = "bfa6e59ad462c8a6b410414f52633c8cb7ab7ba0ededdddf64952980eacbc42b"
+
+
+def test_wide_embedding_bytes_are_pinned():
+    pairs = list(combinations(range(5), 2))
+    petersen = Graph(
+        10, [(i, j) for i, j in combinations(range(10), 2) if not set(pairs[i]) & set(pairs[j])]
+    )
+    # the incidence graph of the Fano plane, whose lines are {l, l + 1, l + 3} mod 7
+    heawood = Graph(14, [(p, 7 + l) for l in range(7) for p in (l, (l + 1) % 7, (l + 3) % 7)])
+    hosts = connected_graphs(8)[::30] + [petersen, heawood]
+    patterns = [
+        ("K3", complete(3)),
+        ("C4", cycle(4)),
+        ("C5", cycle(5)),
+        ("K4", complete(4)),
+        ("K5", complete(5)),
+    ]
+    h = hashlib.sha256()
+    count = found = 0
+    for g in hosts:
+        for name, pattern in patterns:
+            for r in (1, 2, 3):
+                emb = find_topo_embedding(pattern, g, r)
+                data = None if emb is None else emb.to_jsonable()
+                text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+                h.update(f"{graph_to_graph6(g)} {name} {r} {text}\n".encode())
+                count += 1
+                found += emb is not None
+    assert (count, found) == (373 * 15, 4628)
+    assert h.hexdigest() == WIDE_EMBEDDINGS_SHA256
