@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from string import whitespace
 
 from .certify import validate_homomorphism
 from .codec import (
@@ -51,7 +52,7 @@ def _read_input(path):
         if path == "-":
             return sys.stdin.read()
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -180,8 +181,7 @@ def _cmd_holes(args):
 
 
 def _read_digraph_or_graph(path):
-    text = _read_input(path)
-    stripped = text.strip()
+    stripped = _read_input(path).strip(whitespace)
     if stripped.startswith("{"):
         if "arcs" in _load_json(stripped):
             return parse_digraph(stripped)
@@ -213,8 +213,10 @@ def _cmd_dual_verify(args):
     f = _read_digraph_or_graph(args.f)
     d = _read_digraph_or_graph(args.d)
     samples = []
-    for line in _read_input(args.samples).splitlines():
-        line = line.strip()
+    # string.whitespace is the ASCII whitespace the codec strips; only "\n"
+    # ends a line
+    for line in _read_input(args.samples).split("\n"):
+        line = line.strip(whitespace)
         if line:
             samples.append(parse_digraph(line))
     report = verify_restricted_dual(f, d, samples)

@@ -6,14 +6,16 @@ edges to internally disjoint paths with at most r internal vertices. The
 induced variant demands exactly r internal vertices per path and that the
 embedded subdivision appear with no extra edges.
 
-find_topo_embedding places branch vertices on bitmasks. The candidates for a
+find_topo_embedding runs on bit masks throughout. The candidates for a
 pattern vertex are the unused host vertices of large enough degree inside the
 distance-(r + 1) balls around its placed neighbours' images, tried in
-ascending order. It reads the degree masks, neighbour tuples and one ball
-table per radius of the host's one coloring search (coloring._search), each
-table built on its first read and shared by every pattern tried on that host;
-a climb that stops before any placement builds none. omega_TM, chi_TM (one
-climb, _climb) and is_induced_exact_subdivision read the same search.
+ascending order; the router keeps one mask of the branch images and routed
+interiors, and depth 1 matches middle vertices over candidate masks. It reads
+the degree masks, neighbour tuples and one ball table per radius of the
+host's one coloring search (coloring._search), each table built on its first
+read and shared by every pattern tried on that host; a climb that stops
+before any placement builds none. omega_TM, chi_TM (one climb, _climb) and
+is_induced_exact_subdivision read the same search.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import check_cap, check_int
 from .generators import complete, cycle
 from .graphs import (
     Graph,
-    bits,
     subdivide_exact,
     subdivision_internal_vertices,
 )
@@ -49,19 +50,19 @@ class TopoMinorEmbedding:
 
 
 def _paths_up_to(nbrs, source, target, max_edges, blocked):
-    """All simple source->target paths with <= max_edges edges avoiding `blocked`
-    interiors, shortest first, deterministic order; nbrs[v] lists v's neighbours
-    in ascending order."""
+    """All simple source->target paths with <= max_edges edges whose interiors
+    avoid the mask `blocked`, shortest first, then ascending vertex tuples;
+    nbrs[v] lists v's neighbours in ascending order."""
     results = []
 
-    def walk(pathv, used):
-        for nxt in nbrs[pathv[-1]]:
+    def walk(path, seen):
+        for nxt in nbrs[path[-1]]:
             if nxt == target:
-                results.append(tuple(pathv) + (target,))
-            elif nxt not in used and nxt not in blocked and len(pathv) < max_edges:
-                walk(pathv + [nxt], used | {nxt})
+                results.append(path + (target,))
+            elif not seen >> nxt & 1 and len(path) < max_edges:
+                walk(path + (nxt,), seen | 1 << nxt)
 
-    walk([source], {source})
+    walk((source,), blocked | 1 << source)
     results.sort(key=lambda p: (len(p), p))
     return results
 
@@ -83,20 +84,21 @@ def find_topo_embedding(pattern, g, r):
     # a complete pattern is vertex-transitive: fix ascending branch images
     symmetric = all(d == h.n - 1 for d in hdeg)
 
-    branch = {}
+    branch = [-1] * h.n  # pattern vertex -> host image, -1 while unplaced
+    paths = [None] * len(edges)
 
     def place(idx, used):
         # used: the mask of the branch images
         if idx == len(order):
             if r == 1:
                 return _route_depth1(g.adj_bits, edges, branch, used)
-            return route(0, frozenset(branch.values()), {})
+            return dict(zip(edges, paths)) if route(0, used) else None
         v = order[idx]
         cands = at_least[hdeg[v]] & ~used
         if symmetric:
             cands &= -1 << used.bit_length()
         for w in pattern_nbrs[v]:
-            if w in branch:
+            if branch[w] >= 0:
                 cands &= far[branch[w]]
         while cands:
             low = cands & -cands
@@ -105,32 +107,25 @@ def find_topo_embedding(pattern, g, r):
             result = place(idx + 1, used | low)
             if result is not None:
                 return result
-            del branch[v]
+        branch[v] = -1
         return None
 
-    def route(eidx, used, paths):
+    def route(eidx, used):
+        # used: the mask of the branch images and the routed interiors, which
+        # every new path keeps out of its own interior
         if eidx == len(edges):
-            return dict(paths)
+            return True
         u, v = edges[eidx]
-        su, sv = branch[u], branch[v]
-        # used holds the branch images and the routed interiors, which every
-        # new path keeps out of its own interior
-        for p in _paths_up_to(search.nbrs, su, sv, r + 1, used - {su, sv}):
-            paths[(u, v)] = p
-            result = route(eidx + 1, used.union(p[1:-1]), paths)
-            if result is not None:
-                return result
-            del paths[(u, v)]
-        return None
+        for p in _paths_up_to(search.nbrs, branch[u], branch[v], r + 1, used):
+            paths[eidx] = p
+            if route(eidx + 1, used | sum(1 << x for x in p[1:-1])):
+                return True
+        return False
 
     found = place(0, 0)
     if found is None:
         return None
-    return TopoMinorEmbedding(
-        pattern=h,
-        branch_map=tuple(branch[v] for v in range(h.n)),
-        paths=found,
-    )
+    return TopoMinorEmbedding(pattern=h, branch_map=tuple(branch), paths=found)
 
 
 def _route_depth1(rows, edges, branch, used):
@@ -139,37 +134,34 @@ def _route_depth1(rows, edges, branch, used):
     no interior vertex), every other pattern edge needs its own middle vertex,
     which is a bipartite matching problem."""
     paths = {}
-    need = []
+    need = {}  # pattern edge -> the mask of its candidate middles
     for u, v in edges:
         su, sv = branch[u], branch[v]
         if rows[su] >> sv & 1:
             paths[(u, v)] = (su, sv)
         else:
-            cands = list(bits(rows[su] & rows[sv] & ~used))
-            if not cands:
+            need[(u, v)] = rows[su] & rows[sv] & ~used
+            if not need[(u, v)]:
                 return None
-            need.append(((u, v), cands))
-    need.sort(key=lambda t: (len(t[1]), t[0]))
-    middle_of = {}
-    edge_owner = {}
+    owner = {}  # middle vertex -> the pattern edge it serves
 
-    def augment(idx, visited):
-        for w in need[idx][1]:
-            if w in visited:
-                continue
-            visited.add(w)
-            if w not in edge_owner or augment(edge_owner[w], visited):
-                edge_owner[w] = idx
-                middle_of[idx] = w
+    def augment(edge):
+        nonlocal visited
+        while free := need[edge] & ~visited:
+            low = free & -free
+            visited |= low
+            w = low.bit_length() - 1
+            if w not in owner or augment(owner[w]):
+                owner[w] = edge
                 return True
         return False
 
-    for idx in range(len(need)):
-        if not augment(idx, set()):
+    for edge in sorted(need, key=lambda e: (need[e].bit_count(), e)):
+        visited = 0  # the middles this augmenting search has tried
+        if not augment(edge):
             return None
-    for idx, (edge, _cands) in enumerate(need):
-        u, v = edge
-        paths[edge] = (branch[u], middle_of[idx], branch[v])
+    for w, (u, v) in owner.items():
+        paths[(u, v)] = (branch[u], w, branch[v])
     return paths
 
 
@@ -316,12 +308,12 @@ def chi_TM(g, r):
 
     Climbs chromatic levels from chi(g): level c is reachable iff some
     edge-critical c-chromatic pattern embeds, because TM membership is closed
-    under pattern subgraphs. Level c tries the patterns of up to
-    g.n - c + chi(g) vertices, and from level 4 on they come from
-    critical_patterns, whose catalogue is capped at 8 vertices. So a climb
-    that asks for a level c >= 4 on a host with g.n - c + chi(g) > 8 raises
-    SizeCapError (critical_catalogue) long before the tm_host cap of 40: the
-    Petersen graph does at r = 1.
+    under pattern subgraphs. Level c tries the critical_patterns of up to
+    g.n - c + chi(g) vertices, smallest first, and stops at the first that
+    embeds. From level 4 on the catalogue is capped at 8 vertices, so only a
+    level c >= 4 that no pattern of up to 8 vertices reaches, on a host with
+    g.n - c + chi(g) > 8, raises SizeCapError (critical_catalogue): the
+    Petersen graph does at r = 0, while at r = 1 it answers 4 from K_4.
     """
     check_int("r", r, 0)
     check_cap("tm_host", g.n)
@@ -329,10 +321,14 @@ def chi_TM(g, r):
 
     def reached(c):
         # reaching level c needs at least c - host_chi subdivided edges, each
-        # eating a distinct interior vertex, which bounds |H|
+        # eating a distinct interior vertex, which bounds |H|; each size takes
+        # its own patterns, so a size past the catalogue is asked for only
+        # once every smaller pattern misses
         return any(
             find_topo_embedding(h, g, r) is not None
-            for h in critical_patterns(c, g.n - c + host_chi)
+            for size in range(c, g.n - c + host_chi + 1)
+            for h in critical_patterns(c, size)
+            if h.n == size
         )
 
     return _climb(g, host_chi, reached)

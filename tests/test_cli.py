@@ -259,6 +259,56 @@ def test_dual_verify_command(tmp_path, capsys):
     assert json.loads(out)["verdict"] is True
 
 
+@pytest.mark.parametrize("command", ["invariant", "hom", "dual-verify"])
+def test_input_that_is_not_utf8_exits_4(tmp_path, capsys, command):
+    # 0x85 starts no UTF-8 sequence: an input error, not a claim failure
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"\x85Bw\n")
+    good = tmp_path / "arc.d6"
+    good.write_text("&AO\n")
+    argv = {
+        "invariant": ["invariant", str(bad)],
+        "hom": ["hom", str(bad), str(good)],
+        "dual-verify": ["dual-verify", "--f", str(good), "--d", str(good), "--samples", str(bad)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_IO
+    assert out == "" and err.startswith(f"input error: cannot read {bad}: ")
+
+
+def test_hom_strips_only_ascii_whitespace(tmp_path, capsys):
+    # U+0085 is whitespace to str.strip, but no graph6 or digraph6 byte
+    arc = tmp_path / "arc.d6"
+    arc.write_text("&BP_ \n", encoding="utf-8")
+    code, _, _ = run_cli(capsys, "hom", str(arc), str(arc))
+    assert code == EXIT_OK
+    for text in ("\u0085&BP_ \n", "\u0085Bw \n"):
+        arc.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "hom", str(arc), str(arc))
+        assert code == EXIT_IO and err.startswith("input error: ")
+        code, _, _ = run_cli(capsys, "invariant", str(arc))
+        assert code == EXIT_IO
+
+
+def test_dual_verify_splits_samples_at_newlines_only(tmp_path, capsys):
+    f = tmp_path / "f.d6"
+    d = tmp_path / "d.d6"
+    samples = tmp_path / "samples.d6"
+    f.write_text("&BP_\n")
+    d.write_text("&AO\n")
+    # CR LF line ends still read as two samples
+    samples.write_text("&AO\r\n&A?\r\n", encoding="utf-8", newline="")
+    code, out, _ = run_cli(capsys, "dual-verify", "--f", str(f), "--d", str(d),
+                           "--samples", str(samples))
+    assert code == EXIT_OK
+    assert len(json.loads(out)["samples"]) == 2
+    # U+0085 and U+2028 end lines for str.splitlines, but not for the codec
+    samples.write_text("\x85&AO\u2028&A?\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "dual-verify", "--f", str(f), "--d", str(d),
+                           "--samples", str(samples))
+    assert code == EXIT_IO and err.startswith("input error: ")
+
+
 def test_verify_writes_reports(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "S7", "--out", str(tmp_path))
     assert code == EXIT_OK

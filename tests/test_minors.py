@@ -140,15 +140,18 @@ def test_chi_tm():
 def test_chi_tm_past_level_three_is_capped_by_the_catalogue():
     # Petersen, the Kneser graph K(5, 2), is 3-chromatic and 3-regular, so the
     # climb asks for level 4, whose patterns may have 10 - 4 + 3 = 9 vertices:
-    # one past the critical_catalogue cap, far inside the tm_host cap
+    # one past the critical_catalogue cap, far inside the tm_host cap. At
+    # r = 1 a 1-subdivided K_4 embeds, so the climb stops before 9 vertices;
+    # at r = 0 no pattern of up to 8 vertices embeds, so it needs the ninth
     pairs = list(combinations(range(5), 2))
     petersen = Graph(
         10, [(i, j) for i, j in combinations(range(10), 2) if not set(pairs[i]) & set(pairs[j])]
     )
+    assert chi_TM(petersen, 1) == 4
     with pytest.raises(
         SizeCapError, match=r"^critical_catalogue is capped at 8 vertices, got 9$"
     ):
-        chi_TM(petersen, 1)
+        chi_TM(petersen, 0)
 
 
 def test_chi_tm_depth_zero_is_chromatic(small_connected):
