@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     acyclic_orientation,
     blow_up,
-    connected_components,
     disjoint_union,
     induced_subgraph,
     is_connected,
@@ -70,7 +69,6 @@ from .minors import (
     omega_TM,
 )
 from .holes import (
-    Hole,
     count_holes,
     enumerate_holes,
     is_even_hole_free,
@@ -78,7 +76,6 @@ from .holes import (
 )
 from .homomorphism import (
     DualityReport,
-    HomMapping,
     homomorphism,
     symmetric_digraph,
     transitive_tournament,

@@ -3,10 +3,13 @@ its definition and imports no engine, only errors and graphs, so it shares no
 search code with the solver it checks.
 
 Each validator returns (True, None) or (False, reason); validate_coloring's
-reason is a witness naming the violating edge or color subset.
-validate_coloring checks every union of 2..p classes by one definitional rule,
-`_td_at_most`, which shares no code with the tree-depth engine or the search
-it checks. validate_chi_lower_bound checks the lower-bound witness of
+reason is a witness naming the violating edge or color subset. Certificates
+are plain values, as a solver builds them or as JSON gives them back: a vertex
+sequence (a clique, a hole, a homomorphism's images, a degeneracy order) is a
+tuple or a list, and any other shape is refused with a reason. A Coloring
+states its depth once: with p None only its edges are checked, else every
+union of 2..p classes, by one definitional rule, `_td_at_most`, which shares
+no code with the tree-depth engine or the search it checks. validate_chi_lower_bound checks the lower-bound witness of
 chromatic_number: a clique of the claimed size, or a vertex set whose induced
 subgraph has no (value - 1)-coloring, decided with no search at all by
 inclusion-exclusion over independent sets (Bjorklund, Husfeldt and Koivisto,
@@ -21,8 +24,15 @@ from .errors import ValidationError, check_cap, is_int
 from .graphs import bits, component_masks, induced_subgraph
 
 
+# the shapes of a vertex sequence: a solver's tuple, or the list JSON gives back
+_SEQUENCE = (tuple, list)
+
+
 def _non_vertex(g, verts):
-    """The reason naming the first of verts that is not a vertex of g, or None."""
+    """The reason when verts is not a vertex sequence or names a value that is
+    not a vertex of g (the first such), or None."""
+    if not isinstance(verts, _SEQUENCE):
+        return f"{verts!r} is not a vertex sequence"
     for v in verts:
         if not g.has_vertex(v):
             return f"{v!r} is not a vertex"
@@ -34,8 +44,8 @@ def _check_structure(g, coloring):
         raise ValidationError("assignment must cover every vertex")
     if not all(map(is_int, coloring.assignment)):
         raise ValidationError("colors must be ints")
-    if coloring.p is not None and not is_int(coloring.p):
-        raise ValidationError(f"p must be an int, got {coloring.p!r}")
+    if coloring.p is not None and not (is_int(coloring.p) and coloring.p >= 1):
+        raise ValidationError(f"p must be an int >= 1, got {coloring.p!r}")
     if not is_int(coloring.num_colors):
         raise ValidationError(f"num_colors must be an int, got {coloring.num_colors!r}")
     if set(coloring.assignment) != set(range(coloring.num_colors)):
@@ -50,7 +60,8 @@ def _first_monochromatic_edge(g, colors):
 
 
 def validate_coloring(g, coloring):
-    """Check a coloring against its declared kind.
+    """Check a coloring against its depth p: its edges when p is None, else
+    every union of at most p classes.
 
     Returns (True, None) or (False, witness); the witness names the violating
     edge or color subset.
@@ -60,13 +71,9 @@ def validate_coloring(g, coloring):
     edge = _first_monochromatic_edge(g, colors)
     if edge is not None:
         return False, ("monochromatic_edge", edge)
-    if coloring.kind == "proper":
-        return True, None
-    if coloring.kind != "chi_p":
-        raise ValidationError(f"unknown coloring kind {coloring.kind!r}")
     p = coloring.p
-    if p is None or p < 1:
-        raise ValidationError("chi_p coloring needs its parameter p")
+    if p is None:
+        return True, None
     masks = [0] * coloring.num_colors
     for v, c in enumerate(colors):
         masks[c] |= 1 << v
@@ -105,6 +112,9 @@ def validate_chi_lower_bound(g, witness, value):
     """Check chromatic_number's lower-bound witness for chi(g) >= value:
     ("clique", verts) of exactly value vertices, or ("critical_subgraph",
     verts) whose induced subgraph has no (value - 1)-coloring."""
+    pair = isinstance(witness, _SEQUENCE) and len(witness) == 2
+    if not (pair and isinstance(witness[1], _SEQUENCE)):
+        return False, f"witness {witness!r} is not a (kind, vertices) pair"
     kind, verts = witness
     if not is_int(value):
         return False, f"claimed value {value!r} is not an int"
@@ -181,8 +191,7 @@ def validate_elimination_forest(g, forest, claimed_height=None):
     return True, None
 
 
-def validate_clique(g, vertices):
-    verts = list(vertices)
+def validate_clique(g, verts):
     if reason := _non_vertex(g, verts):
         return False, reason
     if len(set(verts)) != len(verts):
@@ -195,8 +204,10 @@ def validate_clique(g, vertices):
 
 
 def validate_biclique(g, pair):
+    if not (isinstance(pair, _SEQUENCE) and len(pair) == 2):
+        return False, f"{pair!r} is not a pair of sides"
     a, b = pair
-    if reason := _non_vertex(g, (*a, *b)):
+    if reason := _non_vertex(g, a) or _non_vertex(g, b):
         return False, reason
     if set(a) & set(b):
         return False, "sides are not disjoint"
@@ -214,7 +225,7 @@ def validate_biclique(g, pair):
 def validate_degeneracy_order(g, value, order):
     if not is_int(value):
         return False, f"claimed value {value!r} is not an int"
-    if not all(g.has_vertex(v) for v in order) or sorted(order) != list(range(g.n)):
+    if _non_vertex(g, order) or sorted(order) != list(range(g.n)):
         return False, "order is not a vertex permutation"
     seen = 0
     worst = 0
@@ -278,8 +289,8 @@ def validate_topo_embedding(g, emb, r, exact=False, induced=False):
     return True, None
 
 
-def validate_hole(g, hole):
-    vs = hole.vertices
+def validate_hole(g, vs):
+    """Check a hole given as its vertex sequence in cycle order."""
     if reason := _non_vertex(g, vs):
         return False, reason
     if len(vs) < 4 or len(set(vs)) != len(vs):
@@ -296,9 +307,10 @@ def validate_hole(g, hole):
     return True, None
 
 
-def validate_homomorphism(f, g, hom):
-    m = hom.mapping
-    if len(m) != f.n or not all(g.has_vertex(x) for x in m):
+def validate_homomorphism(f, g, m):
+    """Check a homomorphism f -> g given as its image sequence, m[v] the image
+    of v."""
+    if _non_vertex(g, m) or len(m) != f.n:
         return False, "mapping is not a function into the target"
     for u, v in f.sorted_arcs():
         if not g.has_arc(m[u], m[v]):

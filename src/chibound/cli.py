@@ -168,12 +168,12 @@ def _cmd_holes(args):
     payload = {
         "input": serialize_graph(g),
         "max_len": max_len,
-        "holes": [h.to_jsonable() for h in holes],
+        "holes": [list(h) for h in holes],
         "counts_by_length": {str(k): v for k, v in sorted(counts.items())},
         "even_hole_free": ehf,
     }
     if witness is not None:
-        payload["even_hole_witness"] = witness.to_jsonable()
+        payload["even_hole_witness"] = list(witness)
     if args.length is not None:
         payload["count_at_length"] = count_holes(g, args.length)
     _emit_json(payload, args.out)
@@ -203,7 +203,7 @@ def _cmd_hom(args):
         "source": serialize_digraph(f),
         "target": serialize_digraph(g),
         "exists": mapping is not None,
-        "mapping": None if mapping is None else mapping.to_jsonable(),
+        "mapping": None if mapping is None else list(mapping),
     }
     _emit_json(payload, args.out)
     return EXIT_OK
@@ -213,8 +213,7 @@ def _cmd_dual_verify(args):
     f = _read_digraph_or_graph(args.f)
     d = _read_digraph_or_graph(args.d)
     samples = []
-    # string.whitespace is the ASCII whitespace the codec strips; only "\n"
-    # ends a line
+    # only "\n" ends a line
     for line in _read_input(args.samples).split("\n"):
         line = line.strip(whitespace)
         if line:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from string import whitespace
 
 from .errors import ParseError, ValidationError, check_cap, is_int
 from .graphs import Digraph, Graph, bits, graph_of_columns
@@ -24,7 +25,6 @@ _MAX_LONG_N = (1 << 18) - 1
 # six stream bits, the first lowest, to their character (the first highest), and back
 _CHAR = [chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64)]
 _SIX = {c: v for v, c in enumerate(_CHAR)}
-_ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 
 def _encode_n(n):
@@ -132,7 +132,7 @@ def graph6_lines_pattern(n):
 
 
 def graph_from_graph6(text):
-    text = text.strip(_ASCII_SPACE).removeprefix(_GRAPH6_HEADER)
+    text = text.strip(whitespace).removeprefix(_GRAPH6_HEADER)
     n, pos = _decode_n(text, 0)
     return graph_of_columns(n, _unpack(text, pos, range(1, n)))
 
@@ -142,7 +142,7 @@ def digraph_to_digraph6(d):
 
 
 def digraph_from_digraph6(text):
-    text = text.strip(_ASCII_SPACE).removeprefix(_DIGRAPH6_HEADER)
+    text = text.strip(whitespace).removeprefix(_DIGRAPH6_HEADER)
     if not text or text[0] != "&":
         raise ParseError("digraph6 input must start with '&'", 0)
     n, pos = _decode_n(text, 1)
@@ -196,7 +196,7 @@ def _to_json(n, key, pairs):
 
 def parse_graph(text):
     """Parse graph6 or edge-list JSON, dispatching on the leading character."""
-    stripped = text.strip(_ASCII_SPACE)
+    stripped = text.strip(whitespace)
     if stripped.startswith("{"):
         return _from_json(stripped, Graph, "edges")
     return graph_from_graph6(stripped)
@@ -212,7 +212,7 @@ def serialize_graph(g, fmt="graph6"):
 
 def parse_digraph(text):
     """Parse digraph6 or arc-list JSON, dispatching on the leading character."""
-    stripped = text.strip(_ASCII_SPACE)
+    stripped = text.strip(whitespace)
     if stripped.startswith("{"):
         return _from_json(stripped, Digraph, "arcs")
     return digraph_from_digraph6(stripped)

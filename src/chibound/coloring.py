@@ -57,18 +57,19 @@ from .treedepth import TreedepthSolver, depth_coloring
 
 @dataclass(frozen=True)
 class Coloring:
-    """Vertex coloring plus the guarantee kind it certifies."""
+    """Vertex coloring plus the depth p it certifies: None for a proper
+    coloring (chromatic_number's), else a depth-p coloring. p = 1 is the same
+    rule as None; the JSON names only None "proper"."""
 
     assignment: tuple
     num_colors: int
-    kind: str  # "proper" | "chi_p"
     p: int | None = None
 
     def to_jsonable(self):
         return {
             "assignment": list(self.assignment),
             "num_colors": self.num_colors,
-            "kind": self.kind,
+            "kind": "proper" if self.p is None else "chi_p",
             "p": self.p,
         }
 
@@ -84,9 +85,9 @@ def _normalize(assignment):
     return tuple(out), len(remap)
 
 
-def make_coloring(assignment, kind, p=None):
+def make_coloring(assignment, p=None):
     norm, k = _normalize(tuple(assignment))
-    return Coloring(norm, k, kind, p)
+    return Coloring(norm, k, p)
 
 
 def _star_rules(nbrs, rows, a, color_masks, sat):
@@ -374,7 +375,7 @@ def chromatic_at_least(g, chi):
 def chromatic_number(g, cap=None):
     """Exact chromatic number, a proper-coloring certificate, and a lower-bound
     witness (max clique, or a chi-critical vertex set when the clique is not tight)."""
-    coloring = make_coloring(_least_assignment(g, 1, cap), "proper")
+    coloring = make_coloring(_least_assignment(g, 1, cap))
     value = coloring.num_colors
     omega = clique_number(g)
     if omega.value == value:
@@ -400,10 +401,8 @@ def chi_p(g, p, cap=None):
     check_int("p", p, 1)
     if p == 1:
         res = chromatic_number(g, cap)
-        return replace(
-            res, name="chi_p", certificate=replace(res.certificate, kind="chi_p", p=1)
-        )
-    coloring = make_coloring(_least_assignment(g, p, cap), "chi_p", p)
+        return replace(res, name="chi_p", certificate=replace(res.certificate, p=1))
+    coloring = make_coloring(_least_assignment(g, p, cap), p)
     return InvariantResult("chi_p", coloring.num_colors, certificate=coloring)
 
 
@@ -444,12 +443,12 @@ def uniform_subdivision_coloring(g, p):
     for chain in subdivision_internal_vertices(g, p).values():
         for i, v in enumerate(chain):
             assignment[v] = i + 1
-    return make_coloring(assignment, "chi_p", p)
+    return make_coloring(assignment, p)
 
 
 def _check_proper_base(g, base):
     """Raise ValidationError unless base is a proper coloring of g."""
-    ok, witness = validate_coloring(g, replace(base, kind="proper", p=None))
+    ok, witness = validate_coloring(g, replace(base, p=None))
     if not ok:
         raise ValidationError(f"base coloring is not proper: {witness}")
 
@@ -464,7 +463,7 @@ def subdivision_chi_p_coloring(g, p, base):
     check_int("p", p, 0)
     _check_proper_base(g, base)
     if p == 0:
-        return Coloring(base.assignment, base.num_colors, "chi_p", 1)
+        return replace(base, p=1)
     palette = max(base.num_colors, p + 2)
     assignment = [0] * (g.n + p * g.m)
     for v in range(g.n):
@@ -475,7 +474,7 @@ def subdivision_chi_p_coloring(g, p, base):
         avail = [c for c in range(palette) if c not in banned]
         for i, w in enumerate(chain):
             assignment[w] = avail[i]
-    return make_coloring(assignment, "chi_p", p + 1)
+    return make_coloring(assignment, p + 1)
 
 
 def product_chi_p_coloring(g, p, base, sub_colorings):
@@ -504,7 +503,7 @@ def product_chi_p_coloring(g, p, base, sub_colorings):
                 f"sub-coloring for {sorted(subset)} must cover exactly its vertices"
             )
         sub, verts = induced_subgraph(g, members)
-        local = make_coloring([mapping[v] for v in verts], "chi_p", p)
+        local = make_coloring([mapping[v] for v in verts], p)
         ok, witness = validate_coloring(sub, local)
         if not ok:
             raise ValidationError(
@@ -521,4 +520,4 @@ def product_chi_p_coloring(g, p, base, sub_colorings):
         c = base.assignment[v]
         key = tuple(gamma[frozenset(J) | {c}][v] for J in others[c])
         combined.append((c, key))
-    return make_coloring(combined, "chi_p", p)
+    return make_coloring(combined, p)

@@ -349,13 +349,9 @@ def distance_balls(g, radius):
     return walk_masks(closed, min(radius, g.n))
 
 
-def connected_components(g):
-    """Vertex lists of the connected components, each sorted, smallest vertex first."""
-    return [list(bits(c)) for c in component_masks(g.adj_bits, (1 << g.n) - 1)]
-
-
 def is_connected(g):
-    return g.n <= 1 or len(connected_components(g)) == 1
+    full = (1 << g.n) - 1
+    return g.n <= 1 or component_of(g.adj_bits, full, 1) == full
 
 
 def shortest_cycle(g):

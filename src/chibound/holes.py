@@ -1,15 +1,14 @@
 """Chordless-cycle machinery: hole enumeration, even-hole-freeness, exact
 per-length counts, and the extremal blown-up-cycle family check.
 
-Holes are induced cycles of length at least 4, enumerated by extending
-chordless paths from their minimum vertex toward the smaller of its two hole
-neighbours, so each hole appears exactly once, already in its least
-rotation/reflection.
+Holes are induced cycles of length at least 4, each given as its vertex
+tuple in cycle order. They are enumerated by extending chordless paths from
+their minimum vertex toward the smaller of its two hole neighbours, so each
+hole appears exactly once, already in its least rotation/reflection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, check_cap, check_int
@@ -18,21 +17,9 @@ from .graphs import blow_up, disjoint_union
 from .invariants import clique_number
 
 
-@dataclass(frozen=True)
-class Hole:
-    """Chordless cycle in canonical form (lexicographically least rotation)."""
-
-    vertices: tuple
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def to_jsonable(self):
-        return list(self.vertices)
-
-
 def _iter_holes(g, max_len):
-    """Yield each hole once: DFS over chordless paths anchored at the least vertex.
+    """Yield each hole once, as its vertex tuple: DFS over chordless paths
+    anchored at the least vertex.
 
     A path can only close back to the anchor; any extension adjacent to an
     interior vertex (or to the anchor before closing) would carry a chord.
@@ -57,7 +44,7 @@ def _iter_holes(g, max_len):
                         continue  # chord to an interior vertex
                     if adj_bits[w] >> a & 1:
                         if len(pathv) + 1 >= 4 and pathv[1] < w:
-                            yield Hole(tuple(pathv + [w]))
+                            yield (*pathv, w)
                         # extending past w would leave the chord (w, anchor)
                         continue
                     if len(pathv) + 1 < max_len:
@@ -65,9 +52,10 @@ def _iter_holes(g, max_len):
 
 
 def enumerate_holes(g, max_len):
-    """All holes of length 4..max_len, canonical, sorted."""
+    """All holes of length 4..max_len, canonical, sorted by length and then
+    lexicographically."""
     check_int("max_len", max_len, 0)
-    return sorted(_iter_holes(g, max_len), key=lambda h: (len(h), h.vertices))
+    return sorted(_iter_holes(g, max_len), key=lambda h: (len(h), h))
 
 
 def count_holes(g, length):
@@ -127,5 +115,5 @@ def verify_hole_density(g_len, omega, copies):
         ),
     }
     if witness is not None:
-        report["even_hole_witness"] = list(witness.vertices)
+        report["even_hole_witness"] = list(witness)
     return report

@@ -3,9 +3,10 @@ directed-walk powers and restricted-dual verification.
 
 The homomorphism engine is a CSP backtracker, map_search: bitmask domains,
 candidate images in ascending order and forward checking, so witnesses are
-reproducible. homomorphism orders source vertices by descending total degree;
-minors' induced-subdivision test runs on the same search. Undirected graphs enter through
-the symmetric-digraph embedding (one arc each way per edge).
+reproducible. homomorphism orders source vertices by descending total degree
+and returns a map as its image tuple; minors' induced-subdivision test runs on
+the same search. Undirected graphs enter through the symmetric-digraph
+embedding (one arc each way per edge).
 """
 
 from __future__ import annotations
@@ -15,16 +16,6 @@ from dataclasses import dataclass
 from .codec import digraph_to_digraph6
 from .errors import BudgetError, WalkLoopError, check_cap, check_int
 from .graphs import Digraph, bits, walk_masks
-
-
-@dataclass(frozen=True)
-class HomMapping:
-    """Arc-preserving vertex mapping from a source to a target digraph."""
-
-    mapping: tuple
-
-    def to_jsonable(self):
-        return list(self.mapping)
 
 
 def symmetric_digraph(g):
@@ -78,8 +69,9 @@ def map_search(order, arcs, domains, budget):
 
 
 def homomorphism(f, g, cap=None, budget=None):
-    """A homomorphism f -> g, or None after a complete search (map_search,
-    source vertices by descending total degree).
+    """A homomorphism f -> g as its image tuple (entry v the image of source
+    vertex v), or None after a complete search (map_search, source vertices
+    by descending total degree).
 
     `budget` caps the number of search nodes; exhausting it raises BudgetError
     rather than ever returning a wrong answer.
@@ -97,7 +89,7 @@ def homomorphism(f, g, cap=None, budget=None):
     found = map_search(order, arcs, [(1 << g.n) - 1] * f.n, budget)
     if found is None:
         return None
-    return HomMapping(tuple(d.bit_length() - 1 for d in found))
+    return tuple(d.bit_length() - 1 for d in found)
 
 
 def hom_exists(f, g):

@@ -86,37 +86,39 @@ def test_star_certificate_and_oracle():
 
 def test_validate_coloring_witnesses():
     g = complete(2)
-    bad = Coloring((0, 0), 1, "proper")
+    bad = Coloring((0, 0), 1)
     ok, witness = validate_coloring(g, bad)
     assert not ok and witness == ("monochromatic_edge", (0, 1))
 
     c4 = cycle(4)
-    alternating = Coloring((0, 1, 0, 1), 2, "chi_p", p=2)
+    alternating = Coloring((0, 1, 0, 1), 2, p=2)
     ok, witness = validate_coloring(c4, alternating)
     assert not ok and witness[0] == "subset_treedepth"
 
     p4 = path(4)
-    two = Coloring((0, 1, 0, 1), 2, "chi_p", p=3)
+    two = Coloring((0, 1, 0, 1), 2, p=3)
     ok, witness = validate_coloring(p4, two)
     assert not ok and witness[0] == "subset_treedepth"
 
 
 def test_validate_coloring_structure_errors():
     with pytest.raises(ValidationError):
-        validate_coloring(complete(3), Coloring((0, 1), 2, "proper"))
+        validate_coloring(complete(3), Coloring((0, 1), 2))
     with pytest.raises(ValidationError):
-        validate_coloring(complete(3), Coloring((0, 1, 3), 4, "proper"))
+        validate_coloring(complete(3), Coloring((0, 1, 3), 4))
     with pytest.raises(ValidationError):
-        validate_coloring(Graph(0), Coloring((), 3, "proper"))
+        validate_coloring(Graph(0), Coloring((), 3))
+    with pytest.raises(ValidationError):
+        validate_coloring(path(4), Coloring((0, 1, 0, 1), 2, 0))
 
 
 @pytest.mark.parametrize(
     "g, coloring",
     [
-        (path(5), Coloring((0, 1, 0, 1, 2.0), 3, "proper")),
-        (path(4), Coloring((0, True, 0, 1), 2, "proper")),
-        (path(4), Coloring((0, 1, 0, 1), 2, "chi_p", p=True)),
-        (path(2), Coloring((0, 1), 2.0, "proper")),
+        (path(5), Coloring((0, 1, 0, 1, 2.0), 3)),
+        (path(4), Coloring((0, True, 0, 1), 2)),
+        (path(4), Coloring((0, 1, 0, 1), 2, p=True)),
+        (path(2), Coloring((0, 1), 2.0)),
     ],
 )
 def test_validate_coloring_rejects_non_int_colors_and_p(g, coloring):
@@ -308,7 +310,7 @@ def test_depth_checks_skip_a_placed_vertex_alone(monkeypatch):
     monkeypatch.setattr(TreedepthSolver, "component_td_at_most", counting)
     for g in (subdivide_exact(complete(5), 1), PETERSEN):
         found = _ColoringSearch(g).least((1 << g.n) - 1, 3, 3)
-        assert validate_coloring(g, make_coloring(found, "chi_p", 3))[0]
+        assert validate_coloring(g, make_coloring(found, 3))[0]
     assert alone == 0
 
 
@@ -427,7 +429,7 @@ def test_subdivision_coloring_construction():
 def test_subdivision_coloring_rejects_improper_base():
     g = complete(3)
     with pytest.raises(ValidationError):
-        subdivision_chi_p_coloring(g, 1, Coloring((0, 0, 1), 2, "proper"))
+        subdivision_chi_p_coloring(g, 1, Coloring((0, 0, 1), 2))
 
 
 def test_product_coloring_collapses_at_p1():
@@ -465,7 +467,7 @@ def test_product_coloring_names_missing_subset():
 
 
 def test_make_coloring_normalizes():
-    col = make_coloring([5, 5, 9], "proper")
+    col = make_coloring([5, 5, 9])
     assert col.assignment == (0, 0, 1) and col.num_colors == 2
 
 

@@ -10,7 +10,7 @@ from chibound.graphs import (
     Graph,
     acyclic_orientation,
     blow_up,
-    connected_components,
+    component_masks,
     disjoint_union,
     graph_of_columns,
     induced_subgraph,
@@ -155,7 +155,7 @@ def test_girth():
 def test_components_and_union():
     g = disjoint_union([cycle(3), path(2)])
     assert g.n == 5 and g.m == 4
-    assert [len(c) for c in connected_components(g)] == [3, 2]
+    assert [c.bit_count() for c in component_masks(g.adj_bits, (1 << g.n) - 1)] == [3, 2]
     sub, verts = induced_subgraph(g, [3, 4])
     assert sub == complete(2) and verts == [3, 4]
 

@@ -547,7 +547,7 @@ def test_star_validator_matches_the_naive_check(g, data):
     for v in data.draw(st.permutations(range(g.n))):
         free = [c for c in range(k) if all(colors[u] != c for u in g.neighbors(v))]
         colors[v] = data.draw(st.sampled_from(free or list(range(k))))
-    coloring = make_coloring(colors, "chi_p", 2)
+    coloring = make_coloring(colors, 2)
     ok, witness = validate_coloring(g, coloring)
     assert ok == naive_is_star_coloring(g, coloring.assignment)
     if witness is not None and witness[0] == "subset_treedepth":

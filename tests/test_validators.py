@@ -3,9 +3,11 @@ bad certificate per branch, each with the reason it must be rejected for. The
 verdicts do not rest on the search engines: with the tree-depth engine and
 the coloring search made to answer wrongly, every verdict stays the same."""
 
+import json
+
 import pytest
 
-from chibound import treedepth
+from chibound import corpus, treedepth
 from chibound.certify import (
     validate_biclique,
     validate_chi_lower_bound,
@@ -28,12 +30,13 @@ from chibound.coloring import (
     uniform_subdivision_coloring,
 )
 from chibound.generators import complete, complete_bipartite, cycle, mycielskian, path, star
-from chibound.graphs import subdivide_exact
-from chibound.holes import Hole
-from chibound.homomorphism import HomMapping, directed_path, transitive_tournament
+from chibound.graphs import orientations, subdivide_exact
+from chibound.holes import enumerate_holes
+from chibound.homomorphism import directed_path, homomorphism, transitive_tournament
 from chibound.minors import TopoMinorEmbedding
 from chibound.suites import SuiteSpec, _instances_s11
 from chibound.treedepth import EliminationForest, TreedepthSolver
+from conftest import connected_corpus_graphs
 
 K3 = complete(3)
 C4 = cycle(4)
@@ -141,19 +144,19 @@ CASES = {
         "missing cross edge (0, 1)",
     ),
     "hole.not_a_vertex": (
-        lambda: validate_hole(cycle(5), Hole((0, 1, 2, 9))),
+        lambda: validate_hole(cycle(5), (0, 1, 2, 9)),
         "9 is not a vertex",
     ),
     "hole.too_short": (
-        lambda: validate_hole(cycle(5), Hole((0, 1, 2))),
+        lambda: validate_hole(cycle(5), (0, 1, 2)),
         "not a simple cycle of length >= 4",
     ),
     "hole.missing_cycle_edge": (
-        lambda: validate_hole(cycle(5), Hole((0, 1, 2, 4))),
+        lambda: validate_hole(cycle(5), (0, 1, 2, 4)),
         "missing cycle edge (2, 4)",
     ),
     "hole.chord": (
-        lambda: validate_hole(complete(4), Hole((0, 1, 2, 3))),
+        lambda: validate_hole(complete(4), (0, 1, 2, 3)),
         "chord (0, 2)",
     ),
     "forest.size_mismatch": (
@@ -197,22 +200,26 @@ CASES = {
         "claimed value 2.0 is not an int",
     ),
     "homomorphism.not_into_the_target": (
-        lambda: validate_homomorphism(DP3, T3, HomMapping((0, 1, 5))),
+        lambda: validate_homomorphism(DP3, T3, (0, 1, 5)),
         "mapping is not a function into the target",
     ),
     "homomorphism.arc_to_non_arc": (
-        lambda: validate_homomorphism(DP3, T3, HomMapping((0, 2, 1))),
+        lambda: validate_homomorphism(DP3, T3, (0, 2, 1)),
         "arc (1, 2) maps to non-arc (2, 1)",
     ),
     "clique.not_a_vertex": (lambda: validate_clique(K3, (0, 5)), "5 is not a vertex"),
     "clique.repeated_vertex": (lambda: validate_clique(K3, (0, 0)), "repeated vertex"),
     "clique.missing_edge": (lambda: validate_clique(P3, (0, 1, 2)), "missing edge (0, 2)"),
     "coloring.monochromatic_edge": (
-        lambda: validate_coloring(path(2), Coloring((0, 0), 1, "proper")),
+        lambda: validate_coloring(path(2), Coloring((0, 0), 1)),
         ("monochromatic_edge", (0, 1)),
     ),
+    "coloring.depth_3_p4": (
+        lambda: validate_coloring(path(4), Coloring((0, 1, 0, 1), 2, 3)),
+        ("subset_treedepth", (0, 1)),
+    ),
     "coloring.bicolored_p4": (
-        lambda: validate_coloring(path(4), Coloring((0, 1, 0, 1), 2, "chi_p", 2)),
+        lambda: validate_coloring(path(4), Coloring((0, 1, 0, 1), 2, 2)),
         ("subset_treedepth", (0, 1)),
     ),
     "chi_lower_bound.claim_not_an_int": (
@@ -243,10 +250,32 @@ CASES = {
         lambda: validate_chi_lower_bound(C5, ("critical_subgraph", (0, 1, 2, 3)), 3),
         "the subgraph on (0, 1, 2, 3) is 2-colorable",
     ),
+    # a certificate read from JSON may come in any shape: each wrong one is
+    # refused with a reason rather than an exception
+    "clique.not_a_sequence": (lambda: validate_clique(K3, 5), "5 is not a vertex sequence"),
+    "biclique.not_a_pair": (lambda: validate_biclique(K3, 5), "5 is not a pair of sides"),
+    "biclique.one_side": (lambda: validate_biclique(K3, (0,)), "(0,) is not a pair of sides"),
+    "chi_lower_bound.not_a_pair": (
+        lambda: validate_chi_lower_bound(K3, 5, 3),
+        "witness 5 is not a (kind, vertices) pair",
+    ),
+    "chi_lower_bound.vertices_not_a_sequence": (
+        lambda: validate_chi_lower_bound(K3, ("clique", 5), 3),
+        "witness ('clique', 5) is not a (kind, vertices) pair",
+    ),
+    "degeneracy.order_not_a_sequence": (
+        lambda: validate_degeneracy_order(K3, 2, 5),
+        "order is not a vertex permutation",
+    ),
+    "hole.not_a_sequence": (lambda: validate_hole(C5, 5), "5 is not a vertex sequence"),
+    "homomorphism.not_a_sequence": (
+        lambda: validate_homomorphism(DP3, T3, None),
+        "mapping is not a function into the target",
+    ),
     # every color pair of P8 colored a, b, c, a, b, c, a, b spans a matching,
     # but the three classes together are P8, of tree-depth 4
     "coloring.three_classes": (
-        lambda: validate_coloring(path(8), Coloring((0, 1, 2, 0, 1, 2, 0, 1), 3, "chi_p", 3)),
+        lambda: validate_coloring(path(8), Coloring((0, 1, 2, 0, 1, 2, 0, 1), 3, 3)),
         ("subset_treedepth", (0, 1, 2)),
     ),
 }
@@ -264,14 +293,41 @@ def test_the_hand_made_certificates_differ_from_valid_ones_only_in_the_fault():
     assert validate_topo_embedding(C4, _k3_in_c4(), 1) == (True, None)
     assert validate_topo_embedding(C5, K3_IN_C5, 2) == (True, None)
     assert validate_biclique(complete_bipartite(2, 2), ((0, 1), (2, 3))) == (True, None)
-    assert validate_hole(cycle(5), Hole((0, 1, 2, 3, 4))) == (True, None)
+    assert validate_hole(cycle(5), (0, 1, 2, 3, 4)) == (True, None)
     assert validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 2) == (True, None)
     assert validate_clique(K3, (0, 1, 2)) == (True, None)
     assert validate_chi_lower_bound(K3, ("clique", (0, 1, 2)), 3) == (True, None)
     assert validate_chi_lower_bound(C5, ("critical_subgraph", (0, 1, 2, 3, 4)), 3) == (True, None)
     assert validate_degeneracy_order(C7, 2, tuple(range(7))) == (True, None)
-    assert validate_homomorphism(DP3, T3, HomMapping((0, 1, 2))) == (True, None)
-    assert validate_coloring(path(8), Coloring((0, 1, 2, 0, 1, 2, 0, 1), 3, "chi_p", 2)) == (True, None)
+    assert validate_homomorphism(DP3, T3, (0, 1, 2)) == (True, None)
+    assert validate_coloring(path(8), Coloring((0, 1, 2, 0, 1, 2, 0, 1), 3, 2)) == (True, None)
+
+
+def test_certificates_validate_from_their_json_form():
+    """A certificate read back from JSON is lists and numbers; every coloring,
+    hole and homomorphism the solvers give validates in that form."""
+
+    def round_trip(x):
+        return json.loads(json.dumps(x))
+
+    for g in connected_corpus_graphs(6):
+        for res in (chromatic_number(g), chi_p(g, 2), chi_p(g, 3)):
+            cert = round_trip(res.certificate.to_jsonable())
+            coloring = Coloring(cert["assignment"], cert["num_colors"], cert["p"])
+            assert validate_coloring(g, coloring) == (True, None)
+        for hole in enumerate_holes(g, g.n):
+            assert validate_hole(g, round_trip(list(hole))) == (True, None)
+    # the search pairs of S9
+    samples = [d for n in range(1, 5) for g in corpus.all_graphs(n) for d in orientations(g)]
+    found = 0
+    for k in range(1, 4):
+        for sample in samples:
+            for f, g in ((directed_path(k + 1), sample), (sample, transitive_tournament(k))):
+                mapping = homomorphism(f, g)
+                if mapping is not None:
+                    assert validate_homomorphism(f, g, round_trip(list(mapping))) == (True, None)
+                    found += 1
+    assert found == 546
 
 
 def _solved_certificates():
