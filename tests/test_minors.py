@@ -281,3 +281,22 @@ def test_wide_embedding_bytes_are_pinned():
                 found += emb is not None
     assert (count, found) == (373 * 15, 4628)
     assert h.hexdigest() == WIDE_EMBEDDINGS_SHA256
+
+
+# the shallow-minor climbs past S4's reach: every connected host on up to 7
+# vertices at depths 0..3; the climb values must not change
+CHI_TM_SHA256 = "47cb835e822fda47c629e4250a97123d07d416a7ac0fb3dd7849990ec0e0b912"
+
+
+def test_climb_values_are_pinned():
+    h = hashlib.sha256()
+    count = above = 0
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for r in range(4):
+                chi, omega = chi_TM(g, r), omega_TM(g, r)
+                h.update(f"{graph_to_graph6(g)} {r} {chi} {omega}\n".encode())
+                count += 1
+                above += chi > omega
+    assert (count, above) == (996 * 4, 39)
+    assert h.hexdigest() == CHI_TM_SHA256
