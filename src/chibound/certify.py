@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import ValidationError, check_cap, is_int
-from .graphs import bits, component_masks, induced_subgraph
+from .graphs import Graph, bits, component_masks, induced_subgraph
 
 
 # the shapes of a vertex sequence: a solver's tuple, or the list JSON gives back
@@ -160,7 +160,9 @@ def validate_elimination_forest(g, forest, claimed_height=None):
     ancestor-descendant, height match."""
     if claimed_height is not None and not is_int(claimed_height):
         return False, f"claimed height {claimed_height!r} is not an int"
-    parent = forest.parent
+    parent = getattr(forest, "parent", None)
+    if not isinstance(parent, _SEQUENCE):
+        return False, f"{forest!r} is not an elimination forest"
     if len(parent) != g.n:
         return False, "parent array size mismatch"
     for v, p in enumerate(parent):
@@ -243,16 +245,19 @@ def validate_topo_embedding(g, emb, r, exact=False, induced=False):
     and (for the induced variant) the absence of extra edges."""
     if not is_int(r):
         return False, f"depth {r!r} is not an int"
-    h = emb.pattern
-    branch = emb.branch_map
+    h = getattr(emb, "pattern", None)
+    branch = getattr(emb, "branch_map", None)
+    paths = getattr(emb, "paths", None)
+    if not (isinstance(h, Graph) and isinstance(branch, _SEQUENCE) and isinstance(paths, dict)):
+        return False, f"{emb!r} is not a topological-minor embedding"
     if len(branch) != h.n or len(set(branch)) != h.n:
         return False, "branch map is not injective"
     if not all(g.has_vertex(b) for b in branch):
         return False, "branch vertex outside host"
-    if set(emb.paths) != h.edges:
+    if set(paths) != h.edges:
         return False, "paths do not cover the pattern edge set"
     interiors = []
-    for (u, v), p in sorted(emb.paths.items()):
+    for (u, v), p in sorted(paths.items()):
         if not all(g.has_vertex(x) for x in p):
             return False, f"path for ({u}, {v}) leaves the host"
         if not p or p[0] != branch[u] or p[-1] != branch[v]:
@@ -280,7 +285,7 @@ def validate_topo_embedding(g, emb, r, exact=False, induced=False):
         used = sorted(branch_set | seen)
         sub, verts = induced_subgraph(g, used)
         path_edges = set()
-        for p in emb.paths.values():
+        for p in paths.values():
             for a, b in zip(p, p[1:]):
                 path_edges.add((min(a, b), max(a, b)))
         host_edges = {(verts[a], verts[b]) for a, b in sub.sorted_edges()}

@@ -202,14 +202,15 @@ class _ColoringSearch:
     def __init__(self, g):
         self.g = g
         self.n = g.n
-        self.nbrs = [g.neighbors(v) for v in range(g.n)]
-        self.nbr_bits = g.adj_bits
+        rows = self.nbr_bits = g.adj_bits
+        self.nbrs = [tuple(bits(row)) for row in rows]
+        degree = [row.bit_count() for row in rows]
         # DSATUR ties go to the larger degree, then (stable sort) the smaller vertex
-        self.order = sorted(range(g.n), key=lambda v: -len(self.nbrs[v]))
+        self.order = sorted(range(g.n), key=lambda v: -degree[v])
         # at_least[d]: the mask of the vertices of degree at least d, d = 0..n
         self.at_least = [0] * (g.n + 1)
-        for v, row in enumerate(g.adj_bits):
-            self.at_least[row.bit_count()] |= 1 << v
+        for v, d in enumerate(degree):
+            self.at_least[d] |= 1 << v
         for d in range(g.n - 1, -1, -1):
             self.at_least[d] |= self.at_least[d + 1]
         self.nodes = 0
@@ -358,8 +359,11 @@ def _least_assignment(g, p, cap):
 
 
 def chromatic_number_value(g):
-    """Exact chromatic number without certificates (hot-path helper)."""
-    return max(_least_assignment(g, 1, g.n), default=-1) + 1
+    """Exact chromatic number without certificates (hot-path helper), read
+    from the least proper coloring of each component in g's search records."""
+    search = _search(g)
+    comps = component_masks(g.adj_bits, (1 << g.n) - 1)
+    return max((max(_least_coloring(search, c, 1)) + 1 for c in comps), default=0)
 
 
 def chromatic_at_least(g, chi):

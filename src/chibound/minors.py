@@ -14,13 +14,18 @@ interiors, and depth 1 matches middle vertices over candidate masks. It reads
 the degree masks, neighbour tuples and one ball table per radius of the
 host's one coloring search (coloring._search), each table built on its first
 read and shared by every pattern tried on that host; a climb that stops
-before any placement builds none. omega_TM, chi_TM (one climb, _climb) and
-is_induced_exact_subdivision read the same search.
+before any placement builds none. The pattern's side, its degrees, placement
+order, sorted edges and neighbour tuples, is one immutable plan per pattern
+(_plan, a bounded cache shared by every host). omega_TM, chi_TM (one climb,
+_climb) and is_induced_exact_subdivision read the same search; chi_TM reads
+its critical patterns one size at a time from lists built once per (level,
+size), so a host's climb does search work only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .corpus import all_graphs, connected_graphs
 from .errors import check_cap, check_int
@@ -67,6 +72,19 @@ def _paths_up_to(nbrs, source, target, max_edges, blocked):
     return results
 
 
+@lru_cache(maxsize=64)
+def _plan(h):
+    """The placement plan of pattern h, built once and read by every host it
+    is tried on: its degrees, its placement order (descending degree, then
+    ascending vertex), its sorted edges, its neighbour tuples and whether it
+    is complete. A complete pattern is vertex-transitive, so its branch images
+    may be fixed in ascending order."""
+    degrees = tuple(row.bit_count() for row in h.adj_bits)
+    order = tuple(sorted(range(h.n), key=lambda v: (-degrees[v], v)))
+    nbrs = tuple(h.neighbors(v) for v in range(h.n))
+    return degrees, order, tuple(h.sorted_edges()), nbrs, all(d == h.n - 1 for d in degrees)
+
+
 def find_topo_embedding(pattern, g, r):
     """An embedding witnessing pattern in TM_r(g), or None (complete search)."""
     check_int("r", r, 0)
@@ -76,13 +94,8 @@ def find_topo_embedding(pattern, g, r):
         return None
     search = _search(g)
     far = search.ball(r + 1)
-    hdeg = [h.degree(v) for v in range(h.n)]
     at_least = search.at_least
-    order = sorted(range(h.n), key=lambda v: (-hdeg[v], v))
-    edges = h.sorted_edges()
-    pattern_nbrs = [h.neighbors(v) for v in range(h.n)]
-    # a complete pattern is vertex-transitive: fix ascending branch images
-    symmetric = all(d == h.n - 1 for d in hdeg)
+    hdeg, order, edges, pattern_nbrs, symmetric = _plan(h)
 
     branch = [-1] * h.n  # pattern vertex -> host image, -1 while unplaced
     paths = [None] * len(edges)
@@ -258,25 +271,35 @@ _critical_cache = {}
 
 
 def _critical_of_size(chi, size):
-    if chi <= 2:
-        return [complete(chi)] if size == chi else []
-    if chi == 3:
-        return [cycle(size)] if size % 2 else []
-    out = []
-    for h in connected_graphs(size):
-        if min(h.degree(v) for v in range(h.n)) < chi - 1:
-            continue
-        # an edge lowers chi by at most one, so chi(h) >= chi with no h - e
-        # keeping it means chi(h) == chi
-        if not chromatic_at_least(h, chi):
-            continue
-        edges = h.sorted_edges()
-        if not any(
-            chromatic_at_least(Graph(h.n, [f for f in edges if f != e]), chi)
-            for e in edges
-        ):
-            out.append(h)
-    return out
+    """The connected edge-critical chi-chromatic graphs on exactly size
+    vertices, in corpus order, built once per (chi, size). From chi = 4 on
+    they come from the corpus, so a size past the critical_catalogue cap
+    raises; it is checked on a miss only, since no such size is ever kept."""
+    key = (chi, size)
+    if key not in _critical_cache:
+        if chi <= 2:
+            out = (complete(chi),) if size == chi else ()
+        elif chi == 3:
+            out = (cycle(size),) if size % 2 else ()
+        else:
+            check_cap("critical_catalogue", size)
+            out = tuple(h for h in connected_graphs(size) if _is_critical(h, chi))
+        _critical_cache[key] = out
+    return _critical_cache[key]
+
+
+def _is_critical(h, chi):
+    """Whether h has chromatic number chi and no edge whose removal keeps it."""
+    if min(h.degree(v) for v in range(h.n)) < chi - 1:
+        return False
+    # an edge lowers chi by at most one, so chi(h) >= chi with no h - e
+    # keeping it means chi(h) == chi
+    if not chromatic_at_least(h, chi):
+        return False
+    edges = h.sorted_edges()
+    return not any(
+        chromatic_at_least(Graph(h.n, [f for f in edges if f != e]), chi) for e in edges
+    )
 
 
 def critical_patterns(chi, max_size):
@@ -287,20 +310,15 @@ def critical_patterns(chi, max_size):
     Levels 1..3 have closed forms (a vertex, an edge, the odd cycles); level 4
     and up filters the corpus, which caps their size at 8 vertices. At every
     level max_size is capped like a tm_host, since no larger pattern embeds in
-    a host. Each (chi, size) list is built once and shared by every max_size.
+    a host. The list is the concatenation of the per-size lists, each built
+    once per (chi, size) and read by chi_TM one size at a time.
     """
     check_int("chi", chi, 1)
     check_int("max_size", max_size, 0)
     check_cap("tm_host", max_size)
     if chi >= 4:
         check_cap("critical_catalogue", max_size)
-    out = []
-    for size in range(chi, max_size + 1):
-        key = (chi, size)
-        if key not in _critical_cache:
-            _critical_cache[key] = _critical_of_size(chi, size)
-        out += _critical_cache[key]
-    return out
+    return [h for size in range(chi, max_size + 1) for h in _critical_of_size(chi, size)]
 
 
 def chi_TM(g, r):
@@ -308,12 +326,13 @@ def chi_TM(g, r):
 
     Climbs chromatic levels from chi(g): level c is reachable iff some
     edge-critical c-chromatic pattern embeds, because TM membership is closed
-    under pattern subgraphs. Level c tries the critical_patterns of up to
-    g.n - c + chi(g) vertices, smallest first, and stops at the first that
-    embeds. From level 4 on the catalogue is capped at 8 vertices, so only a
-    level c >= 4 that no pattern of up to 8 vertices reaches, on a host with
-    g.n - c + chi(g) > 8, raises SizeCapError (critical_catalogue): the
-    Petersen graph does at r = 0, while at r = 1 it answers 4 from K_4.
+    under pattern subgraphs. Level c walks the sizes c .. g.n - c + chi(g),
+    reads each size's critical patterns once, smallest size first, and stops
+    at the first pattern that embeds. From level 4 on the catalogue is capped
+    at 8 vertices, so only a level c >= 4 that no pattern of up to 8 vertices
+    reaches, on a host with g.n - c + chi(g) > 8, raises SizeCapError
+    (critical_catalogue): the Petersen graph does at r = 0, while at r = 1 it
+    answers 4 from K_4.
     """
     check_int("r", r, 0)
     check_cap("tm_host", g.n)
@@ -321,14 +340,12 @@ def chi_TM(g, r):
 
     def reached(c):
         # reaching level c needs at least c - host_chi subdivided edges, each
-        # eating a distinct interior vertex, which bounds |H|; each size takes
-        # its own patterns, so a size past the catalogue is asked for only
-        # once every smaller pattern misses
+        # eating a distinct interior vertex, which bounds |H|; a size past the
+        # catalogue is asked for only once every smaller pattern misses
         return any(
             find_topo_embedding(h, g, r) is not None
             for size in range(c, g.n - c + host_chi + 1)
-            for h in critical_patterns(c, size)
-            if h.n == size
+            for h in _critical_of_size(c, size)
         )
 
     return _climb(g, host_chi, reached)

@@ -171,6 +171,40 @@ def test_critical_patterns():
     )
 
 
+def test_critical_patterns_concatenate_the_per_size_lists():
+    for chi in range(3, 8):
+        for max_size in range(9):
+            by_size = [
+                h for size in range(chi, max_size + 1) for h in minors._critical_of_size(chi, size)
+            ]
+            assert critical_patterns(chi, max_size) == by_size
+    with pytest.raises(SizeCapError, match=r"^critical_catalogue is capped at 8 vertices, got 9$"):
+        minors._critical_of_size(4, 9)
+
+
+def _plain(x):
+    if isinstance(x, tuple):
+        return type(x) is tuple and all(map(_plain, x))
+    return type(x) in (int, bool)
+
+
+def test_pattern_plans_are_plain_and_shared():
+    plan = minors._plan(cycle(5))
+    assert plan == (
+        (2,) * 5,
+        (0, 1, 2, 3, 4),
+        ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)),
+        ((1, 4), (0, 2), (1, 3), (2, 4), (0, 3)),
+        False,
+    )
+    for h in (complete(1), complete(4), star(4), *critical_patterns(4, 7)):
+        assert _plain(minors._plan(h))
+    assert minors._plan(complete(4))[-1] is True
+    # equal patterns are one cache entry, so a rebuilt pattern reads the same plan
+    assert minors._plan(complete(4)) is minors._plan(complete(4))
+    assert minors._plan.cache_info().maxsize == 64
+
+
 def test_one_ball_build_per_host(monkeypatch):
     # the chi_TM climb places branch vertices in the balls of the host's
     # coloring search, built on the first placement; chi_p builds none, and a

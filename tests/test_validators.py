@@ -268,6 +268,14 @@ CASES = {
         "order is not a vertex permutation",
     ),
     "hole.not_a_sequence": (lambda: validate_hole(C5, 5), "5 is not a vertex sequence"),
+    "forest.not_a_forest": (
+        lambda: validate_elimination_forest(P3, (1, -1, 1), 2),
+        "(1, -1, 1) is not an elimination forest",
+    ),
+    "topo.not_an_embedding": (
+        lambda: validate_topo_embedding(C5, None, 1),
+        "None is not a topological-minor embedding",
+    ),
     "homomorphism.not_a_sequence": (
         lambda: validate_homomorphism(DP3, T3, None),
         "mapping is not a function into the target",
