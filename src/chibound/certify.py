@@ -250,14 +250,16 @@ def validate_topo_embedding(g, emb, r, exact=False, induced=False):
     paths = getattr(emb, "paths", None)
     if not (isinstance(h, Graph) and isinstance(branch, _SEQUENCE) and isinstance(paths, dict)):
         return False, f"{emb!r} is not a topological-minor embedding"
-    if len(branch) != h.n or len(set(branch)) != h.n:
-        return False, "branch map is not injective"
     if not all(g.has_vertex(b) for b in branch):
         return False, "branch vertex outside host"
+    if len(branch) != h.n or len(set(branch)) != h.n:
+        return False, "branch map is not injective"
     if set(paths) != h.edges:
         return False, "paths do not cover the pattern edge set"
     interiors = []
     for (u, v), p in sorted(paths.items()):
+        if not isinstance(p, _SEQUENCE):
+            return False, f"path for ({u}, {v}) is not a vertex sequence"
         if not all(g.has_vertex(x) for x in p):
             return False, f"path for ({u}, {v}) leaves the host"
         if not p or p[0] != branch[u] or p[-1] != branch[v]:

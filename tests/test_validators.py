@@ -276,6 +276,14 @@ CASES = {
         lambda: validate_topo_embedding(C5, None, 1),
         "None is not a topological-minor embedding",
     ),
+    "topo.branch_not_a_vertex": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(branch=([0], 1, 2)), 1),
+        "branch vertex outside host",
+    ),
+    "topo.path_not_a_sequence": (
+        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 1): 5}), 1),
+        "path for (0, 1) is not a vertex sequence",
+    ),
     "homomorphism.not_a_sequence": (
         lambda: validate_homomorphism(DP3, T3, None),
         "mapping is not a function into the target",
