@@ -173,10 +173,10 @@ def test_critical_patterns():
 
 def test_critical_patterns_concatenate_the_per_size_lists():
     for chi in range(3, 8):
+        sizes = {size: minors._critical_of_size(chi, size) for size in range(chi, 9)}
+        assert all(h.n == size for size, hs in sizes.items() for h in hs)
         for max_size in range(9):
-            by_size = [
-                h for size in range(chi, max_size + 1) for h in minors._critical_of_size(chi, size)
-            ]
+            by_size = [h for size in range(chi, max_size + 1) for h in sizes[size]]
             assert critical_patterns(chi, max_size) == by_size
     with pytest.raises(SizeCapError, match=r"^critical_catalogue is capped at 8 vertices, got 9$"):
         minors._critical_of_size(4, 9)
