@@ -48,7 +48,6 @@ from .invariants import (
     degeneracy,
     max_degree,
 )
-from .treedepth import EliminationForest
 from .coloring import (
     Coloring,
     chi_p,
@@ -60,7 +59,6 @@ from .coloring import (
     uniform_subdivision_coloring,
 )
 from .minors import (
-    TopoMinorEmbedding,
     chi_TM,
     enumerate_ITM_exact,
     find_subdivided_clique,

@@ -3,17 +3,21 @@ its definition and imports no engine, only errors and graphs, so it shares no
 search code with the solver it checks.
 
 Each validator returns (True, None) or (False, reason); validate_coloring's
-reason is a witness naming the violating edge or color subset. Certificates
-are plain values, as a solver builds them or as JSON gives them back: a vertex
-sequence (a clique, a hole, a homomorphism's images, a degeneracy order) is a
-tuple or a list, and any other shape is refused with a reason. A Coloring
-states its depth once: with p None only its edges are checked, else every
-union of 2..p classes, by one definitional rule, `_td_at_most`, which shares
-no code with the tree-depth engine or the search it checks. validate_chi_lower_bound checks the lower-bound witness of
-chromatic_number: a clique of the claimed size, or a vertex set whose induced
-subgraph has no (value - 1)-coloring, decided with no search at all by
-inclusion-exclusion over independent sets (Bjorklund, Husfeldt and Koivisto,
-"Set partitioning via inclusion-exclusion", SIAM J. Comput. 2009).
+reason for a well-shaped coloring is a witness naming the violating edge or
+color subset. Certificates are plain values, as a solver builds them or as
+JSON gives them back: a vertex sequence (a clique, a hole, a homomorphism's
+images, a degeneracy order) is a tuple or a list, an elimination forest its
+parent sequence (-1 at a root), and an embedding of a pattern h, passed
+beside it, a (branch, paths) pair with one path per edge of h.sorted_edges(),
+in that order. Any other shape is refused with a reason. A Coloring states
+its depth once: with p None only its edges are checked, else every union of
+2..p classes, by one definitional rule, `_td_at_most`, which shares no code
+with the tree-depth engine or the search it checks. validate_chi_lower_bound
+checks the lower-bound witness of chromatic_number: a clique of the claimed
+size, or a vertex set whose induced subgraph has no (value - 1)-coloring,
+decided with no search at all by inclusion-exclusion over independent sets
+(Bjorklund, Husfeldt and Koivisto, "Set partitioning via
+inclusion-exclusion", SIAM J. Comput. 2009).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import ValidationError, check_cap, is_int
-from .graphs import Graph, bits, component_masks, induced_subgraph
+from .graphs import bits, component_masks, induced_subgraph
 
 
 # the shapes of a vertex sequence: a solver's tuple, or the list JSON gives back
@@ -64,10 +68,13 @@ def validate_coloring(g, coloring):
     every union of at most p classes.
 
     Returns (True, None) or (False, witness); the witness names the violating
-    edge or color subset.
+    edge or color subset. A coloring whose assignment is not a sequence is
+    refused with a reason.
     """
+    colors = getattr(coloring, "assignment", None)
+    if not isinstance(colors, _SEQUENCE):
+        return False, f"{coloring!r} is not a coloring"
     _check_structure(g, coloring)
-    colors = coloring.assignment
     edge = _first_monochromatic_edge(g, colors)
     if edge is not None:
         return False, ("monochromatic_edge", edge)
@@ -155,41 +162,36 @@ def _colorable(rows, k):
     return total > 0
 
 
-def validate_elimination_forest(g, forest, claimed_height=None):
-    """Structural check: parents are vertices or -1, acyclic parents, edges
-    ancestor-descendant, height match."""
+def validate_elimination_forest(g, parent, claimed_height=None):
+    """Structural check of a parent sequence: parents are vertices or -1,
+    acyclic parents, edges ancestor-descendant, and the height it gives
+    matches."""
     if claimed_height is not None and not is_int(claimed_height):
         return False, f"claimed height {claimed_height!r} is not an int"
-    parent = getattr(forest, "parent", None)
     if not isinstance(parent, _SEQUENCE):
-        return False, f"{forest!r} is not an elimination forest"
+        return False, f"{parent!r} is not an elimination forest"
     if len(parent) != g.n:
         return False, "parent array size mismatch"
     for v, p in enumerate(parent):
         if not (g.has_vertex(p) or is_int(p) and p == -1):
             return False, f"parent {p!r} of vertex {v} is not a vertex"
+    # the vertices on the path from each vertex up to its root, itself included
+    chains = []
     for v in range(g.n):
-        seen = {v}
+        chain = {v}
         x = parent[v]
         while x != -1:
-            if x in seen:
+            if x in chain:
                 return False, f"parent cycle through vertex {x}"
-            seen.add(x)
+            chain.add(x)
             x = parent[x]
-
-    def ancestors(v):
-        out = set()
-        x = parent[v]
-        while x != -1:
-            out.add(x)
-            x = parent[x]
-        return out
-
+        chains.append(chain)
     for u, v in g.sorted_edges():
-        if u not in ancestors(v) and v not in ancestors(u):
+        if u not in chains[v] and v not in chains[u]:
             return False, f"edge ({u}, {v}) is not ancestor-descendant"
-    if claimed_height is not None and forest.height != claimed_height:
-        return False, f"height {forest.height} != claimed {claimed_height}"
+    height = max(map(len, chains), default=0)
+    if claimed_height is not None and height != claimed_height:
+        return False, f"height {height} != claimed {claimed_height}"
     return True, None
 
 
@@ -240,24 +242,24 @@ def validate_degeneracy_order(g, value, order):
     return True, None
 
 
-def validate_topo_embedding(g, emb, r, exact=False, induced=False):
-    """Re-check an embedding: injectivity, endpoints, lengths, disjointness,
-    and (for the induced variant) the absence of extra edges."""
+def validate_topo_embedding(g, h, emb, r, exact=False, induced=False):
+    """Re-check an embedding (branch, paths) of pattern h: injectivity,
+    endpoints, lengths, disjointness, and (for the induced variant) the
+    absence of extra edges."""
     if not is_int(r):
         return False, f"depth {r!r} is not an int"
-    h = getattr(emb, "pattern", None)
-    branch = getattr(emb, "branch_map", None)
-    paths = getattr(emb, "paths", None)
-    if not (isinstance(h, Graph) and isinstance(branch, _SEQUENCE) and isinstance(paths, dict)):
+    pair = isinstance(emb, _SEQUENCE) and len(emb) == 2
+    if not (pair and all(isinstance(x, _SEQUENCE) for x in emb)):
         return False, f"{emb!r} is not a topological-minor embedding"
+    branch, paths = emb
     if not all(g.has_vertex(b) for b in branch):
         return False, "branch vertex outside host"
     if len(branch) != h.n or len(set(branch)) != h.n:
         return False, "branch map is not injective"
-    if set(paths) != h.edges:
+    if len(paths) != h.m:
         return False, "paths do not cover the pattern edge set"
     interiors = []
-    for (u, v), p in sorted(paths.items()):
+    for (u, v), p in zip(h.sorted_edges(), paths):
         if not isinstance(p, _SEQUENCE):
             return False, f"path for ({u}, {v}) is not a vertex sequence"
         if not all(g.has_vertex(x) for x in p):
@@ -287,7 +289,7 @@ def validate_topo_embedding(g, emb, r, exact=False, induced=False):
         used = sorted(branch_set | seen)
         sub, verts = induced_subgraph(g, used)
         path_edges = set()
-        for p in paths.values():
+        for p in paths:
             for a, b in zip(p, p[1:]):
                 path_edges.add((min(a, b), max(a, b)))
         host_edges = {(verts[a], verts[b]) for a, b in sub.sorted_edges()}

@@ -411,8 +411,8 @@ def chi_p(g, p, cap=None):
 
 
 def tree_depth(g, cap=None):
-    """Exact tree-depth with an elimination-forest certificate, on the
-    TreedepthSolver of g's search. Coloring an optimal elimination forest by
+    """Exact tree-depth with an elimination forest's parent tuple as its
+    certificate, on the TreedepthSolver of g's search. Coloring an optimal elimination forest by
     depth gives a depth-p coloring for every p, so td >= chi_p, and each
     component's lower bound is first raised to the colors of its least
     colorings found so far."""

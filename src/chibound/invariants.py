@@ -12,6 +12,7 @@ from typing import Any
 
 from .errors import check_cap
 from .graphs import bits
+from .treedepth import forest_jsonable
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,13 @@ class InvariantResult:
                 return obj.to_jsonable()
             return obj
 
+        certificate = self.certificate
+        if self.name == "tree_depth":
+            certificate = forest_jsonable(certificate)
         return {
             "name": self.name,
             "value": conv(self.value),
-            "certificate": conv(self.certificate),
+            "certificate": conv(certificate),
             "lower_bound": conv(self.lower_bound),
         }
 

@@ -4,7 +4,9 @@ induced subdivisions (ITM_r^e).
 A TM_r embedding maps pattern vertices to distinct branch vertices and pattern
 edges to internally disjoint paths with at most r internal vertices. The
 induced variant demands exactly r internal vertices per path and that the
-embedded subdivision appear with no extra edges.
+embedded subdivision appear with no extra edges. An embedding is the pair
+(branch, paths): branch[v] is the image of pattern vertex v, and paths holds
+one host path per edge of the pattern's sorted_edges(), in that order.
 
 find_topo_embedding runs on bit masks throughout. The candidates for a
 pattern vertex are the unused host vertices of large enough degree inside the
@@ -24,7 +26,6 @@ size), so a host's climb does search work only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .corpus import all_graphs, connected_graphs
@@ -37,21 +38,6 @@ from .graphs import (
 )
 from .coloring import _search, chromatic_at_least, chromatic_number_value
 from .homomorphism import map_search
-
-
-@dataclass(eq=False)
-class TopoMinorEmbedding:
-    """Branch map plus the internally disjoint path system realizing a pattern."""
-
-    pattern: Graph
-    branch_map: tuple
-    paths: dict  # sorted pattern edge -> host vertex path, endpoints included
-
-    def to_jsonable(self):
-        return {
-            "branch_map": list(self.branch_map),
-            "paths": {f"{u},{v}": list(p) for (u, v), p in sorted(self.paths.items())},
-        }
 
 
 def _paths_up_to(nbrs, source, target, max_edges, blocked):
@@ -86,7 +72,9 @@ def _plan(h):
 
 
 def find_topo_embedding(pattern, g, r):
-    """An embedding witnessing pattern in TM_r(g), or None (complete search)."""
+    """An embedding (branch, paths) witnessing pattern in TM_r(g), or None
+    (complete search): branch[v] is the image of pattern vertex v, and paths
+    holds one host path per edge of pattern.sorted_edges(), in that order."""
     check_int("r", r, 0)
     check_cap("tm_host", g.n)
     h = pattern
@@ -105,7 +93,7 @@ def find_topo_embedding(pattern, g, r):
         if idx == len(order):
             if r == 1:
                 return _route_depth1(g.adj_bits, edges, branch, used)
-            return dict(zip(edges, paths)) if route(0, used) else None
+            return tuple(paths) if route(0, used) else None
         v = order[idx]
         cands = at_least[hdeg[v]] & ~used
         if symmetric:
@@ -138,44 +126,46 @@ def find_topo_embedding(pattern, g, r):
     found = place(0, 0)
     if found is None:
         return None
-    return TopoMinorEmbedding(pattern=h, branch_map=tuple(branch), paths=found)
+    return tuple(branch), found
 
 
 def _route_depth1(rows, edges, branch, used):
     """Exact routing for depth 1 on host rows, with used the mask of the branch
     images: host-adjacent pairs take the direct edge (never worse: it consumes
     no interior vertex), every other pattern edge needs its own middle vertex,
-    which is a bipartite matching problem."""
-    paths = {}
-    need = {}  # pattern edge -> the mask of its candidate middles
-    for u, v in edges:
+    which is a bipartite matching problem. Returns the paths, one per edge in
+    order, or None."""
+    paths = [None] * len(edges)
+    need = {}  # position of a pattern edge -> the mask of its candidate middles
+    for i, (u, v) in enumerate(edges):
         su, sv = branch[u], branch[v]
         if rows[su] >> sv & 1:
-            paths[(u, v)] = (su, sv)
+            paths[i] = (su, sv)
         else:
-            need[(u, v)] = rows[su] & rows[sv] & ~used
-            if not need[(u, v)]:
+            need[i] = rows[su] & rows[sv] & ~used
+            if not need[i]:
                 return None
-    owner = {}  # middle vertex -> the pattern edge it serves
+    owner = {}  # middle vertex -> the position of the pattern edge it serves
 
-    def augment(edge):
+    def augment(i):
         nonlocal visited
-        while free := need[edge] & ~visited:
+        while free := need[i] & ~visited:
             low = free & -free
             visited |= low
             w = low.bit_length() - 1
             if w not in owner or augment(owner[w]):
-                owner[w] = edge
+                owner[w] = i
                 return True
         return False
 
-    for edge in sorted(need, key=lambda e: (need[e].bit_count(), e)):
+    for i in sorted(need, key=lambda i: (need[i].bit_count(), i)):
         visited = 0  # the middles this augmenting search has tried
-        if not augment(edge):
+        if not augment(i):
             return None
-    for w, (u, v) in owner.items():
-        paths[(u, v)] = (branch[u], w, branch[v])
-    return paths
+    for w, i in owner.items():
+        u, v = edges[i]
+        paths[i] = (branch[u], w, branch[v])
+    return tuple(paths)
 
 
 def find_subdivided_clique(g, k, r):
@@ -206,8 +196,8 @@ def omega_TM(g, r):
 
 
 def is_induced_exact_subdivision(h, r, g):
-    """Embedding witnessing that the exact r-subdivision of h is an induced
-    subgraph of g, or None after a complete search.
+    """Embedding (branch, paths) witnessing that the exact r-subdivision of h
+    is an induced subgraph of g, or None after a complete search.
 
     An induced-subgraph isomorphism on homomorphism.map_search: a subdivision
     vertex's domain holds the host vertices of at least its degree, and
@@ -245,11 +235,10 @@ def is_induced_exact_subdivision(h, r, g):
         return None
     image = [d.bit_length() - 1 for d in found]
     inner = subdivision_internal_vertices(h, r)
-    paths = {
-        (u, v): tuple(image[x] for x in (u,) + inner[(u, v)] + (v,))
-        for u, v in h.sorted_edges()
-    }
-    return TopoMinorEmbedding(pattern=h, branch_map=tuple(image[: h.n]), paths=paths)
+    paths = tuple(
+        tuple(image[x] for x in (u,) + inner[(u, v)] + (v,)) for u, v in h.sorted_edges()
+    )
+    return tuple(image[: h.n]), paths
 
 
 def enumerate_ITM_exact(g, r, max_pattern_size):

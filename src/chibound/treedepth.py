@@ -19,42 +19,34 @@ above the exact-solve cap as long as k is small. `tree_depth(g)` and
 `tree_depth_at_most(g, k)` sit beside chi_p in coloring, on the one solver of
 g's coloring search, so they share the memo of the chi_p questions asked of
 g, and `tree_depth` starts each component's lower bound at its largest chi_p
-found when that beats degeneracy + 1 (td >= chi_p for every p).
+found when that beats degeneracy + 1 (td >= chi_p for every p). A forest is
+its parent tuple, -1 at a root; `forest_jsonable` adds its height for JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import bits, component_masks, component_of
 
 
-@dataclass(frozen=True)
-class EliminationForest:
-    """Rooted forest as a parent array (-1 marks roots)."""
+def depths(parent):
+    """The depth of each vertex in the elimination forest given by its parent
+    tuple (-1 marks a root), 1 at a root."""
+    out = [0] * len(parent)
 
-    parent: tuple
-
-    @property
-    def height(self):
-        return max(self.depths(), default=0)
-
-    def depths(self):
-        out = [0] * len(self.parent)
-
-        def depth(v):
-            if out[v]:
-                return out[v]
-            p = self.parent[v]
+    def depth(v):
+        if not out[v]:
+            p = parent[v]
             out[v] = 1 if p == -1 else depth(p) + 1
-            return out[v]
+        return out[v]
 
-        for v in range(len(self.parent)):
-            depth(v)
-        return out
+    for v in range(len(parent)):
+        depth(v)
+    return out
 
-    def to_jsonable(self):
-        return {"parent": list(self.parent), "height": self.height}
+
+def forest_jsonable(parent):
+    """The JSON form of an elimination forest: its parent list and height."""
+    return {"parent": list(parent), "height": max(depths(parent), default=0)}
 
 
 def _degeneracy(rows, mask):
@@ -219,14 +211,14 @@ class TreedepthSolver:
                 build(comp & ~(1 << root), root)
 
         build(mask, -1)
-        return EliminationForest(tuple(parent))
+        return tuple(parent)
 
 
-def depth_coloring(forest):
-    """Color vertices by depth in an elimination forest.
+def depth_coloring(parent):
+    """Color vertices by depth in an elimination forest's parent tuple.
 
     With td(G) colors this is a valid chi_p coloring for every p: any union of
     j color classes meets each root-leaf path in at most j vertices, so the
     compressed forest on it has height at most j and still covers every edge.
     """
-    return tuple(d - 1 for d in forest.depths())
+    return tuple(d - 1 for d in depths(parent))

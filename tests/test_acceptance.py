@@ -12,7 +12,7 @@ from chibound import corpus
 from chibound.certify import validate_topo_embedding
 from chibound.coloring import chromatic_number
 from chibound.errors import WalkLoopError
-from chibound.generators import SplitMix64
+from chibound.generators import SplitMix64, complete
 from chibound.graphs import Digraph
 from chibound.homomorphism import walk_power
 from chibound.minors import (
@@ -127,13 +127,13 @@ def test_criterion_9_property_suites():
         if emb is None:
             bad += 1
             continue
-        ok, _why = validate_topo_embedding(g, emb, 1)
+        ok, _why = validate_topo_embedding(g, complete(k), emb, 1)
         bad += 0 if ok else 1
         checked += 1
     for g in sample[::5]:
         for h in enumerate_ITM_exact(g, 1, 4):
             emb = is_induced_exact_subdivision(h, 1, g)
-            ok, _why = validate_topo_embedding(g, emb, 1, exact=True, induced=True)
+            ok, _why = validate_topo_embedding(g, h, emb, 1, exact=True, induced=True)
             bad += 0 if ok else 1
             checked += 1
     _report_line("C9c", "embedding re-validation", bad == 0, f"{checked} embeddings")

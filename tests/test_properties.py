@@ -572,5 +572,5 @@ def test_topo_embedding_search_agrees_with_the_naive_oracle(g):
             emb = find_topo_embedding(h, g, r)
             assert (emb is None) == (naive_topo_embedding(h, g, r) is None), (h, r)
             if emb is not None:
-                ok, why = validate_topo_embedding(g, emb, r)
+                ok, why = validate_topo_embedding(g, h, emb, r)
                 assert ok, why

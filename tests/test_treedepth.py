@@ -10,11 +10,7 @@ from chibound.corpus import all_graphs
 from chibound.errors import ParameterError, SizeCapError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp, star
 from chibound.graphs import Graph, component_masks, disjoint_union
-from chibound.treedepth import (
-    EliminationForest,
-    TreedepthSolver,
-    depth_coloring,
-)
+from chibound.treedepth import TreedepthSolver, depth_coloring
 from oracles import naive_treedepth
 
 
@@ -35,17 +31,17 @@ def test_certificates_validate():
 
 def test_validator_rejects_bad_forests():
     g = cycle(4)
-    flat = EliminationForest((-1, -1, -1, -1))
+    flat = (-1, -1, -1, -1)
     ok, why = validate_elimination_forest(g, flat, 1)
     assert not ok
     res = tree_depth(g)
     ok, _ = validate_elimination_forest(g, res.certificate, res.value + 1)
     assert not ok
-    assert not validate_elimination_forest(path(3), EliminationForest((-1, 0, 7)))[0]
-    assert not validate_elimination_forest(path(3), EliminationForest((-1, 0, 1.5)))[0]
+    assert not validate_elimination_forest(path(3), (-1, 0, 7))[0]
+    assert not validate_elimination_forest(path(3), (-1, 0, 1.5))[0]
     # -2 must not be read as an index from the end (vertex 1 here)
     g = Graph(3, [(0, 1)])
-    assert not validate_elimination_forest(g, EliminationForest((-1, 0, -2)))[0]
+    assert not validate_elimination_forest(g, (-1, 0, -2))[0]
 
 
 def test_against_naive_oracle():

@@ -33,9 +33,9 @@ from chibound.generators import complete, complete_bipartite, cycle, mycielskian
 from chibound.graphs import orientations, subdivide_exact
 from chibound.holes import enumerate_holes
 from chibound.homomorphism import directed_path, homomorphism, transitive_tournament
-from chibound.minors import TopoMinorEmbedding
+from chibound.minors import find_topo_embedding
 from chibound.suites import SuiteSpec, _instances_s11
-from chibound.treedepth import EliminationForest, TreedepthSolver
+from chibound.treedepth import TreedepthSolver
 from conftest import connected_corpus_graphs
 
 K3 = complete(3)
@@ -47,80 +47,80 @@ DP3 = directed_path(3)
 T3 = transitive_tournament(3)
 # K3 in C4 at depth 1: the edge (0, 2) runs through 3
 K3_PATHS = {(0, 1): (0, 1), (1, 2): (1, 2), (0, 2): (0, 3, 2)}
-# K3 in C5 at depth 2: the edge (0, 2) runs through 4 and 3
-K3_IN_C5 = TopoMinorEmbedding(K3, (0, 1, 2), {**K3_PATHS, (0, 2): (0, 4, 3, 2)})
+# K3 in C5 at depth 2 as (branch, paths), one path per edge of
+# K3.sorted_edges() in that order: the edge (0, 2) runs through 4 and 3
+K3_IN_C5 = ((0, 1, 2), ((0, 1), (0, 4, 3, 2), (1, 2)))
 
 
 def _k3_in_c4(branch=(0, 1, 2), edits=None):
-    """K3 in C4 with the paths of K3_PATHS replaced by edits; a None path
-    drops its edge."""
+    """K3 in C4 as (branch, paths), with the paths of K3_PATHS replaced by
+    edits; a None path drops its edge."""
     paths = {**K3_PATHS, **(edits or {})}
-    return TopoMinorEmbedding(K3, branch, {e: p for e, p in paths.items() if p})
+    return branch, tuple(paths[e] for e in K3.sorted_edges() if paths[e] is not None)
 
 
 # case id -> (validator call, the reason it returns)
 CASES = {
     "topo.not_injective": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(branch=(0, 0, 2)), 1),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(branch=(0, 0, 2)), 1),
         "branch map is not injective",
     ),
     "topo.branch_outside_host": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(branch=(0, 1, 7)), 1),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(branch=(0, 1, 7)), 1),
         "branch vertex outside host",
     ),
     "topo.edges_uncovered": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): None}), 1),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(edits={(0, 2): None}), 1),
         "paths do not cover the pattern edge set",
     ),
     "topo.path_leaves_host": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): (0, 9, 2)}), 1),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(edits={(0, 2): (0, 9, 2)}), 1),
         "path for (0, 2) leaves the host",
     ),
     "topo.wrong_ends": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): (0, 3, 1)}), 1),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(edits={(0, 2): (0, 3, 1)}), 1),
         "path for (0, 2) joins the wrong branch vertices",
     ),
     "topo.exact_length": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(), 1, exact=True),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(), 1, exact=True),
         "path for (0, 1) has 0 internal vertices, not 1",
     ),
     "topo.too_long": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(), 0),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(), 0),
         "path for (0, 2) exceeds 0 internal vertices",
     ),
     "topo.not_a_host_edge": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(1, 2): (1, 3, 2)}), 1),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(edits={(1, 2): (1, 3, 2)}), 1),
         "(1, 3) along path (1, 2) is not a host edge",
     ),
     "topo.repeats_a_vertex": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): (0, 3, 0, 3, 2)}), 3),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(edits={(0, 2): (0, 3, 0, 3, 2)}), 3),
         "path for (0, 2) repeats a vertex",
     ),
     "topo.interior_on_a_branch_vertex": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 2): (0, 1, 2)}), 1),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(edits={(0, 2): (0, 1, 2)}), 1),
         "path interior touches a branch vertex",
     ),
     "topo.shared_interior": (
-        lambda: validate_topo_embedding(
-            star(3), TopoMinorEmbedding(P3, (1, 2, 3), {(0, 1): (1, 0, 2), (1, 2): (2, 0, 3)}), 1
-        ),
+        lambda: validate_topo_embedding(star(3), P3, ((1, 2, 3), ((1, 0, 2), (2, 0, 3))), 1),
         "paths share an interior vertex",
     ),
     "topo.empty_path": (
-        lambda: validate_topo_embedding(
-            C4, TopoMinorEmbedding(K3, (0, 1, 2), {**K3_PATHS, (0, 2): ()}), 1
-        ),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(edits={(0, 2): ()}), 1),
         "path for (0, 2) joins the wrong branch vertices",
     ),
     "topo.depth_not_an_int": (
-        lambda: validate_topo_embedding(C5, K3_IN_C5, 2.5),
+        lambda: validate_topo_embedding(C5, K3, K3_IN_C5, 2.5),
         "depth 2.5 is not an int",
     ),
+    # the paths follow the pattern's sorted edges: in another order the first
+    # path, (1, 2), does not join the images of the edge (0, 1)
+    "topo.paths_out_of_order": (
+        lambda: validate_topo_embedding(C5, K3, (K3_IN_C5[0], K3_IN_C5[1][::-1]), 2),
+        "path for (0, 1) joins the wrong branch vertices",
+    ),
     "topo.not_induced": (
-        lambda: validate_topo_embedding(
-            K3, TopoMinorEmbedding(P3, (0, 1, 2), {(0, 1): (0, 1), (1, 2): (1, 2)}), 0,
-            induced=True,
-        ),
+        lambda: validate_topo_embedding(K3, P3, ((0, 1, 2), ((0, 1), (1, 2))), 0, induced=True),
         "embedded subdivision is not induced (extra host edges)",
     ),
     "biclique.not_a_vertex": (
@@ -160,31 +160,31 @@ CASES = {
         "chord (0, 2)",
     ),
     "forest.size_mismatch": (
-        lambda: validate_elimination_forest(P3, EliminationForest((-1, 0))),
+        lambda: validate_elimination_forest(P3, (-1, 0)),
         "parent array size mismatch",
     ),
     "forest.parent_not_a_vertex": (
-        lambda: validate_elimination_forest(P3, EliminationForest((-1, 0, 9))),
+        lambda: validate_elimination_forest(P3, (-1, 0, 9)),
         "parent 9 of vertex 2 is not a vertex",
     ),
     "forest.float_root_marker": (
-        lambda: validate_elimination_forest(P3, EliminationForest((1, -1.0, 1)), 2),
+        lambda: validate_elimination_forest(P3, (1, -1.0, 1), 2),
         "parent -1.0 of vertex 1 is not a vertex",
     ),
     "forest.parent_cycle": (
-        lambda: validate_elimination_forest(P3, EliminationForest((1, 0, -1))),
+        lambda: validate_elimination_forest(P3, (1, 0, -1)),
         "parent cycle through vertex 0",
     ),
     "forest.edge_across_branches": (
-        lambda: validate_elimination_forest(P3, EliminationForest((-1, -1, 1))),
+        lambda: validate_elimination_forest(P3, (-1, -1, 1)),
         "edge (0, 1) is not ancestor-descendant",
     ),
     "forest.height": (
-        lambda: validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 3),
+        lambda: validate_elimination_forest(P3, (1, -1, 1), 3),
         "height 2 != claimed 3",
     ),
     "forest.claim_not_an_int": (
-        lambda: validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 2.0),
+        lambda: validate_elimination_forest(P3, (1, -1, 1), 2.0),
         "claimed height 2.0 is not an int",
     ),
     "degeneracy.not_a_permutation": (
@@ -269,20 +269,28 @@ CASES = {
     ),
     "hole.not_a_sequence": (lambda: validate_hole(C5, 5), "5 is not a vertex sequence"),
     "forest.not_a_forest": (
-        lambda: validate_elimination_forest(P3, (1, -1, 1), 2),
-        "(1, -1, 1) is not an elimination forest",
+        lambda: validate_elimination_forest(P3, {"parent": [1, -1, 1], "height": 2}, 2),
+        "{'parent': [1, -1, 1], 'height': 2} is not an elimination forest",
     ),
     "topo.not_an_embedding": (
-        lambda: validate_topo_embedding(C5, None, 1),
+        lambda: validate_topo_embedding(C5, K3, None, 1),
         "None is not a topological-minor embedding",
     ),
     "topo.branch_not_a_vertex": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(branch=([0], 1, 2)), 1),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(branch=([0], 1, 2)), 1),
         "branch vertex outside host",
     ),
     "topo.path_not_a_sequence": (
-        lambda: validate_topo_embedding(C4, _k3_in_c4(edits={(0, 1): 5}), 1),
+        lambda: validate_topo_embedding(C4, K3, _k3_in_c4(edits={(0, 1): 5}), 1),
         "path for (0, 1) is not a vertex sequence",
+    ),
+    "coloring.not_a_coloring": (
+        lambda: validate_coloring(path(3), None),
+        "None is not a coloring",
+    ),
+    "coloring.assignment_not_a_sequence": (
+        lambda: validate_coloring(path(3), Coloring(None, 2)),
+        "Coloring(assignment=None, num_colors=2, p=None) is not a coloring",
     ),
     "homomorphism.not_a_sequence": (
         lambda: validate_homomorphism(DP3, T3, None),
@@ -306,11 +314,11 @@ def test_validator_rejects_with_its_reason(case):
 
 
 def test_the_hand_made_certificates_differ_from_valid_ones_only_in_the_fault():
-    assert validate_topo_embedding(C4, _k3_in_c4(), 1) == (True, None)
-    assert validate_topo_embedding(C5, K3_IN_C5, 2) == (True, None)
+    assert validate_topo_embedding(C4, K3, _k3_in_c4(), 1) == (True, None)
+    assert validate_topo_embedding(C5, K3, K3_IN_C5, 2) == (True, None)
     assert validate_biclique(complete_bipartite(2, 2), ((0, 1), (2, 3))) == (True, None)
     assert validate_hole(cycle(5), (0, 1, 2, 3, 4)) == (True, None)
-    assert validate_elimination_forest(P3, EliminationForest((1, -1, 1)), 2) == (True, None)
+    assert validate_elimination_forest(P3, (1, -1, 1), 2) == (True, None)
     assert validate_clique(K3, (0, 1, 2)) == (True, None)
     assert validate_chi_lower_bound(K3, ("clique", (0, 1, 2)), 3) == (True, None)
     assert validate_chi_lower_bound(C5, ("critical_subgraph", (0, 1, 2, 3, 4)), 3) == (True, None)
@@ -321,18 +329,29 @@ def test_the_hand_made_certificates_differ_from_valid_ones_only_in_the_fault():
 
 def test_certificates_validate_from_their_json_form():
     """A certificate read back from JSON is lists and numbers; every coloring,
-    hole and homomorphism the solvers give validates in that form."""
+    elimination forest, embedding, hole and homomorphism the solvers give
+    validates in that form."""
 
     def round_trip(x):
         return json.loads(json.dumps(x))
 
+    embeddings = 0
     for g in connected_corpus_graphs(6):
         for res in (chromatic_number(g), chi_p(g, 2), chi_p(g, 3)):
             cert = round_trip(res.certificate.to_jsonable())
             coloring = Coloring(cert["assignment"], cert["num_colors"], cert["p"])
             assert validate_coloring(g, coloring) == (True, None)
+        td = tree_depth(g)
+        assert validate_elimination_forest(g, round_trip(td.certificate), td.value) == (True, None)
+        for h in (K3, C4, C5, complete(4)):
+            for r in range(3):
+                emb = find_topo_embedding(h, g, r)
+                if emb is not None:
+                    assert validate_topo_embedding(g, h, round_trip(emb), r) == (True, None)
+                    embeddings += 1
         for hole in enumerate_holes(g, g.n):
             assert validate_hole(g, round_trip(list(hole))) == (True, None)
+    assert embeddings == 1101
     # the search pairs of S9
     samples = [d for n in range(1, 5) for g in corpus.all_graphs(n) for d in orientations(g)]
     found = 0
