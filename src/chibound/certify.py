@@ -3,7 +3,7 @@ its definition and imports no engine, only errors and graphs, so it shares no
 search code with the solver it checks.
 
 Each validator returns (True, None) or (False, reason); validate_coloring's
-reason for a well-shaped coloring is a witness naming the violating edge or
+reason for a well-formed coloring is a witness naming the violating edge or
 color subset. Certificates are plain values, as a solver builds them or as
 JSON gives them back: a vertex sequence (a clique, a hole, a homomorphism's
 images, a degeneracy order) is a tuple or a list, an elimination forest its
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import ValidationError, check_cap, is_int
+from .errors import check_cap, is_int
 from .graphs import bits, component_masks, induced_subgraph
 
 
@@ -43,19 +43,6 @@ def _non_vertex(g, verts):
     return None
 
 
-def _check_structure(g, coloring):
-    if len(coloring.assignment) != g.n:
-        raise ValidationError("assignment must cover every vertex")
-    if not all(map(is_int, coloring.assignment)):
-        raise ValidationError("colors must be ints")
-    if coloring.p is not None and not (is_int(coloring.p) and coloring.p >= 1):
-        raise ValidationError(f"p must be an int >= 1, got {coloring.p!r}")
-    if not is_int(coloring.num_colors):
-        raise ValidationError(f"num_colors must be an int, got {coloring.num_colors!r}")
-    if set(coloring.assignment) != set(range(coloring.num_colors)):
-        raise ValidationError("colors must be 0..num_colors-1 with every color used")
-
-
 def _first_monochromatic_edge(g, colors):
     for u, v in g.sorted_edges():
         if colors[u] == colors[v]:
@@ -68,13 +55,22 @@ def validate_coloring(g, coloring):
     every union of at most p classes.
 
     Returns (True, None) or (False, witness); the witness names the violating
-    edge or color subset. A coloring whose assignment is not a sequence is
+    edge or color subset. A coloring of the wrong shape or contents is
     refused with a reason.
     """
     colors = getattr(coloring, "assignment", None)
     if not isinstance(colors, _SEQUENCE):
         return False, f"{coloring!r} is not a coloring"
-    _check_structure(g, coloring)
+    if len(colors) != g.n:
+        return False, "assignment must cover every vertex"
+    if not all(map(is_int, colors)):
+        return False, "colors must be ints"
+    if coloring.p is not None and not (is_int(coloring.p) and coloring.p >= 1):
+        return False, f"p must be an int >= 1, got {coloring.p!r}"
+    if not is_int(coloring.num_colors):
+        return False, f"num_colors must be an int, got {coloring.num_colors!r}"
+    if set(colors) != set(range(coloring.num_colors)):
+        return False, "colors must be 0..num_colors-1 with every color used"
     edge = _first_monochromatic_edge(g, colors)
     if edge is not None:
         return False, ("monochromatic_edge", edge)

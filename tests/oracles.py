@@ -328,14 +328,17 @@ def are_isomorphic(g1, g2):
 def naive_canonical_form(g):
     """(n, col_1, ..., col_{n-1}) least over every vertex order, where col_j
     has bit i set when the vertices at positions i < j and j are adjacent."""
-    best = min(
-        tuple(
-            sum(1 << i for i in range(j) if g.has_edge(order[i], order[j]))
-            for j in range(1, g.n)
-        )
-        for order in permutations(range(g.n))
+    return (g.n, *naive_least_columns(g.adj_bits))
+
+
+def naive_least_columns(adj):
+    """The least (col_1, ..., col_{n-1}) over every order of the vertices of
+    the bit rows adj, trying all n! of them."""
+    n = len(adj)
+    return min(
+        tuple(sum(1 << i for i in range(j) if adj[order[j]] >> order[i] & 1) for j in range(1, n))
+        for order in permutations(range(n))
     )
-    return (g.n, *best)
 
 
 def walk_count_matrix(d, length):

@@ -101,31 +101,6 @@ def test_validate_coloring_witnesses():
     assert not ok and witness[0] == "subset_treedepth"
 
 
-def test_validate_coloring_structure_errors():
-    with pytest.raises(ValidationError):
-        validate_coloring(complete(3), Coloring((0, 1), 2))
-    with pytest.raises(ValidationError):
-        validate_coloring(complete(3), Coloring((0, 1, 3), 4))
-    with pytest.raises(ValidationError):
-        validate_coloring(Graph(0), Coloring((), 3))
-    with pytest.raises(ValidationError):
-        validate_coloring(path(4), Coloring((0, 1, 0, 1), 2, 0))
-
-
-@pytest.mark.parametrize(
-    "g, coloring",
-    [
-        (path(5), Coloring((0, 1, 0, 1, 2.0), 3)),
-        (path(4), Coloring((0, True, 0, 1), 2)),
-        (path(4), Coloring((0, 1, 0, 1), 2, p=True)),
-        (path(2), Coloring((0, 1), 2.0)),
-    ],
-)
-def test_validate_coloring_rejects_non_int_colors_and_p(g, coloring):
-    with pytest.raises(ValidationError):
-        validate_coloring(g, coloring)
-
-
 def test_solver_outputs_revalidate(small_connected):
     for g in small_connected[::5]:
         for res in (

@@ -13,7 +13,7 @@ from chibound.errors import SizeCapError, ValidationError
 from chibound.generators import SplitMix64, complete, cycle, path, random_gnp
 from chibound.graphs import Graph, is_connected
 from conftest import record_pools
-from oracles import are_isomorphic, canonical_graph, naive_canonical_form
+from oracles import are_isomorphic, canonical_graph, naive_canonical_form, naive_least_columns
 
 
 # classical enumeration values: all graphs / connected graphs up to isomorphism
@@ -152,6 +152,40 @@ def test_prefilter_skips_only_extensions_the_canonicity_test_rejects(monkeypatch
                 skipped[n] += 1
     # the 156 classes on 6 vertices have 9,984 extensions
     assert (skipped[6], corpus.CLASS_COUNTS["all"][6] * 64) == (7222, 9984)
+
+
+def test_canonicity_test_keeps_exactly_the_least_extensions(monkeypatch):
+    # every last column on every class of up to 4 vertices, and every 6-vertex
+    # extension that the prefilter passes: the test keeps an extension exactly
+    # when no vertex order gives smaller columns, and from those columns a
+    # search that does not stop ends on the least ones
+    least_columns = corpus._least_columns
+    passed = []  # the last columns that pass the prefilter
+
+    def recording(adj, best, stop_below):
+        passed.append(best[-1])
+
+    monkeypatch.setattr(corpus, "_least_columns", recording)
+    extensions = {n: [] for n in range(2, 7)}
+    for n in range(1, 6):
+        for base in corpus.all_graphs(n):
+            passed.clear()
+            corpus._extend(base.adj_bits)
+            lasts = passed if n == 5 else range(1 << n)
+            extensions[n + 1] += [_extension(base.adj_bits, last) for last in lasts]
+    kept = {}
+    for n, cases in extensions.items():
+        kept[n] = 0
+        for adj, columns in cases:
+            least = naive_least_columns(adj)
+            keeps = least_columns(adj, list(columns), stop_below=True)
+            assert keeps == (least == tuple(columns)), (adj, least)
+            best = list(columns)
+            assert least_columns(adj, best, stop_below=False)
+            assert tuple(best) == least, adj
+            kept[n] += keeps
+        assert kept[n] == corpus.CLASS_COUNTS["all"][n]
+    assert (len(extensions[6]), kept[6]) == (372, 156)
 
 
 def test_fresh_corpus_counts(fresh_cache):

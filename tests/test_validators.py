@@ -30,7 +30,7 @@ from chibound.coloring import (
     uniform_subdivision_coloring,
 )
 from chibound.generators import complete, complete_bipartite, cycle, mycielskian, path, star
-from chibound.graphs import orientations, subdivide_exact
+from chibound.graphs import Graph, orientations, subdivide_exact
 from chibound.holes import enumerate_holes
 from chibound.homomorphism import directed_path, homomorphism, transitive_tournament
 from chibound.minors import find_topo_embedding
@@ -291,6 +291,43 @@ CASES = {
     "coloring.assignment_not_a_sequence": (
         lambda: validate_coloring(path(3), Coloring(None, 2)),
         "Coloring(assignment=None, num_colors=2, p=None) is not a coloring",
+    ),
+    # a coloring of the right shape whose contents are wrong is refused too
+    "coloring.short_assignment": (
+        lambda: validate_coloring(K3, Coloring((0, 1), 2)),
+        "assignment must cover every vertex",
+    ),
+    "coloring.float_color": (
+        lambda: validate_coloring(path(5), Coloring((0, 1, 0, 1, 2.0), 3)),
+        "colors must be ints",
+    ),
+    "coloring.bool_color": (
+        lambda: validate_coloring(path(4), Coloring((0, True, 0, 1), 2)),
+        "colors must be ints",
+    ),
+    "coloring.depth_0": (
+        lambda: validate_coloring(path(4), Coloring((0, 1, 0, 1), 2, 0)),
+        "p must be an int >= 1, got 0",
+    ),
+    "coloring.bool_depth": (
+        lambda: validate_coloring(path(4), Coloring((0, 1, 0, 1), 2, p=True)),
+        "p must be an int >= 1, got True",
+    ),
+    "coloring.float_num_colors": (
+        lambda: validate_coloring(path(2), Coloring((0, 1), 2.0)),
+        "num_colors must be an int, got 2.0",
+    ),
+    "coloring.no_num_colors": (
+        lambda: validate_coloring(P3, Coloring((0, 1, 0), None)),
+        "num_colors must be an int, got None",
+    ),
+    "coloring.color_out_of_range": (
+        lambda: validate_coloring(K3, Coloring((0, 1, 3), 4)),
+        "colors must be 0..num_colors-1 with every color used",
+    ),
+    "coloring.color_unused": (
+        lambda: validate_coloring(Graph(0), Coloring((), 3)),
+        "colors must be 0..num_colors-1 with every color used",
     ),
     "homomorphism.not_a_sequence": (
         lambda: validate_homomorphism(DP3, T3, None),
