@@ -322,6 +322,10 @@ CASES = {
         "num_colors must be an int, got None",
     ),
     "coloring.color_out_of_range": (
+        lambda: validate_coloring(P3, Coloring((0, 1, 5), 2)),
+        "colors must be 0..num_colors-1 with every color used",
+    ),
+    "coloring.color_skipped": (
         lambda: validate_coloring(K3, Coloring((0, 1, 3), 4)),
         "colors must be 0..num_colors-1 with every color used",
     ),
