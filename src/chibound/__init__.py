@@ -70,7 +70,6 @@ from .holes import (
     count_holes,
     enumerate_holes,
     is_even_hole_free,
-    verify_hole_density,
 )
 from .homomorphism import (
     DualityReport,

@@ -186,7 +186,11 @@ def _from_json(text, cls, key):
     if not is_int(data["n"]):
         raise ParseError('"n" must be an integer')
     check_cap("json", data["n"], _MAX_LONG_N)
-    return cls(data["n"], _check_pairs(data[key], key))
+    pairs = _check_pairs(data[key], key)
+    try:
+        return cls(data["n"], pairs)
+    except ValidationError as exc:  # a loop, a repeated pair, a bad endpoint or n
+        raise ParseError(str(exc)) from exc
 
 
 def _to_json(n, key, pairs):

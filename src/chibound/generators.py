@@ -165,29 +165,36 @@ def _mycielski_family(params, rng):
     return mycielski_iterate(base, params["k"])
 
 
-# family -> (builder taking the params dict and the family's rng, required keys)
+# family -> (builder taking the params dict and the family's rng, required, optional keys)
 _FAMILIES = {
-    "complete": (lambda q, rng: complete(q["n"]), ("n",)),
-    "complete_bipartite": (lambda q, rng: complete_bipartite(q["s"], q["t"]), ("s", "t")),
-    "cycle": (lambda q, rng: cycle(q["n"]), ("n",)),
-    "path": (lambda q, rng: path(q["n"]), ("n",)),
-    "star": (lambda q, rng: star(q["t"]), ("t",)),
-    "mycielski_iterate": (_mycielski_family, ("k",)),
-    "random_gnp": (lambda q, rng: random_gnp(q["n"], q["p"], rng), ("n", "p")),
-    "high_girth": (lambda q, rng: high_girth(q["n"], q["d"], q["g"], rng), ("n", "d", "g")),
+    "complete": (lambda q, rng: complete(q["n"]), ("n",), ()),
+    "complete_bipartite": (lambda q, rng: complete_bipartite(q["s"], q["t"]), ("s", "t"), ()),
+    "cycle": (lambda q, rng: cycle(q["n"]), ("n",), ()),
+    "path": (lambda q, rng: path(q["n"]), ("n",), ()),
+    "star": (lambda q, rng: star(q["t"]), ("t",), ()),
+    "mycielski_iterate": (_mycielski_family, ("k",), ("base",)),
+    "random_gnp": (lambda q, rng: random_gnp(q["n"], q["p"], rng), ("n", "p"), ()),
+    "high_girth": (lambda q, rng: high_girth(q["n"], q["d"], q["g"], rng), ("n", "d", "g"), ()),
 }
 
 
 def generate(family, params, seed=0):
     """Build a graph from a named family; deterministic under (family, params, seed).
-    Each family function checks its own parameters."""
+    A key the family does not take raises ParameterError; each family function
+    checks its own parameters."""
     family = family.replace("-", "_")
     if family not in _FAMILIES:
         raise ParameterError(
             f"unknown family {family!r}; known: {sorted(_FAMILIES)}"
         )
-    build, required = _FAMILIES[family]
+    build, required, optional = _FAMILIES[family]
     missing = [k for k in required if k not in params]
     if missing:
         raise ParameterError(f"family {family!r} needs parameters {missing}")
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if unknown:
+        raise ParameterError(
+            f"family {family!r} takes no parameter {unknown[0]!r};"
+            f" known: {sorted(required + optional)}"
+        )
     return build(params, SplitMix64(seed).split(family))

@@ -1,5 +1,6 @@
 """Chordless-cycle machinery: hole enumeration, even-hole-freeness, exact
-per-length counts, and the extremal blown-up-cycle family check.
+per-length counts, and the extremal blown-up-cycle family that suite S7
+checks.
 
 Holes are induced cycles of length at least 4, each given as its vertex
 tuple in cycle order. They are enumerated by extending chordless paths from
@@ -9,12 +10,9 @@ hole appears exactly once, already in its least rotation/reflection.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ParameterError, check_cap, check_int
 from .generators import cycle
-from .graphs import blow_up, disjoint_union
-from .invariants import clique_number
+from .graphs import blow_up
 
 
 def _iter_holes(g, max_len):
@@ -81,39 +79,3 @@ def blown_up_cycle(g_len, omega):
     if omega % 2 == 1:
         raise ParameterError("clique number must be even and at least 2")
     return blow_up(cycle(g_len), omega // 2)
-
-
-def verify_hole_density(g_len, omega, copies):
-    """Check h_g = (1/g) (omega/2)^(g-1) |G| on disjoint copies of C_g[K_{omega/2}].
-
-    Returns a report dict with measured and expected values; 'pass' is True
-    only when the count matches exactly, the clique number equals omega, and
-    the construction is even-hole-free.
-    """
-    check_int("copies", copies, 1)
-    block = blown_up_cycle(g_len, omega)
-    g = disjoint_union([block] * copies)
-    measured = count_holes(g, g_len)
-    expected = Fraction(1, g_len) * Fraction(omega, 2) ** (g_len - 1) * g.n
-    omega_measured = clique_number(g).value
-    ehf, witness = is_even_hole_free(g)
-    report = {
-        "g": g_len,
-        "omega": omega,
-        "copies": copies,
-        "order": g.n,
-        "holes_measured": measured,
-        "holes_expected_numerator": expected.numerator,
-        "holes_expected_denominator": expected.denominator,
-        "omega_measured": omega_measured,
-        "even_hole_free": ehf,
-        "pass": (
-            expected.denominator == 1
-            and measured == expected.numerator
-            and omega_measured == omega
-            and ehf
-        ),
-    }
-    if witness is not None:
-        report["even_hole_witness"] = list(witness)
-    return report

@@ -92,10 +92,6 @@ def homomorphism(f, g, cap=None, budget=None):
     return tuple(d.bit_length() - 1 for d in found)
 
 
-def hom_exists(f, g):
-    return homomorphism(f, g) is not None
-
-
 def transitive_tournament(k):
     """T_k: vertices 0..k-1 with an arc (i, j) whenever i < j."""
     check_int("k", k, 1)
@@ -189,13 +185,13 @@ def verify_restricted_dual(f, d, samples):
     The premise f -/-> d is checked first; then each sample must satisfy
     exactly one side of the equivalence. The first violation short-circuits.
     """
-    if hom_exists(f, d):
+    if homomorphism(f, d) is not None:
         return DualityReport(premise_ok=False, verdict=False,
                              violation={"reason": "F maps to D"})
     records = []
     for idx, sample in enumerate(samples):
-        f_to_g = hom_exists(f, sample)
-        g_to_d = hom_exists(sample, d)
+        f_to_g = homomorphism(f, sample) is not None
+        g_to_d = homomorphism(sample, d) is not None
         ok = (not f_to_g) == g_to_d
         record = {
             "index": idx,

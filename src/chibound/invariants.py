@@ -12,7 +12,6 @@ from typing import Any
 
 from .errors import check_cap
 from .graphs import bits
-from .treedepth import forest_jsonable
 
 
 @dataclass(frozen=True)
@@ -25,21 +24,16 @@ class InvariantResult:
     lower_bound: Any = None
 
     def to_jsonable(self):
-        def conv(obj):
-            if isinstance(obj, (tuple, list)):
-                return [conv(x) for x in obj]
-            if hasattr(obj, "to_jsonable"):
-                return obj.to_jsonable()
-            return obj
-
         certificate = self.certificate
         if self.name == "tree_depth":
-            certificate = forest_jsonable(certificate)
+            certificate = {"parent": list(certificate), "height": self.value}
+        elif hasattr(certificate, "to_jsonable"):
+            certificate = certificate.to_jsonable()
         return {
             "name": self.name,
-            "value": conv(self.value),
-            "certificate": conv(certificate),
-            "lower_bound": conv(self.lower_bound),
+            "value": self.value,
+            "certificate": certificate,
+            "lower_bound": self.lower_bound,
         }
 
 

@@ -20,8 +20,8 @@ before any placement builds none. The pattern's side, its degrees, placement
 order, sorted edges and neighbour tuples, is one immutable plan per pattern
 (_plan, a bounded cache shared by every host). omega_TM, chi_TM (one climb,
 _climb) and is_induced_exact_subdivision read the same search; chi_TM reads
-its critical patterns one size at a time from lists built once per (level,
-size), so a host's climb does search work only.
+its critical patterns one size at a time from _critical_of_size, lists built
+once per (level, size), so a host's climb does search work only.
 """
 
 from __future__ import annotations
@@ -256,25 +256,20 @@ def enumerate_ITM_exact(g, r, max_pattern_size):
     )
 
 
-_critical_cache = {}
-
-
+@lru_cache(maxsize=128)
 def _critical_of_size(chi, size):
     """The connected edge-critical chi-chromatic graphs on exactly size
-    vertices, in corpus order, built once per (chi, size). From chi = 4 on
-    they come from the corpus, so a size past the critical_catalogue cap
-    raises; it is checked on a miss only, since no such size is ever kept."""
-    key = (chi, size)
-    if key not in _critical_cache:
-        if chi <= 2:
-            out = (complete(chi),) if size == chi else ()
-        elif chi == 3:
-            out = (cycle(size),) if size % 2 else ()
-        else:
-            check_cap("critical_catalogue", size)
-            out = tuple(h for h in connected_graphs(size) if _is_critical(h, chi))
-        _critical_cache[key] = out
-    return _critical_cache[key]
+    vertices, in corpus order: the only patterns of that size a chi-level TM
+    query must try. Levels 1..3 have closed forms (a vertex, an edge, the odd
+    cycles); from chi = 4 on they come from the corpus, so a size past the
+    critical_catalogue cap raises. 128 entries hold levels 2 and 3 up to the
+    tm_host cap and every higher level up to the catalogue cap."""
+    if chi <= 2:
+        return (complete(chi),) if size == chi else ()
+    if chi == 3:
+        return (cycle(size),) if size % 2 else ()
+    check_cap("critical_catalogue", size)
+    return tuple(h for h in connected_graphs(size) if _is_critical(h, chi))
 
 
 def _is_critical(h, chi):
@@ -289,25 +284,6 @@ def _is_critical(h, chi):
     return not any(
         chromatic_at_least(Graph(h.n, [f for f in edges if f != e]), chi) for e in edges
     )
-
-
-def critical_patterns(chi, max_size):
-    """Connected edge-critical graphs with chromatic number chi, up to max_size
-    vertices, in ascending size. Any graph of chromatic number chi contains one
-    as a subgraph, so these are the only patterns a chi-level TM query must try.
-
-    Levels 1..3 have closed forms (a vertex, an edge, the odd cycles); level 4
-    and up filters the corpus, which caps their size at 8 vertices. At every
-    level max_size is capped like a tm_host, since no larger pattern embeds in
-    a host. The list is the concatenation of the per-size lists, each built
-    once per (chi, size) and read by chi_TM one size at a time.
-    """
-    check_int("chi", chi, 1)
-    check_int("max_size", max_size, 0)
-    check_cap("tm_host", max_size)
-    if chi >= 4:
-        check_cap("critical_catalogue", max_size)
-    return [h for size in range(chi, max_size + 1) for h in _critical_of_size(chi, size)]
 
 
 def chi_TM(g, r):

@@ -13,6 +13,7 @@ import json
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -38,8 +39,8 @@ from .coloring import (
 )
 from .errors import ParameterError, SizeCapError, check_int
 from .generators import SplitMix64, complete, random_gnp, generate
-from .graphs import induced_subgraph, orientations, subdivide_exact
-from .holes import verify_hole_density
+from .graphs import disjoint_union, induced_subgraph, orientations, subdivide_exact
+from .holes import blown_up_cycle, count_holes, is_even_hole_free
 from .homomorphism import (
     directed_path,
     longest_directed_path_order,
@@ -394,21 +395,26 @@ def _instances_s6(spec):
 
 
 def _check_s7(payload):
-    rep = verify_hole_density(payload["g"], payload["omega"], payload["copies"])
-    expected = {
-        "holes": rep["holes_expected_numerator"]
-        if rep["holes_expected_denominator"] == 1
-        else None,
-        "even_hole_free": True,
-        "omega": payload["omega"],
-    }
+    g_len, omega = payload["g"], payload["omega"]
+    g = disjoint_union([blown_up_cycle(g_len, omega)] * payload["copies"])
+    h_g = Fraction(omega, 2) ** (g_len - 1) * g.n / g_len
+    even_hole_free, even_hole = is_even_hole_free(g)
     measured = {
-        "holes": rep["holes_measured"],
-        "omega": rep["omega_measured"],
-        "even_hole_free": rep["even_hole_free"],
-        "order": rep["order"],
+        "holes": count_holes(g, g_len),
+        "omega": clique_number(g).value,
+        "even_hole_free": even_hole_free,
+        "order": g.n,
     }
-    return _record(None, payload, measured, expected, rep["pass"], witness=rep)
+    expected = {
+        "holes": h_g.numerator if h_g.denominator == 1 else None,
+        "even_hole_free": True,
+        "omega": omega,
+    }
+    ok = measured["holes"] == h_g and measured["omega"] == omega and even_hole_free
+    witness = {"holes_expected": str(h_g)}
+    if even_hole is not None:
+        witness["even_hole"] = list(even_hole)
+    return _record(None, payload, measured, expected, ok, witness=witness)
 
 
 def _instances_s7(spec):

@@ -20,7 +20,7 @@ above the exact-solve cap as long as k is small. `tree_depth(g)` and
 g's coloring search, so they share the memo of the chi_p questions asked of
 g, and `tree_depth` starts each component's lower bound at its largest chi_p
 found when that beats degeneracy + 1 (td >= chi_p for every p). A forest is
-its parent tuple, -1 at a root; `forest_jsonable` adds its height for JSON.
+its parent tuple, -1 at a root.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ def depths(parent):
     for v in range(len(parent)):
         depth(v)
     return out
-
-
-def forest_jsonable(parent):
-    """The JSON form of an elimination forest: its parent list and height."""
-    return {"parent": list(parent), "height": max(depths(parent), default=0)}
 
 
 def _degeneracy(rows, mask):

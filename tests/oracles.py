@@ -175,7 +175,7 @@ def naive_max_biclique(g):
     return best
 
 
-def naive_hom_exists(f, g):
+def naive_maps_to(f, g):
     """Whether some map from f's vertices to g's sends every arc to an arc;
     tries every map."""
     arcs = f.sorted_arcs()

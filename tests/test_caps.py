@@ -28,8 +28,8 @@ from chibound.holes import enumerate_holes
 from chibound.homomorphism import homomorphism
 from chibound.invariants import biclique_number, clique_number
 from chibound.minors import (
+    _critical_of_size,
     chi_TM,
-    critical_patterns,
     enumerate_ITM_exact,
     find_subdivided_clique,
     find_topo_embedding,
@@ -71,11 +71,10 @@ CASES = {
     "tm_host": lambda s: [
         (find_topo_embedding, (Graph(1), Graph(s), 1)),
         (chi_TM, (Graph(s), 1)),
-        (critical_patterns, (3, s)),
     ],
     "pattern": lambda s: [(find_subdivided_clique, (Graph(1), s, 1))],
     "itm_host": lambda s: [(enumerate_ITM_exact, (Graph(s), 1, 2))],
-    "critical_catalogue": lambda s: [(critical_patterns, (4, s))],
+    "critical_catalogue": lambda s: [(_critical_of_size, (4, s))],
     "chi_witness": lambda s: [
         (validate_chi_lower_bound, (Graph(s), ("critical_subgraph", tuple(range(s))), 2))
     ],
@@ -113,7 +112,7 @@ BEFORE_SEARCH = {
     "find_subdivided_clique",
     "chi_TM",
     "enumerate_ITM_exact",
-    "critical_patterns",
+    "_critical_of_size",
     "validate_chi_lower_bound",
     "generate",
     "generate.<locals>.<listcomp>",

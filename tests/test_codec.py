@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 
+from chibound.cli import main
 from chibound.codec import (
     digraph_from_digraph6,
     digraph_to_digraph6,
@@ -12,7 +13,7 @@ from chibound.codec import (
     serialize_graph,
 )
 from chibound.corpus import all_graphs
-from chibound.errors import ParseError, SizeCapError, ValidationError
+from chibound.errors import ParseError, SizeCapError
 from chibound.generators import SplitMix64, complete, cycle, random_gnp
 from chibound.graphs import Digraph, Graph, orientations
 from oracles import naive_digraph6, naive_graph6
@@ -35,10 +36,31 @@ def test_json_roundtrip():
 
 
 def test_json_rejects_loop_and_duplicate():
-    with pytest.raises(ValidationError):
+    # the graph constructor's ValidationError reaches the caller as a ParseError
+    with pytest.raises(ParseError, match=r"^loop at vertex 0 is not allowed$"):
         parse_graph('{"n":3,"edges":[[0,0]]}')
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match=r"^duplicate edge \(0, 1\)$"):
         parse_graph('{"n":3,"edges":[[0,1],[1,0]]}')
+    with pytest.raises(ParseError, match=r"^loop at vertex 1 is not allowed$"):
+        parse_digraph('{"n":2,"arcs":[[1,1]]}')
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ('{"n": 3, "edges": [[0, 1], [1, 0]]}', "duplicate edge (0, 1)"),
+        ('{"n": 3, "edges": [[0, 0]]}', "loop at vertex 0 is not allowed"),
+        ('{"n": 3, "edges": [[0, 5]]}', "edge (0, 5) has an endpoint outside 0..2"),
+        ('{"n": -1, "edges": []}', "vertex count must be a non-negative int, got -1"),
+    ],
+)
+def test_malformed_json_graph_file_exits_4(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text + "\n")
+    assert main(["invariant", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"input error: {message}\n"
 
 
 def test_json_malformed():

@@ -206,7 +206,7 @@ def test_one_search_per_graph(monkeypatch):
 
     monkeypatch.setattr(_ColoringSearch, "__init__", counting_init)
     monkeypatch.setattr(TreedepthSolver, "__init__", counting_solver_init)
-    monkeypatch.setattr(minors, "_critical_cache", {})
+    minors._critical_of_size.cache_clear()
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
     for g, chi_tm_1 in (
         (disjoint_union([cycle(5), complete(4)]), 4),

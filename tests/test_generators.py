@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 
+from chibound.cli import main
 from chibound.codec import graph_to_graph6
 from chibound.errors import ParameterError
 from chibound.generators import (
@@ -60,6 +61,22 @@ def test_family_errors():
         generate("cycle", {})
     with pytest.raises(ParameterError):
         generate("high_girth", {"n": 5, "d": 3, "g": 5})  # odd n*d
+    with pytest.raises(
+        ParameterError, match=r"^family 'complete' takes no parameter 'typo'; known: \['n'\]$"
+    ):
+        generate("complete", {"n": 4, "typo": 3})
+    with pytest.raises(
+        ParameterError,
+        match=r"^family 'mycielski_iterate' takes no parameter 'n'; known: \['base', 'k'\]$",
+    ):
+        generate("mycielski_iterate", {"k": 1, "n": 3})
+
+
+def test_generate_command_rejects_a_parameter_its_family_does_not_take(capsys):
+    assert main(["generate", "complete", "--param", "n=4", "--param", "typo=3"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: family 'complete' takes no parameter 'typo'; known: ['n']\n"
 
 
 def test_high_girth_meets_target():

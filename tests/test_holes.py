@@ -9,7 +9,6 @@ from chibound.holes import (
     count_holes,
     enumerate_holes,
     is_even_hole_free,
-    verify_hole_density,
 )
 from chibound.invariants import clique_number
 from conftest import connected_corpus_graphs
@@ -71,22 +70,13 @@ def test_blown_up_cycle_clique_number():
     assert clique_number(blown_up_cycle(5, 4)).value == 4
 
 
-def test_verify_hole_density_examples():
-    rep = verify_hole_density(5, 2, 3)
-    assert rep["holes_measured"] == 3 and rep["pass"]
-    rep = verify_hole_density(5, 4, 1)
-    assert rep["holes_measured"] == 32 and rep["pass"]
-    rep = verify_hole_density(7, 2, 1)
-    assert rep["holes_measured"] == 1 and rep["pass"]
-
-
-def test_verify_hole_density_parity_errors():
+def test_blown_up_cycle_parity_errors():
     with pytest.raises(ParameterError):
-        verify_hole_density(6, 2, 1)
+        blown_up_cycle(6, 2)
     with pytest.raises(ParameterError):
-        verify_hole_density(5, 3, 1)
+        blown_up_cycle(5, 3)
     with pytest.raises(ParameterError):
-        verify_hole_density(3, 2, 1)
+        blown_up_cycle(3, 2)
 
 
 def test_canonical_cycle_normalizes_rotation_and_reflection():

@@ -12,14 +12,13 @@ from chibound.graphs import Digraph, orientations
 from chibound.homomorphism import (
     directed_cycle,
     directed_path,
-    hom_exists,
     homomorphism,
     longest_directed_path_order,
     transitive_tournament,
     verify_restricted_dual,
     walk_power,
 )
-from oracles import naive_hom_exists, walk_count_matrix
+from oracles import naive_maps_to, walk_count_matrix
 
 
 def _random_digraph(rng, n, p):
@@ -71,7 +70,7 @@ def test_gallai_roy_on_small_orientations():
         longest = longest_directed_path_order(d)
         for k in range(1, 5):
             expected = longest is not None and longest <= k
-            assert hom_exists(d, transitive_tournament(k)) == expected
+            assert (homomorphism(d, transitive_tournament(k)) is not None) == expected
 
 
 def test_hom_composability():
@@ -162,7 +161,7 @@ def test_existence_matches_brute_force_over_all_maps():
         f = _random_digraph(rng, rng.randrange(6), 0.35)
         g = _random_digraph(rng, rng.randrange(6), 0.5)
         hom = homomorphism(f, g)
-        assert (hom is not None) == naive_hom_exists(f, g)
+        assert (hom is not None) == naive_maps_to(f, g)
         if hom is not None:
             assert validate_homomorphism(f, g, hom)[0]
 

@@ -33,8 +33,8 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("chibound."))))
 """
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_imports_alone(module):
+def _loaded_alone(module):
+    """The chibound modules loaded by importing chibound.<module> alone."""
     done = subprocess.run(
         [sys.executable, "-c", ALONE.format(path=str(PACKAGE), module=module)],
         capture_output=True,
@@ -42,18 +42,31 @@ def test_module_imports_alone(module):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert f"chibound.{module}" in done.stdout.split()
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    assert f"chibound.{module}" in _loaded_alone(module)
 
 
 def test_certify_loads_no_engine():
-    done = subprocess.run(
-        [sys.executable, "-c", ALONE.format(path=str(PACKAGE), module="certify")],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["chibound.certify", "chibound.errors", "chibound.graphs"]
+    assert _loaded_alone("certify") == ["chibound.certify", "chibound.errors", "chibound.graphs"]
+
+
+def test_invariants_load_only_the_graph_layer():
+    # a tree_depth result writes its forest itself, with no treedepth import
+    assert _loaded_alone("invariants") == [
+        "chibound.errors",
+        "chibound.graphs",
+        "chibound.invariants",
+    ]
+
+
+def test_holes_load_no_solver():
+    # suite S7 measures the clique number of its blown-up cycles itself
+    loaded = set(_loaded_alone("holes"))
+    assert not loaded & {"chibound.coloring", "chibound.treedepth", "chibound.invariants"}
 
 
 def test_imports_sit_at_module_level():

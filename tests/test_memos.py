@@ -1,8 +1,8 @@
 """Module-level memos stay bounded.
 
 A module-level name bound to an empty dict, list or set is a memo that can
-grow for the life of the process; only the two below are allowed, and the
-caps bound their keys. A function cache must be an lru_cache with an int
+grow for the life of the process; only the one below is allowed, and the
+caps bound its keys. A function cache must be an lru_cache with an int
 literal maxsize.
 """
 
@@ -13,9 +13,8 @@ import chibound
 
 PACKAGE = Path(chibound.__file__).resolve().parent
 
-# corpus graphs keyed by the corpus sizes, critical patterns by (chi, size)
-# under the critical_catalogue cap
-BOUNDED = {("corpus", "_memory_cache"), ("minors", "_critical_cache")}
+# corpus graphs keyed by the corpus sizes
+BOUNDED = {("corpus", "_memory_cache")}
 
 
 def _modules():

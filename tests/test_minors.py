@@ -15,7 +15,6 @@ from chibound.invariants import clique_number
 from chibound.coloring import chi_p, chromatic_number_value
 from chibound.minors import (
     chi_TM,
-    critical_patterns,
     enumerate_ITM_exact,
     find_subdivided_clique,
     find_topo_embedding,
@@ -169,27 +168,25 @@ def test_chi_tm_depth_zero_is_chromatic(small_connected):
         assert chi_TM(g, 0) == chromatic_number_value(g)
 
 
-def test_critical_patterns():
-    threes = critical_patterns(3, 7)
+def _catalogue(chi, max_size):
+    """The critical chi-chromatic patterns of up to max_size vertices."""
+    return [h for size in range(chi, max_size + 1) for h in minors._critical_of_size(chi, size)]
+
+
+def test_critical_catalogue():
+    threes = _catalogue(3, 7)
     assert sorted((h.n, h.m) for h in threes) == [(3, 3), (5, 5), (7, 7)]
-    fours = critical_patterns(4, 5)
+    fours = _catalogue(4, 5)
     assert [(h.n, h.m) for h in fours] == [(4, 6)]
     assert all(
         chromatic_number_value(Graph(h.n, h.edges - {e})) == 3
         for h in fours
         for e in h.edges
     )
-
-
-def test_critical_patterns_concatenate_the_per_size_lists():
     for chi in range(3, 8):
-        sizes = {size: minors._critical_of_size(chi, size) for size in range(chi, 9)}
-        assert all(h.n == size for size, hs in sizes.items() for h in hs)
-        for max_size in range(9):
-            by_size = [h for size in range(chi, max_size + 1) for h in sizes[size]]
-            assert critical_patterns(chi, max_size) == by_size
-    with pytest.raises(SizeCapError, match=r"^critical_catalogue is capped at 8 vertices, got 9$"):
-        minors._critical_of_size(4, 9)
+        for size in range(chi, 9):
+            assert all(h.n == size for h in minors._critical_of_size(chi, size))
+    assert minors._critical_of_size.cache_info().maxsize == 128
 
 
 def _plain(x):
@@ -207,7 +204,7 @@ def test_pattern_plans_are_plain_and_shared():
         ((1, 4), (0, 2), (1, 3), (2, 4), (0, 3)),
         False,
     )
-    for h in (complete(1), complete(4), star(4), *critical_patterns(4, 7)):
+    for h in (complete(1), complete(4), star(4), *_catalogue(4, 7)):
         assert _plain(minors._plan(h))
     assert minors._plan(complete(4))[-1] is True
     # equal patterns are one cache entry, so a rebuilt pattern reads the same plan
@@ -221,7 +218,7 @@ def test_one_ball_build_per_host(monkeypatch):
     # climb that stops before any placement builds none either
     hosts = connected_graphs(7)
     for chi in range(4, 8):
-        critical_patterns(chi, 7)  # the catalogue colors graphs of its own
+        _catalogue(chi, 7)  # the catalogue colors graphs of its own
     built = []
     walk = graphs.walk_masks
 

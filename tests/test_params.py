@@ -33,7 +33,7 @@ from chibound.generators import (
     star,
 )
 from chibound.graphs import Digraph, blow_up, power, subdivide_exact
-from chibound.holes import count_holes, enumerate_holes, verify_hole_density
+from chibound.holes import blown_up_cycle, count_holes, enumerate_holes
 from chibound.homomorphism import (
     directed_cycle,
     directed_path,
@@ -44,7 +44,6 @@ from chibound.homomorphism import (
 from chibound.invariants import biclique_number, clique_number
 from chibound.minors import (
     chi_TM,
-    critical_patterns,
     enumerate_ITM_exact,
     find_subdivided_clique,
     find_topo_embedding,
@@ -79,9 +78,12 @@ ENTRIES = {
     "biclique_number.cap": (lambda v: biclique_number(C5, cap=v), 0),
     "all_graphs.n": (all_graphs, 1),
     "connected_graphs.n": (connected_graphs, 1),
-    "verify_hole_density.g": (lambda v: verify_hole_density(v, 2, 1), 5),
-    "verify_hole_density.omega": (lambda v: verify_hole_density(5, v, 1), 2),
-    "verify_hole_density.copies": (lambda v: verify_hole_density(5, 2, v), 1),
+    "blown_up_cycle.g": (lambda v: blown_up_cycle(v, 2), 5),
+    "blown_up_cycle.omega": (lambda v: blown_up_cycle(5, v), 2),
+    "_instances_s7.copies": (
+        lambda v: run_suite(SuiteSpec("S7", params={"grid": [{"g": 5, "omega": 2, "copies": v}]})),
+        1,
+    ),
     "enumerate_holes.max_len": (lambda v: enumerate_holes(C5, v), 0),
     "count_holes.length": (lambda v: count_holes(C5, v), 0),
     "transitive_tournament.k": (transitive_tournament, 1),
@@ -96,8 +98,6 @@ ENTRIES = {
     "omega_TM.r": (lambda v: omega_TM(C5, v), 0),
     "chi_TM.r": (lambda v: chi_TM(C5, v), 0),
     "is_induced_exact_subdivision.r": (lambda v: is_induced_exact_subdivision(K3, v, C5), 0),
-    "critical_patterns.chi": (lambda v: critical_patterns(v, 5), 1),
-    "critical_patterns.max_size": (lambda v: critical_patterns(4, v), 0),
     "enumerate_ITM_exact.r": (lambda v: enumerate_ITM_exact(C5, v, 3), 0),
     "enumerate_ITM_exact.max_pattern_size": (lambda v: enumerate_ITM_exact(C5, 1, v), 0),
     "complete.n": (complete, 0),
@@ -139,7 +139,6 @@ BEFORE_CHECK = {
     "all_graphs",
     "connected_graphs",
     "_corpus",
-    "verify_hole_density",
     "blown_up_cycle",
     "enumerate_holes",
     "count_holes",
@@ -153,7 +152,6 @@ BEFORE_CHECK = {
     "Graph.__init__",
     "omega_TM",
     "chi_TM",
-    "critical_patterns",
     "enumerate_ITM_exact",
     "is_induced_exact_subdivision",
     "complete",
@@ -169,6 +167,10 @@ BEFORE_CHECK = {
     "generate",
     "generate.<locals>.<listcomp>",
     "run_suite",
+    "_instances_s7",
+    "_instances_s7.<locals>.<listcomp>",
+    "_params",
+    "_sequence",
 }
 
 
@@ -216,7 +218,6 @@ def test_entry_rejects_a_bad_int_before_any_search(entry, kind, value):
         lambda: blow_up(C5, 2.0),
         lambda: subdivide_exact(C5, 1.0),
         lambda: power(C5, 1.5),
-        lambda: critical_patterns(4, 7.5),
     ],
 )
 def test_values_that_were_accepted_or_crashed_now_raise(call):

@@ -46,7 +46,7 @@ from chibound.graphs import (
     walk_masks,
 )
 from chibound.invariants import biclique_number, clique_number, degeneracy
-from chibound.minors import critical_patterns, find_topo_embedding
+from chibound.minors import _critical_of_size, find_topo_embedding
 from chibound.treedepth import (
     TreedepthSolver,
     _degeneracy,
@@ -566,7 +566,8 @@ def test_star_validator_matches_the_naive_check(g, data):
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=7))
 def test_topo_embedding_search_agrees_with_the_naive_oracle(g):
-    patterns = [complete(3), cycle(5), complete(4), complete(5)] + critical_patterns(4, 6)
+    patterns = [complete(3), cycle(5), complete(4), complete(5)]
+    patterns += [h for size in range(4, 7) for h in _critical_of_size(4, size)]
     for h in patterns:
         for r in range(4):
             emb = find_topo_embedding(h, g, r)

@@ -31,9 +31,6 @@ ROOTS = {
 UNREACHED = {
     "minors.enumerate_ITM_exact": "checked by acceptance criterion C9c",
     "minors.is_induced_exact_subdivision": "checked by acceptance criterion C9c",
-    "minors.critical_patterns": (
-        "the public catalogue; chi_TM reads the same per-size lists one size at a time"
-    ),
     "certify.validate_topo_embedding": "checked by acceptance criterion C9c",
     "homomorphism.walk_power": "checked by acceptance criterion C9d",
     "errors.WalkLoopError": "checked by acceptance criterion C9d",
